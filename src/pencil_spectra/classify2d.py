@@ -31,28 +31,37 @@ def in_M2(side: str, omega: complex, problem: InterfaceProblem,
     return in_open_positive_ray(wv, tol)
 
 
+def _n2_witness(w_p: complex, w_m: complex, tol: Tolerances):
+    """The real witness a = W_+ W_-/(W_+ + W_-) of the set N, or None off N.
+
+    Near-cancelling W_+ + W_- is treated as the excluded limit-point case (a
+    diverges there). The unsquared matching identity with mu_pm = sqrt(a - W_pm)
+    holds automatically for the returned a (same argument as the 1D set with
+    a = k^2).
+    """
+    s = w_p + w_m
+    # comparisons written so that a NaN W or witness fails them
+    if not abs(s) > tol.equality_tol * (abs(w_p) + abs(w_m)):
+        return None
+    a = w_p * w_m / s
+    if not (abs(a.imag) <= tol.ray_imag_tol and a.real >= -tol.ray_real_tol):
+        return None
+    if in_ray(w_p, a.real, tol) or in_ray(w_m, a.real, tol):
+        return None
+    return a.real
+
+
 def in_N2(omega: complex, problem: InterfaceProblem,
           tol: Tolerances = DEFAULT_TOL):
     """(membership, witness a) for the 2D interface set N.
 
-    The witness solves a(W_+ + W_-) = W_+ W_- in closed form. Near-cancelling
-    W_+ + W_- is treated as the excluded limit-point case (a diverges there).
+    The witness solves a(W_+ + W_-) = W_+ W_- in closed form.
     """
     omega = complex(omega)
     _check_reduced_point(problem, omega, tol, "in_N2")
-    wt_p, wt_m, w_p, w_m = _w_values(problem, omega, tol)
-    s = w_p + w_m
-    if abs(s) <= tol.equality_tol * (abs(w_p) + abs(w_m)):
-        return False, None
-    a = w_p * w_m / s
-    if abs(a.imag) > tol.ray_imag_tol or a.real < -tol.ray_real_tol:
-        return False, None
-    ar = a.real
-    if in_ray(w_p, ar, tol) or in_ray(w_m, ar, tol):
-        return False, None
-    # the unsquared matching identity with mu_pm = sqrt(a - W_pm) holds
-    # automatically here (same argument as the 1D set with a = k^2)
-    return True, ar
+    _, _, w_p, w_m = _w_values(problem, omega, tol)
+    a = _n2_witness(w_p, w_m, tol)
+    return a is not None, a
 
 
 def classify2(omega: complex, problem: InterfaceProblem,
@@ -83,13 +92,7 @@ def classify2(omega: complex, problem: InterfaceProblem,
     wt_p, wt_m, w_p, w_m = _w_values(problem, omega, tol)
     mp = in_open_positive_ray(w_p, tol)
     mm = in_open_positive_ray(w_m, tol)
-    s = w_p + w_m
-    nn = False
-    if abs(s) > tol.equality_tol * (abs(w_p) + abs(w_m)):
-        a = w_p * w_m / s
-        if abs(a.imag) <= tol.ray_imag_tol and a.real >= -tol.ray_real_tol:
-            ar = a.real
-            nn = not (in_ray(w_p, ar, tol) or in_ray(w_m, ar, tol))
+    nn = _n2_witness(w_p, w_m, tol) is not None
 
     if mp or mm or nn:
         members = [name for name, flag in (("M+", mp), ("M-", mm), ("N", nn)) if flag]

@@ -195,8 +195,3 @@ def poly_roots(coeffs, tol: Tolerances = DEFAULT_TOL):
         out.append((z, m))
     out.sort(key=lambda t: (t[0].real, t[0].imag))
     return out
-
-
-def poly_root_points(coeffs, tol: Tolerances = DEFAULT_TOL):
-    """Distinct roots only (multiplicities dropped)."""
-    return [z for z, _ in poly_roots(coeffs, tol)]

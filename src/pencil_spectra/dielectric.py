@@ -184,7 +184,6 @@ class InterfaceProblem:
 
     plus: DielectricModel
     minus: DielectricModel
-    k: Optional[float] = None  # convenience slot for CLI plumbing; ops take k explicitly
 
     def __post_init__(self):
         if abs(self.plus.scale - self.minus.scale) > 1e-15 * max(self.plus.scale, self.minus.scale):

@@ -3,11 +3,14 @@
 For omega in the resolvent set, the solution of (T_k - W(omega)) u = r with a
 divergence-free right-hand side is written explicitly: u2 and u3 come from the
 half-line Green kernels e^(-+ mu_pm x1) glued by the interface conditions
-(the constants C2 and C3), u1 is slaved algebraically to u2'. All exponential
-kernel integrals are evaluated by per-cell Gauss-Legendre quadrature with the
-exponential weight folded in per panel and accumulated by stable one-sided
-recursions (every propagation factor has modulus < 1 in the recursion
-direction).
+(the constants C2 and C3), u1 is slaved algebraically to u2'. One kernel,
+_exp_kernels, computes both exponential integrals of a half-line in a single
+array pass: the right-hand side is evaluated once on every Gauss-Legendre node
+of the half-line, the per-cell moments (exponential weight folded in per
+panel) come from two weighted row sums, and stable one-sided recursions
+accumulate them (every propagation factor has modulus < 1 in the recursion
+direction). The moments entering C2 and C3 are read off the kernel arrays at
+the interface node, so each (side, component) pair is integrated once.
 
 The interface x1 = 0 is stored as a double node (0-, 0+), so jumps are
 first-class data. r components live on the grid together with generating
@@ -131,66 +134,77 @@ class RhsField:
                         support=(float(lo), float(hi)), r2_fn=f2, r3_fn=f3)
 
 
+def _node_values(starts: np.ndarray, widths, fn) -> np.ndarray:
+    """fn at the Gauss-Legendre nodes of the cells [starts, starts + widths].
+
+    One call of fn on all nodes; returns shape (cells, _CELL_GL).
+    """
+    offs, _ = _gl_cell()
+    t = starts[:, None] + np.asarray(widths)[..., None] * offs
+    return np.asarray(fn(t.ravel()), dtype=complex).reshape(t.shape)
+
+
 def _cumulative_integral(grid: Grid, fn) -> np.ndarray:
     """int_{-L}^{x_j} fn(t) dt at every node, per-cell Gauss-Legendre."""
     x = grid.x
-    offs, wq = _gl_cell()
-    out = np.zeros(x.size, dtype=complex)
-    acc = 0j
-    for j in range(x.size - 1):
-        a, b = x[j], x[j + 1]
-        out[j] = acc
-        width = b - a
-        if width > 0:
-            t = a + width * offs
-            acc += width * np.sum(wq * np.asarray(fn(t), dtype=complex))
-    out[-1] = acc
-    return out
+    _, wq = _gl_cell()
+    widths = np.diff(x)
+    cells = widths > 0  # the interface cell (0-, 0+) has zero width
+    vals = _node_values(x[:-1][cells], widths[cells], fn)
+    cell_int = np.zeros(x.size - 1, dtype=complex)
+    cell_int[cells] = widths[cells] * (vals * wq).sum(axis=1)
+    return np.concatenate([[0j], np.cumsum(cell_int)])
 
 
-def _exp_kernels(xs: np.ndarray, fn, mu: complex, orientation: str) -> np.ndarray:
+def _exp_kernels(xs: np.ndarray, fn, mu: complex):
     """Stable weighted cumulative integrals against e^(+- mu t) on one half-line.
 
-    orientation "suffix":  S_j = e^(mu x_j) int_{x_j}^{x_end} e^(-mu t) f dt
-    orientation "prefix":  T_j = e^(-mu x_j) int_{x_0}^{x_j} e^(mu t) f dt
+    Returns (S, T) with
+        S_j = e^(mu x_j)  int_{x_j}^{x_end} e^(-mu t) f dt
+        T_j = e^(-mu x_j) int_{x_0}^{x_j}   e^(mu t)  f dt
     Every recursion factor e^(-mu h) has modulus < 1, so no overflow occurs
     regardless of Re(mu) * L.
     """
-    offs, wq = _gl_cell()
     n = xs.size
-    h = xs[1] - xs[0] if n > 1 else 0.0
-    out = np.zeros(n, dtype=complex)
     if n < 2:
-        return out
-    decay = np.exp(-mu * h)
-    if orientation == "suffix":
-        # m_j = int_{x_j}^{x_{j+1}} e^(-mu (t - x_j)) f(t) dt
-        tloc = h * offs
-        wfac = wq * np.exp(-mu * tloc) * h
-        acc = 0j
-        for j in range(n - 2, -1, -1):
-            t = xs[j] + tloc
-            m_j = np.sum(wfac * np.asarray(fn(t), dtype=complex))
-            acc = m_j + decay * acc
-            out[j] = acc
-        return out
-    if orientation == "prefix":
-        # m_j = int_{x_j}^{x_{j+1}} e^(mu (t - x_{j+1})) f(t) dt
-        tloc = h * offs
-        wfac = wq * np.exp(mu * (tloc - h)) * h
-        acc = 0j
-        for j in range(n - 1):
-            t = xs[j] + tloc
-            m_j = np.sum(wfac * np.asarray(fn(t), dtype=complex))
-            acc = decay * acc + m_j
-            out[j + 1] = acc
-        return out
-    raise ValueError(orientation)
+        return np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
+    offs, wq = _gl_cell()
+    h = xs[1] - xs[0]
+    vals = _node_values(xs[:-1], h, fn)
+    tloc = h * offs
+    # m_j = int_{x_j}^{x_{j+1}} e^(-mu (t - x_j)) f dt and e^(mu (t - x_{j+1})) f dt;
+    # row sums rather than @ keep numpy's per-cell summation order
+    m_s = (vals * (wq * np.exp(-mu * tloc) * h)).sum(axis=1).tolist()
+    m_t = (vals * (wq * np.exp(mu * (tloc - h)) * h)).sum(axis=1).tolist()
+    decay = complex(np.exp(-mu * h))
+    S = [0j] * n
+    T = [0j] * n
+    acc = 0j
+    for j in range(n - 2, -1, -1):
+        acc = m_s[j] + decay * acc
+        S[j] = acc
+    acc = 0j
+    for j in range(n - 1):
+        acc = decay * acc + m_t[j]
+        T[j + 1] = acc
+    return np.array(S), np.array(T)
+
+
+@dataclass(frozen=True)
+class VerifyReport:
+    """Independent checks of a resolvent solution against the defining equations."""
+
+    ode_residuals: tuple       # per-equation max |lhs - r| via 4th-order FD
+    ode_residual_max: float
+    jumps: tuple               # |[Wt u1]|, |[u2]|, |[u3]|, |[u2'-ik u1]|, |[u3']|
+    divergence_max: float      # max |u1' + i k u2| per half-line (FD)
+    norm_ratio: float
+    r_norm: float
 
 
 @dataclass(frozen=True)
 class ResolventSolution:
-    """Sampled resolvent solution with its glue constants and verification summary."""
+    """Sampled resolvent solution with its glue constants and verification report."""
 
     grid: Grid
     omega: complex
@@ -200,65 +214,31 @@ class ResolventSolution:
     u3_prime: np.ndarray
     C2: complex
     C3: complex
-    residual_ode: float
-    residual_interface: float
-    norm_ratio: float
+    report: VerifyReport   # verify() of this solution, computed by solve
+
+    @property
+    def residual_ode(self) -> float:
+        return self.report.ode_residual_max
+
+    @property
+    def residual_interface(self) -> float:
+        return max(self.report.jumps)
+
+    @property
+    def norm_ratio(self) -> float:
+        return self.report.norm_ratio
 
 
-def _half_line_solution(xs, fn, mu, const, sign):
+def _half_line_solution(xs, S, T, mu, const, sign):
     """u = const*e^(-+mu x) + (1/(2 mu)) (S + T) and its derivative on one side.
 
-    sign +1 is the right half-line (decay e^(-mu x)); -1 the left (e^(mu x)).
+    (S, T) are _exp_kernels(xs, f, mu). sign +1 is the right half-line (decay
+    e^(-mu x)); -1 the left (e^(mu x)). The interface x = 0 is an end of xs.
     """
-    if sign > 0:
-        S = _exp_kernels(xs, fn, mu, "suffix")
-        T = _exp_kernels(xs, fn, mu, "prefix")
-        env = np.exp(-mu * (xs - xs[0]))  # interface sits at xs[0] = 0
-        u = const * env + (S + T) / (2.0 * mu)
-        du = -mu * const * env + 0.5 * (S - T)
-        return u, du, S, T
-    S = _exp_kernels_left_suffix(xs, fn, mu)
-    B = _exp_kernels_left_prefix(xs, fn, mu)
-    env = np.exp(mu * (xs - xs[-1]))  # interface sits at xs[-1] = 0
-    u = const * env + (S + B) / (2.0 * mu)
-    du = mu * const * env + 0.5 * (S - B)
-    return u, du, S, B
-
-
-def _exp_kernels_left_suffix(xs, fn, mu):
-    """S_j = e^(mu x_j) int_{x_j}^{0} e^(-mu t) f dt on the left grid (ends at 0)."""
-    offs, wq = _gl_cell()
-    n = xs.size
-    h = xs[1] - xs[0]
-    out = np.zeros(n, dtype=complex)
-    tloc = h * offs
-    wfac = wq * np.exp(-mu * tloc) * h
-    acc = 0j
-    dec = np.exp(-mu * h)
-    for j in range(n - 2, -1, -1):
-        t = xs[j] + tloc
-        m_j = np.sum(wfac * np.asarray(fn(t), dtype=complex))
-        acc = m_j + dec * acc
-        out[j] = acc
-    return out
-
-
-def _exp_kernels_left_prefix(xs, fn, mu):
-    """B_j = e^(-mu x_j) int_{-inf}^{x_j} e^(mu t) f dt (f vanishes below x_0)."""
-    offs, wq = _gl_cell()
-    n = xs.size
-    h = xs[1] - xs[0]
-    out = np.zeros(n, dtype=complex)
-    tloc = h * offs
-    wfac = wq * np.exp(mu * (tloc - h)) * h
-    dec = np.exp(-mu * h)
-    acc = 0j
-    for j in range(n - 1):
-        t = xs[j] + tloc
-        m_j = np.sum(wfac * np.asarray(fn(t), dtype=complex))
-        acc = dec * acc + m_j
-        out[j + 1] = acc
-    return out
+    env = np.exp(-sign * mu * xs)
+    u = const * env + (S + T) / (2.0 * mu)
+    du = -sign * mu * const * env + 0.5 * (S - T)
+    return u, du
 
 
 def solve(omega: complex, k: float, r: RhsField, problem: InterfaceProblem,
@@ -288,11 +268,14 @@ def solve(omega: complex, k: float, r: RhsField, problem: InterfaceProblem,
     if f2 is None or f3 is None:
         raise PreconditionError("RhsField must carry generating callables (use from_callables)")
 
-    # exponential moments entering the constants
-    I_p2 = _exp_kernels(xr, f2, mu_p, "suffix")[0]          # int_0^inf e^(-mu+ t) r2
-    I_m2 = _exp_kernels_left_prefix(xl, f2, mu_m)[-1]       # int_-inf^0 e^(mu- t) r2
-    I_p3 = _exp_kernels(xr, f3, mu_p, "suffix")[0]
-    I_m3 = _exp_kernels_left_prefix(xl, f3, mu_m)[-1]
+    (S2r, T2r), (S2l, T2l), (S3r, T3r), (S3l, T3l) = (
+        _exp_kernels(xs, fn, mu) for fn in (f2, f3) for xs, mu in ((xr, mu_p), (xl, mu_m)))
+
+    # exponential moments entering the constants, read at the interface node
+    I_p2 = S2r[0]     # int_0^inf e^(-mu+ t) r2
+    I_m2 = T2l[-1]    # int_-inf^0 e^(mu- t) r2
+    I_p3 = S3r[0]
+    I_m3 = T3l[-1]
 
     r1_at_0 = complex(r.r1[grid.i_zero_plus])
 
@@ -310,10 +293,10 @@ def solve(omega: complex, k: float, r: RhsField, problem: InterfaceProblem,
     a3_p = C3 - I_p3 / (2.0 * mu_p)
     a3_m = C3 - I_m3 / (2.0 * mu_m)
 
-    u2r, du2r, _, _ = _half_line_solution(xr, f2, mu_p, a2_p, +1)
-    u2l, du2l, _, _ = _half_line_solution(xl, f2, mu_m, a2_m, -1)
-    u3r, du3r, _, _ = _half_line_solution(xr, f3, mu_p, a3_p, +1)
-    u3l, du3l, _, _ = _half_line_solution(xl, f3, mu_m, a3_m, -1)
+    u2r, du2r = _half_line_solution(xr, S2r, T2r, mu_p, a2_p, +1)
+    u2l, du2l = _half_line_solution(xl, S2l, T2l, mu_m, a2_m, -1)
+    u3r, du3r = _half_line_solution(xr, S3r, T3r, mu_p, a3_p, +1)
+    u3l, du3l = _half_line_solution(xl, S3l, T3l, mu_m, a3_m, -1)
 
     N = grid.x.size
     u = np.zeros((3, N), dtype=complex)
@@ -328,31 +311,9 @@ def solve(omega: complex, k: float, r: RhsField, problem: InterfaceProblem,
     u[0, :nl] = (r.r1[:nl] - 1j * k * du2l) / (k * k - w_m)
     u[0, nl:] = (r.r1[nl:] - 1j * k * du2r) / (k * k - w_p)
 
-    sol = ResolventSolution(
-        grid=grid, omega=omega, k=k, u=u, u2_prime=du2, u3_prime=du3,
-        C2=complex(C2), C3=complex(C3),
-        residual_ode=float("nan"), residual_interface=float("nan"),
-        norm_ratio=float("nan"),
-    )
-    rep = verify(sol, r, omega, k, problem, tol)
-    return ResolventSolution(
-        grid=grid, omega=omega, k=k, u=u, u2_prime=du2, u3_prime=du3,
-        C2=complex(C2), C3=complex(C3),
-        residual_ode=rep.ode_residual_max, residual_interface=max(rep.jumps),
-        norm_ratio=rep.norm_ratio,
-    )
-
-
-@dataclass(frozen=True)
-class VerifyReport:
-    """Independent checks of a resolvent solution against the defining equations."""
-
-    ode_residuals: tuple       # per-equation max |lhs - r| via 4th-order FD
-    ode_residual_max: float
-    jumps: tuple               # |[Wt u1]|, |[u2]|, |[u3]|, |[u2'-ik u1]|, |[u3']|
-    divergence_max: float      # max |u1' + i k u2| per half-line (FD)
-    norm_ratio: float
-    r_norm: float
+    rep = _verify_fields(grid, u, du2, du3, r, omega, k, problem, tol)
+    return ResolventSolution(grid=grid, omega=omega, k=k, u=u, u2_prime=du2, u3_prime=du3,
+                             C2=complex(C2), C3=complex(C3), report=rep)
 
 
 def _fd_first(y: np.ndarray, h: float) -> np.ndarray:
@@ -383,7 +344,13 @@ def _fd_second(y: np.ndarray, h: float) -> np.ndarray:
 def verify(sol: ResolventSolution, r: RhsField, omega: complex, k: float,
            problem: InterfaceProblem, tol: Tolerances = DEFAULT_TOL) -> VerifyReport:
     """Check the ODEs (4th-order FD), the five jumps, the divergence, and the norm."""
-    grid = sol.grid
+    return _verify_fields(sol.grid, sol.u, sol.u2_prime, sol.u3_prime, r, omega, k,
+                          problem, tol)
+
+
+def _verify_fields(grid: Grid, u: np.ndarray, u2_prime: np.ndarray, u3_prime: np.ndarray,
+                   r: RhsField, omega: complex, k: float, problem: InterfaceProblem,
+                   tol: Tolerances) -> VerifyReport:
     h = grid.h
     nl = grid.i_zero_minus + 1
     wt_p = wtilde(problem.plus, omega, tol)
@@ -394,7 +361,7 @@ def verify(sol: ResolventSolution, r: RhsField, omega: complex, k: float,
     res = [0.0, 0.0, 0.0]
     div_max = 0.0
     for sl, wval in ((slice(0, nl), omega**2 * wt_m), (slice(nl, None), omega**2 * wt_p)):
-        u1 = sol.u[0, sl]; u2 = sol.u[1, sl]; u3 = sol.u[2, sl]
+        u1 = u[0, sl]; u2 = u[1, sl]; u3 = u[2, sl]
         du1 = _fd_first(u1, h)
         du2 = _fd_first(u2, h)
         d2u2 = _fd_second(u2, h)
@@ -410,15 +377,15 @@ def verify(sol: ResolventSolution, r: RhsField, omega: complex, k: float,
         div_max = max(div_max, float(np.abs(div[interior]).max()))
 
     im, ip = grid.i_zero_minus, grid.i_zero_plus
-    jump_wu1 = abs(wt_p * sol.u[0, ip] - wt_m * sol.u[0, im])
-    jump_u2 = abs(sol.u[1, ip] - sol.u[1, im])
-    jump_u3 = abs(sol.u[2, ip] - sol.u[2, im])
-    comb_p = sol.u2_prime[ip] - 1j * k * sol.u[0, ip]
-    comb_m = sol.u2_prime[im] - 1j * k * sol.u[0, im]
+    jump_wu1 = abs(wt_p * u[0, ip] - wt_m * u[0, im])
+    jump_u2 = abs(u[1, ip] - u[1, im])
+    jump_u3 = abs(u[2, ip] - u[2, im])
+    comb_p = u2_prime[ip] - 1j * k * u[0, ip]
+    comb_m = u2_prime[im] - 1j * k * u[0, im]
     jump_comb = abs(comb_p - comb_m)
-    jump_du3 = abs(sol.u3_prime[ip] - sol.u3_prime[im])
+    jump_du3 = abs(u3_prime[ip] - u3_prime[im])
 
-    u_norm = math.sqrt(sum(float(np.trapezoid(np.abs(sol.u[j]) ** 2, dx=h))
+    u_norm = math.sqrt(sum(float(np.trapezoid(np.abs(u[j]) ** 2, dx=h))
                            for j in range(3)))
     return VerifyReport(
         ode_residuals=tuple(x / scale for x in res),

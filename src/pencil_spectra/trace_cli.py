@@ -41,7 +41,7 @@ from .modes import (
     weyl_2d_interface_report,
     weyl_sequence_1d,
 )
-from .resolvent import RhsField, make_grid, save_field_csv, solve, verify
+from .resolvent import RhsField, make_grid, save_field_csv, solve
 
 _COLORS = {
     "resolvent": "#ffffff",
@@ -411,7 +411,7 @@ def cmd_resolve(args, tol) -> int:
     r2 = lambda x: bump((np.asarray(x) - center) / width)
     r = RhsField.from_callables(grid, k, r2_fn=r2, r3_fn=r2, support=(lo, hi))
     sol = solve(omega, k, r, problem, tol)
-    rep = verify(sol, r, omega, k, problem, tol)
+    rep = sol.report
     import os
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "resolvent.csv")

@@ -1,13 +1,19 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pencil_spectra
 from pencil_spectra import DielectricModel, InterfaceProblem, solve, verify
 from pencil_spectra.errors import SpectralPointError
 from pencil_spectra.modes import bump
 from pencil_spectra.resolvent import (
     RhsField,
+    _cumulative_integral,
+    _exp_kernels,
     load_field_csv,
     make_grid,
     save_field_csv,
@@ -37,8 +43,6 @@ def test_solve_spectral_point_rejected(drude_problem):
 
 
 def test_divergence_free_rhs(drude_problem):
-    from pencil_spectra.resolvent import _cumulative_integral
-
     grid = make_grid(8.0, 1 / 100)
     # zero-mean r2 (odd around its center) keeps r1 compactly supported
     width = 0.5
@@ -200,3 +204,87 @@ def test_field_csv_roundtrip(tmp_path, drude_problem):
     assert np.abs(u2 - sol.u).max() <= 1e-12 * max(np.abs(sol.u).max(), 1e-30)
     header = path.read_text().splitlines()[0]
     assert header == "x1,re_u1,im_u1,re_u2,im_u2,re_u3,im_u3"
+
+
+@pytest.mark.parametrize("xs", [np.linspace(0.0, 6.0, 601), np.linspace(-6.0, 0.0, 601)])
+def test_exp_kernels_closed_form(xs):
+    # f = 1: S_j = (1 - e^(-mu (x_end - x_j)))/mu, T_j = (1 - e^(-mu (x_j - x_0)))/mu
+    mu = 1.3 + 0.4j
+    S, T = _exp_kernels(xs, np.ones_like, mu)
+    S_exact = (1.0 - np.exp(-mu * (xs[-1] - xs))) / mu
+    T_exact = (1.0 - np.exp(-mu * (xs - xs[0]))) / mu
+    assert np.abs(S - S_exact).max() <= 1e-14
+    assert np.abs(T - T_exact).max() <= 1e-14
+    assert S[-1] == 0 and T[0] == 0
+
+
+def _loop_kernels(xs, fn, mu):
+    """Cell-by-cell reference for _exp_kernels: one fn call and one np.sum per cell."""
+    xi, wq = np.polynomial.legendre.leggauss(8)
+    h = xs[1] - xs[0]
+    tloc = 0.5 * h * (xi + 1.0)
+    w_s = 0.5 * wq * np.exp(-mu * tloc) * h
+    w_t = 0.5 * wq * np.exp(mu * (tloc - h)) * h
+    decay = np.exp(-mu * h)
+    S = np.zeros(xs.size, dtype=complex)
+    T = np.zeros(xs.size, dtype=complex)
+    for j in range(xs.size - 2, -1, -1):
+        S[j] = np.sum(w_s * fn(xs[j] + tloc)) + decay * S[j + 1]
+    for j in range(xs.size - 1):
+        T[j + 1] = decay * T[j] + np.sum(w_t * fn(xs[j] + tloc))
+    return S, T
+
+
+@pytest.mark.parametrize("xs", [np.linspace(0.0, 4.0, 401), np.linspace(-4.0, 0.0, 401)])
+def test_exp_kernels_match_cell_loop(xs):
+    fn = lambda x: bump((np.asarray(x) - np.sign(xs.sum()) * 1.5) / 0.5) * (1 + 0.3j * x)
+    mu = 2.1 - 0.7j
+    S, T = _exp_kernels(xs, fn, mu)
+    S_ref, T_ref = _loop_kernels(xs, fn, mu)
+    # only the rounding of each cell's moment may differ
+    eps = np.finfo(float).eps
+    assert np.abs(S - S_ref).max() <= 16 * eps * np.abs(S_ref).max()
+    assert np.abs(T - T_ref).max() <= 16 * eps * np.abs(T_ref).max()
+
+
+def test_exp_kernels_no_overflow():
+    # Re(mu) * L = 900 > 710, where e^(Re(mu) L) overflows a double
+    xs = np.linspace(0.0, 100.0, 2001)
+    mu = 9.0 + 2.0j
+    assert mu.real * xs[-1] > 710
+    S, T = _exp_kernels(xs, np.ones_like, mu)
+    assert np.isfinite(S).all() and np.isfinite(T).all()
+    assert np.abs(S - (1.0 - np.exp(-mu * (xs[-1] - xs))) / mu).max() <= 1e-14
+    assert np.abs(T - (1.0 - np.exp(-mu * (xs - xs[0]))) / mu).max() <= 1e-14
+
+
+def test_cumulative_integral_across_interface():
+    # f = 1 integrates to x + L; the zero-width cell (0-, 0+) adds nothing
+    grid = make_grid(3.0, 1 / 10)
+    cum = _cumulative_integral(grid, np.ones_like)
+    assert np.abs(cum - (grid.x + grid.L)).max() <= 1e-13
+    assert cum[grid.i_zero_minus] == cum[grid.i_zero_plus]
+
+
+@pytest.mark.parametrize("h", [1 / 50, 1 / 200])
+def test_solve_calls_rhs_a_fixed_number_of_times(drude_problem, h):
+    grid = make_grid(8.0, h)
+    calls = []
+
+    def r2(x):
+        calls.append(np.size(x))
+        return bump((np.asarray(x) - 1.5) / 0.5)
+
+    r = RhsField.from_callables(grid, 3.0, r2_fn=r2, r3_fn=r2, support=(1.0, 2.0))
+    calls.clear()
+    solve(0.5j, 3.0, r, drude_problem)
+    # one kernel pass per (side, component), independent of the grid size
+    assert len(calls) == 4
+
+
+def test_cli_import_does_not_load_scipy_signal():
+    src = os.path.dirname(os.path.dirname(pencil_spectra.__file__))
+    code = "import sys, pencil_spectra.trace_cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"
