@@ -37,12 +37,18 @@ from .modes import (
     weyl_sequence_1d,
 )
 from .resolvent import Grid, ResolventSolution, RhsField, solve, verify
-from .fd_oracle import (
-    DiscretizedPencil,
-    direct_solve,
-    lambda_isolation_probe,
-    shoot_determinant,
-)
+
+# fd_oracle imports scipy, most of the package's import time: load it on
+# first use of one of its names
+_FD_ORACLE_NAMES = ("DiscretizedPencil", "direct_solve", "lambda_isolation_probe",
+                    "shoot_determinant")
+
+
+def __getattr__(name):
+    if name in _FD_ORACLE_NAMES:
+        from . import fd_oracle
+        return getattr(fd_oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "Tolerances", "principal_sqrt", "poly_roots", "in_ray", "in_open_positive_ray",

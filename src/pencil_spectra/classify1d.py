@@ -1,4 +1,4 @@
-"""Pointwise spectral classification of the 1D pencil at fixed wavenumber k.
+"""Spectral classification of the 1D pencil at fixed wavenumber k, and of the 2D pencil.
 
 The decision procedure is driven entirely by the values W_pm(omega) and
 W-tilde_pm(omega):
@@ -9,17 +9,28 @@ W-tilde_pm(omega):
 * on the exceptional set a case table on (W-tilde_+, W-tilde_-, W_+, W_-)
   applies, which for k != 0 can split the essential spectra three ways.
 
-classify() is total: domain or singularity issues are encoded in the record,
-never thrown, so grid tracing cannot abort. All functions are pure.
+classify_array() decides whole arrays of omega for both pencils (k=None
+selects the 2D one); classify() and classify2d.classify2() decide one point
+with its per-point step, _classify_point. The reduced branch, the N identity,
+the 2D witness and the exceptional table each have one implementation, which
+takes Python scalars or numpy arrays (a size-1 array call would cost about
+20x a scalar one in numpy call overhead). Classification is total: domain or
+singularity issues are encoded in the record, never thrown, so grid tracing
+cannot abort. All functions are pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .complex_numerics import (
     DEFAULT_TOL,
     Tolerances,
+    cabs,
+    cdiv,
+    cmul,
     in_open_positive_ray,
     in_ray,
     principal_sqrt,
@@ -28,8 +39,11 @@ from .dielectric import (
     InterfaceProblem,
     Omega0Point,
     near_omega0,
+    omega0_set,
+    singular_set,
     which_pole_side,
     wtilde,
+    wtilde_array,
 )
 from .errors import PreconditionError
 
@@ -94,6 +108,71 @@ OUTSIDE = SpectrumClass(
     point_infinite=False, discrete=False, weyl=False,
     e1=False, e2=False, e3=False, e4=False, e5=False, branch_note="S",
 )
+_RESOLVENT = SpectrumClass(
+    True, False, resolvent=True, point_finite=False, point_infinite=False,
+    discrete=False, weyl=False, e1=False, e2=False, e3=False, e4=False, e5=False,
+    branch_note="",
+)
+_ESSENTIAL = SpectrumClass(
+    True, False, resolvent=False, point_finite=False, point_infinite=False,
+    discrete=False, weyl=True, e1=True, e2=True, e3=True, e4=True, e5=True,
+    branch_note="",
+)
+_PLASMON = SpectrumClass(
+    True, False, resolvent=False, point_finite=True, point_infinite=False,
+    discrete=True, weyl=False, e1=False, e2=False, e3=False, e4=False, e5=False,
+    branch_note="",
+)
+
+# Branch codes of the reduced branch are bit sets of the memberships found.
+# POINTWISE marks the points decided one at a time by _classify_point.
+M_PLUS, M_MINUS, IN_N = 1, 2, 4
+POINTWISE = -1
+
+
+def _reduced_record(code: int, dim: int) -> SpectrumClass:
+    if code == 0:
+        return replace(_RESOLVENT, branch_note=("2D-" if dim == 2 else "") + "reduced/resolvent")
+    if dim == 2:
+        members = [name for bit, name in ((M_PLUS, "M+"), (M_MINUS, "M-"), (IN_N, "N"))
+                   if code & bit]
+        return replace(_ESSENTIAL, branch_note="2D-reduced/" + "&".join(members))
+    if code == IN_N:
+        return replace(_PLASMON, branch_note="reduced/N")
+    which = {M_PLUS: "M+", M_MINUS: "M-", M_PLUS | M_MINUS: "M+-"}[code]
+    return replace(_ESSENTIAL, branch_note=f"reduced/{which}")
+
+
+# the record of each reduced code, by pencil dimension (1D N excludes the rays)
+REDUCED = {1: tuple(_reduced_record(c, 1) for c in range(IN_N + 1)),
+           2: tuple(_reduced_record(c, 2) for c in range(2 * IN_N))}
+
+
+@dataclass(frozen=True)
+class ArrayClassification:
+    """classify_array's result: one branch code per point, and the records of
+    the points decided one at a time (code POINTWISE), by index."""
+
+    codes: np.ndarray
+    pointwise: dict
+    dim: int
+
+    def record(self, i: int) -> SpectrumClass:
+        rec = self.pointwise.get(i)
+        return rec if rec is not None else REDUCED[self.dim][self.codes[i]]
+
+    def _per_point(self, fn) -> list:
+        table = [fn(rec) for rec in REDUCED[self.dim]]
+        out = [table[c] for c in self.codes.tolist()]
+        for i, rec in self.pointwise.items():   # their code -1 picked a stand-in
+            out[i] = fn(rec)
+        return out
+
+    def branch_notes(self) -> list:
+        return self._per_point(lambda rec: rec.branch_note)
+
+    def raster_classes(self) -> list:
+        return self._per_point(SpectrumClass.raster_class)
 
 
 def _w_values(problem: InterfaceProblem, omega: complex, tol: Tolerances):
@@ -128,12 +207,35 @@ def in_M(side: str, omega: complex, k: float, problem: InterfaceProblem,
     return in_open_positive_ray(wv, tol)
 
 
-def _n_identity_holds(wt_p, wt_m, w_p, w_m, k, tol):
-    mu_p = principal_sqrt(k * k - w_p)
-    mu_m = principal_sqrt(k * k - w_m)
-    a = wt_p * mu_m
-    b = wt_m * mu_p
-    return abs(a + b) <= tol.equality_tol * (abs(a) + abs(b))
+def _n_identity_holds(wt_p, wt_m, w_p, w_m, k2, tol, slack=1.0):
+    """The unsquared matching identity W-tilde_+ mu_- + W-tilde_- mu_+ = 0.
+
+    mu_pm = principal_sqrt(k2 - W_pm), where k2 is k^2 (or the 2D witness a).
+    With a = W-tilde_+ mu_-, b = W-tilde_- mu_+ it holds when
+    |a + b| <= slack * equality_tol * (|a| + |b|). Elementwise on arrays.
+    """
+    mu_p = principal_sqrt(k2 - w_p)
+    mu_m = principal_sqrt(k2 - w_m)
+    a = cmul(wt_p, mu_m)
+    b = cmul(wt_m, mu_p)
+    return cabs(a + b) <= slack * tol.equality_tol * (cabs(a) + cabs(b))
+
+
+def _n2_witness(w_p, w_m, tol: Tolerances):
+    """(holds, a): the real witness a = Re W_+ W_-/(W_+ + W_-) of the 2D set N.
+
+    Near-cancelling W_+ + W_- is treated as the excluded limit-point case (a
+    diverges there). The unsquared matching identity with mu_pm = sqrt(a - W_pm)
+    holds automatically for the returned a (same argument as the 1D set with
+    a = k^2). The comparisons are written so that a NaN W or witness fails
+    them. Elementwise on arrays.
+    """
+    s = w_p + w_m
+    a = cdiv(cmul(w_p, w_m), s)
+    holds = ((cabs(s) > tol.equality_tol * (cabs(w_p) + cabs(w_m)))
+             & (abs(a.imag) <= tol.ray_imag_tol) & (a.real >= -tol.ray_real_tol))
+    holds = holds & np.logical_not(in_ray(w_p, a.real, tol) | in_ray(w_m, a.real, tol))
+    return holds, a.real
 
 
 def in_N(omega: complex, k: float, problem: InterfaceProblem,
@@ -149,90 +251,129 @@ def in_N(omega: complex, k: float, problem: InterfaceProblem,
     wt_p, wt_m, w_p, w_m = _w_values(problem, omega, tol)
     if in_ray(w_p, k * k, tol) or in_ray(w_m, k * k, tol):
         return False
-    return _n_identity_holds(wt_p, wt_m, w_p, w_m, k, tol)
+    return _n_identity_holds(wt_p, wt_m, w_p, w_m, k * k, tol)
 
 
-def _classify_omega0(problem, omega, k, pt: Omega0Point, tol, exact_hit: bool,
-                     note_prefix: str = "") -> SpectrumClass:
+def _classify_omega0(problem, omega, k, pt: Omega0Point, tol, exact_hit: bool) -> SpectrumClass:
+    """The exceptional-set case table; k=None is the 2D pencil."""
     wt_p, wt_m, w_p, w_m = _w_values(problem, omega, tol)
     m = max(abs(wt_p), abs(wt_m), 1.0)
-    wtp_zero = pt.wtilde_plus_zero or abs(wt_p) <= tol.equality_tol * m
-    wtm_zero = pt.wtilde_minus_zero or abs(wt_m) <= tol.equality_tol * m
     sum_zero = abs(wt_p + wt_m) <= tol.equality_tol * m
     suffix = "" if exact_hit else ";near-Omega0"
 
+    if k is None:
+        # 2D: everything on Omega_0 is essential spectrum of every kind
+        point_infinite = pt.wtilde_plus_zero or pt.wtilde_minus_zero or sum_zero
+        return replace(
+            _ESSENTIAL, in_omega0=True, point_infinite=point_infinite,
+            branch_note=f"2D-exceptional/{'pt-infinite' if point_infinite else 'essential'}{suffix}",
+        )
+
+    wtp_zero = pt.wtilde_plus_zero or abs(wt_p) <= tol.equality_tol * m
+    wtm_zero = pt.wtilde_minus_zero or abs(wt_m) <= tol.equality_tol * m
+    point_infinite = wtp_zero or wtm_zero
     if k != 0.0:
-        point_infinite = wtp_zero or wtm_zero
         if not point_infinite:
             # only possible at omega = 0 with W_+ = W_- = 0 and both responses nonzero
             if sum_zero:
                 return SpectrumClass(
                     True, True, resolvent=False, point_finite=True, point_infinite=False,
                     discrete=False, weyl=False, e1=False, e2=False, e3=False, e4=False,
-                    e5=True, branch_note=f"{note_prefix}exceptional/pt-finite{suffix}",
+                    e5=True, branch_note=f"exceptional/pt-finite{suffix}",
                 )
-            return SpectrumClass(
-                True, True, resolvent=True, point_finite=False, point_infinite=False,
-                discrete=False, weyl=False, e1=False, e2=False, e3=False, e4=False,
-                e5=False, branch_note=f"{note_prefix}exceptional/resolvent{suffix}",
-            )
+            return replace(_RESOLVENT, in_omega0=True,
+                           branch_note=f"exceptional/resolvent{suffix}")
         e1 = (wtp_zero and in_ray(w_m, k * k, tol)) or (wtm_zero and in_ray(w_p, k * k, tol))
-        return SpectrumClass(
-            True, True, resolvent=False, point_finite=False, point_infinite=True,
-            discrete=False, weyl=True, e1=e1, e2=True, e3=True, e4=True, e5=True,
-            branch_note=f"{note_prefix}exceptional/pt-infinite{'+e1' if e1 else ''}{suffix}",
+        return replace(
+            _ESSENTIAL, in_omega0=True, point_infinite=True, e1=e1,
+            branch_note=f"exceptional/pt-infinite{'+e1' if e1 else ''}{suffix}",
         )
 
     # k == 0: everything on Omega_0 is essential spectrum of every kind
-    point_infinite = wtp_zero or wtm_zero
-    return SpectrumClass(
-        True, True, resolvent=False, point_finite=False, point_infinite=point_infinite,
-        discrete=False, weyl=True, e1=True, e2=True, e3=True, e4=True, e5=True,
-        branch_note=f"{note_prefix}exceptional-k0/{'pt-infinite' if point_infinite else 'essential'}{suffix}",
+    return replace(
+        _ESSENTIAL, in_omega0=True, point_infinite=point_infinite,
+        branch_note=f"exceptional-k0/{'pt-infinite' if point_infinite else 'essential'}{suffix}",
     )
+
+
+def _reduced_codes(wt_p, wt_m, w_p, w_m, k, tol):
+    """Branch codes off S and Omega_0; k=None is the 2D pencil. Elementwise on arrays."""
+    if k is None:
+        mp = in_open_positive_ray(w_p, tol)
+        mm = in_open_positive_ray(w_m, tol)
+        nn = _n2_witness(w_p, w_m, tol)[0]
+    else:
+        ray_p = in_ray(w_p, k * k, tol)
+        ray_m = in_ray(w_m, k * k, tol)
+        if k != 0.0:
+            mp, mm = ray_p, ray_m
+        else:
+            mp = in_open_positive_ray(w_p, tol)
+            mm = in_open_positive_ray(w_m, tol)
+        nn = (np.logical_not(mp | mm | ray_p | ray_m)
+              & _n_identity_holds(wt_p, wt_m, w_p, w_m, k * k, tol))
+    return M_PLUS * mp + M_MINUS * mm + IN_N * nn
+
+
+def _classify_point(omega: complex, k, problem: InterfaceProblem, tol: Tolerances) -> SpectrumClass:
+    """classify_array's decision for one point, in CPython scalar arithmetic; k=None is 2D."""
+    hit = which_pole_side(problem, omega, tol)
+    if hit is not None:
+        pole, side = hit
+        return replace(OUTSIDE, branch_note=f"{'2D-' if k is None else ''}S/{side}-pole@{pole:.6g}")
+    pt = near_omega0(problem, omega, tol)
+    if pt is not None:
+        return _classify_omega0(problem, omega, k, pt, tol, omega == pt.omega)
+    wt_p, wt_m, w_p, w_m = _w_values(problem, omega, tol)
+    return REDUCED[2 if k is None else 1][_reduced_codes(wt_p, wt_m, w_p, w_m, k, tol)]
+
+
+def _near_any(omega: np.ndarray, points, dist: float) -> np.ndarray:
+    """Mask of the omega within dist of one of the points (the test of dielectric._near)."""
+    hit = np.zeros(omega.shape, dtype=bool)
+    for p in points:
+        hit |= cabs(omega - p) <= dist
+    return hit
+
+
+def classify_array(omega, k: float | None, problem: InterfaceProblem,
+                   tol: Tolerances = DEFAULT_TOL) -> ArrayClassification:
+    """Classify every point of a complex array (flattened); k=None selects the 2D pencil.
+
+    1. The points within ray_imag_tol of S or Omega_0 are found by their
+       distance to those finite sets.
+    2. W-tilde_pm is evaluated once over the other points, by Horner on the
+       rational coefficients.
+    3. Their reduced branch (the M_pm rays, the N identity, the 2D witness)
+       is decided by array comparisons and returned as integer codes.
+    4. The points of step 1 are decided one at a time by _classify_point:
+       which_pole_side (plus side first), near_omega0 and the exceptional
+       case table. So is every point of a black-box model, whose Omega_0
+       test is pointwise.
+
+    The array arithmetic rounds as CPython's complex arithmetic, so every
+    point gets the record classify (or classify2) gives it. Total: never
+    raises for any complex input, NaN and infinities included, and emits no
+    floating-point warnings.
+    """
+    omega = np.ravel(np.asarray(omega, dtype=complex))
+    codes = np.full(omega.shape, POINTWISE, dtype=np.int8)
+    if problem.is_rational:
+        with np.errstate(all="ignore"):
+            special = (singular_set(problem.plus, tol) + singular_set(problem.minus, tol)
+                       + tuple(p.omega for p in omega0_set(problem, tol)))
+            rest = ~_near_any(omega, special, tol.ray_imag_tol)
+            z = omega[rest]
+            wt_p = wtilde_array(problem.plus, z)
+            wt_m = wtilde_array(problem.minus, z)
+            zz = cmul(z, z)
+            codes[rest] = _reduced_codes(wt_p, wt_m, cmul(zz, wt_p), cmul(zz, wt_m), k, tol)
+    pointwise = {i: _classify_point(complex(omega[i]), k, problem, tol)
+                 for i in np.flatnonzero(codes == POINTWISE).tolist()}
+    return ArrayClassification(codes, pointwise, 2 if k is None else 1)
 
 
 def classify(omega: complex, k: float, problem: InterfaceProblem,
              tol: Tolerances = DEFAULT_TOL) -> SpectrumClass:
     """Classify omega for the 1D pencil at wavenumber k. Total: never raises."""
-    omega = complex(omega)
-    hit = which_pole_side(problem, omega, tol)
-    if hit is not None:
-        pole, side = hit
-        return replace(OUTSIDE, branch_note=f"S/{side}-pole@{pole:.6g}")
-
-    pt = near_omega0(problem, omega, tol)
-    if pt is not None:
-        exact = (omega == pt.omega)
-        return _classify_omega0(problem, omega, k, pt, tol, exact)
-
-    wt_p, wt_m, w_p, w_m = _w_values(problem, omega, tol)
-    if k != 0.0:
-        mp = in_ray(w_p, k * k, tol)
-        mm = in_ray(w_m, k * k, tol)
-    else:
-        mp = in_open_positive_ray(w_p, tol)
-        mm = in_open_positive_ray(w_m, tol)
-    essential = mp or mm
-    nn = False
-    if not essential and not (in_ray(w_p, k * k, tol) or in_ray(w_m, k * k, tol)):
-        nn = _n_identity_holds(wt_p, wt_m, w_p, w_m, k, tol)
-
-    if essential:
-        which = "M+-" if (mp and mm) else ("M+" if mp else "M-")
-        return SpectrumClass(
-            True, False, resolvent=False, point_finite=False, point_infinite=False,
-            discrete=False, weyl=True, e1=True, e2=True, e3=True, e4=True, e5=True,
-            branch_note=f"reduced/{which}",
-        )
-    if nn:
-        return SpectrumClass(
-            True, False, resolvent=False, point_finite=True, point_infinite=False,
-            discrete=True, weyl=False, e1=False, e2=False, e3=False, e4=False, e5=False,
-            branch_note="reduced/N",
-        )
-    return SpectrumClass(
-        True, False, resolvent=True, point_finite=False, point_infinite=False,
-        discrete=False, weyl=False, e1=False, e2=False, e3=False, e4=False, e5=False,
-        branch_note="reduced/resolvent",
-    )
+    return _classify_point(complex(omega), k, problem, tol)

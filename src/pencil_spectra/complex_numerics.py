@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 import os
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -74,8 +75,13 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
-def principal_sqrt(z: complex) -> complex:
-    """Unique a with a^2 == z and arg(a) in (-pi/2, pi/2]; principal_sqrt(-1) == 1j."""
+def principal_sqrt(z):
+    """Unique a with a^2 == z and arg(a) in (-pi/2, pi/2]; principal_sqrt(-1) == 1j.
+
+    Elementwise on numpy arrays, with the scalar result at every element.
+    """
+    if isinstance(z, np.ndarray):
+        return _principal_sqrt_array(z)
     a = cmath.sqrt(complex(z))
     # cmath.sqrt lands in [-pi/2, pi/2]; arg == -pi/2 occurs only on the cut
     # approached from below (negative real z with -0.0 imaginary part).
@@ -84,16 +90,21 @@ def principal_sqrt(z: complex) -> complex:
     return a
 
 
-def in_ray(z: complex, a: float, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Membership of z in the closed ray [a, inf) on the real axis, with slack."""
-    z = complex(z)
-    return abs(z.imag) <= tol.ray_imag_tol and z.real >= a - tol.ray_real_tol
+def in_ray(z, a, tol: Tolerances = DEFAULT_TOL):
+    """Membership of z in the closed ray [a, inf) on the real axis, with slack.
+
+    Elementwise (a numpy bool) when z is an array; a may be an array too.
+    """
+    if not isinstance(z, np.ndarray):
+        z = complex(z)
+    return (abs(z.imag) <= tol.ray_imag_tol) & (z.real >= a - tol.ray_real_tol)
 
 
-def in_open_positive_ray(z: complex, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Membership of z in the open ray (0, inf); the endpoint is excluded."""
-    z = complex(z)
-    return abs(z.imag) <= tol.ray_imag_tol and z.real > tol.ray_real_tol
+def in_open_positive_ray(z, tol: Tolerances = DEFAULT_TOL):
+    """Membership of z in the open ray (0, inf); the endpoint is excluded. Elementwise on arrays."""
+    if not isinstance(z, np.ndarray):
+        z = complex(z)
+    return (abs(z.imag) <= tol.ray_imag_tol) & (z.real > tol.ray_real_tol)
 
 
 def polyval(coeffs, z: complex) -> complex:
@@ -101,6 +112,91 @@ def polyval(coeffs, z: complex) -> complex:
     acc = 0j
     for c in coeffs:
         acc = acc * z + c
+    return acc
+
+
+# -- complex arithmetic on numpy arrays, rounded as CPython rounds it ----------
+#
+# numpy's complex product, quotient, modulus and square root round
+# differently from CPython's (fused or reordered products, a reciprocal in the
+# quotient, other hypot and sqrt algorithms). The functions below rebuild
+# CPython's formulas from real-array operations, so an array kernel decides
+# every point bit-for-bit as scalar code does. Given Python scalars they use
+# CPython's own arithmetic. Array callers wrap them in np.errstate: infinities
+# and NaNs propagate, nothing raises.
+
+def _scalars(*xs) -> bool:
+    return not any(isinstance(x, np.ndarray) for x in xs)
+
+
+def complex_array(re, im) -> np.ndarray:
+    """re + i*im (same-shape real arrays) by assignment, so infinities and
+    signed zeros pass unchanged."""
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def cmul(a, b):
+    """a*b, elementwise on arrays."""
+    if _scalars(a, b):
+        return a * b
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    return complex_array(a.real * b.real - a.imag * b.imag,
+                         a.real * b.imag + a.imag * b.real)
+
+
+def cdiv(a, b):
+    """a/b (Smith's method), elementwise on arrays; NaN where b == 0."""
+    if _scalars(a, b):
+        return a / b if b != 0 else complex(math.nan, math.nan)
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    wide = np.abs(b.real) >= np.abs(b.imag)
+    ratio = np.where(wide, b.imag / b.real, b.real / b.imag)
+    denom = np.where(wide, b.real + b.imag * ratio, b.real * ratio + b.imag)
+    re = np.where(wide, a.real + a.imag * ratio, a.real * ratio + a.imag)
+    im = np.where(wide, a.imag - a.real * ratio, a.imag * ratio - a.real)
+    return complex_array(re / denom, im / denom)
+
+
+def cabs(z):
+    """|z| (libm hypot), elementwise on arrays; inf where CPython raises OverflowError."""
+    if _scalars(z):
+        try:
+            return abs(z)
+        except OverflowError:   # both parts finite, the modulus beyond the float range
+            return math.inf
+    z = np.asarray(z, dtype=complex)
+    return np.hypot(z.real, z.imag)
+
+
+def _principal_sqrt_array(z: np.ndarray) -> np.ndarray:
+    """cmath.sqrt's algorithm on arrays, then principal_sqrt's branch flip."""
+    z = np.asarray(z, dtype=complex)
+    ax, ay = np.abs(z.real), np.abs(z.imag)
+    s = 2.0 * np.sqrt(ax / 8.0 + np.hypot(ax / 8.0, ay / 8.0))
+    tiny = (ax < sys.float_info.min) & (ay < sys.float_info.min)
+    if tiny.any():   # cmath rescales where hypot(ax, ay) could be subnormal
+        up = np.ldexp(ax[tiny], 53)
+        s[tiny] = np.ldexp(np.sqrt(up + np.hypot(up, np.ldexp(ay[tiny], 53))), -27)
+    d = ay / (2.0 * s)
+    lower = z.real < 0.0
+    a = complex_array(np.where(lower, d, s), np.copysign(np.where(lower, s, d), z.imag))
+    # zeros and cmath's table of infinite and NaN cases, taken from cmath
+    special = ~(np.isfinite(z.real) & np.isfinite(z.imag)) | ((z.real == 0.0) & (z.imag == 0.0))
+    if special.any():
+        a[special] = [cmath.sqrt(v) for v in z[special].tolist()]
+    return np.where((a.real < 0.0) | ((a.real == 0.0) & (a.imag < 0.0)), -a, a)
+
+
+def polyval_array(coeffs, z: np.ndarray) -> np.ndarray:
+    """polyval at every element: the same Horner steps, rounded as CPython rounds them."""
+    acc = np.zeros(z.shape, dtype=complex)
+    for c in coeffs:
+        acc = cmul(acc, z) + c
     return acc
 
 

@@ -12,6 +12,7 @@ everything here may be shared freely between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -21,9 +22,13 @@ import numpy as np
 from .complex_numerics import (
     DEFAULT_TOL,
     Tolerances,
+    cabs,
+    cdiv,
+    cmul,
     poly_eval_scale,
     poly_roots,
     polyval,
+    polyval_array,
 )
 from .errors import DegenerateInputError, SingularityError, UnsupportedModelError
 
@@ -155,7 +160,7 @@ def singular_set(model: DielectricModel, tol: Tolerances = DEFAULT_TOL) -> tuple
 
 def _near(z: complex, points, dist: float):
     for p in points:
-        if abs(z - p) <= dist:
+        if cabs(z - p) <= dist:
             return p
     return None
 
@@ -170,6 +175,15 @@ def wtilde(model: DielectricModel, omega: complex, tol: Tolerances = DEFAULT_TOL
         # the callable supplies the full W-tilde, scale included
         return complex(model.func(omega))
     return model.scale * polyval(model.numerator, omega) / polyval(model.denominator, omega)
+
+
+def wtilde_array(model: DielectricModel, omega: np.ndarray) -> np.ndarray:
+    """wtilde of a rational model at every point of an array, rounded as wtilde rounds it.
+
+    The points must lie off the model's poles; this is not checked.
+    """
+    return cdiv(cmul(model.scale, polyval_array(model.numerator, omega)),
+                polyval_array(model.denominator, omega))
 
 
 def w(model: DielectricModel, omega: complex, tol: Tolerances = DEFAULT_TOL) -> complex:
@@ -290,15 +304,19 @@ def near_omega0(problem: InterfaceProblem, omega: complex, tol: Tolerances = DEF
     omega = complex(omega)
     if problem.is_rational:
         for p in omega0_set(problem, tol):
-            if abs(omega - p.omega) <= tol.ray_imag_tol:
+            if cabs(omega - p.omega) <= tol.ray_imag_tol:
                 return p
         return None
+    # cabs and the except clause keep classify total at huge |omega|
     wt_p = wtilde(problem.plus, omega, tol)
     wt_m = wtilde(problem.minus, omega, tol)
-    m = max(abs(wt_p), abs(wt_m), 1.0)
-    zz = max(abs(omega) ** 2, 1.0)
-    plus_v = abs(omega * omega * wt_p) <= tol.equality_tol * m * zz
-    minus_v = abs(omega * omega * wt_m) <= tol.equality_tol * m * zz
+    m = max(cabs(wt_p), cabs(wt_m), 1.0)
+    try:
+        zz = max(cabs(omega) ** 2, 1.0)
+    except OverflowError:
+        zz = math.inf
+    plus_v = cabs(omega * omega * wt_p) <= tol.equality_tol * m * zz
+    minus_v = cabs(omega * omega * wt_m) <= tol.equality_tol * m * zz
     if plus_v or minus_v:
         return Omega0Point(
             omega=omega, plus_vanishes=plus_v, minus_vanishes=minus_v,

@@ -205,7 +205,7 @@ def eigen_omegas(k: float, problem: InterfaceProblem,
         w_m = z * z * wt_m
         if in_ray(w_p, k * k, tol) or in_ray(w_m, k * k, tol):
             continue
-        if not _n_identity_holds(wt_p, wt_m, w_p, w_m, k, tol):
+        if not _n_identity_holds(wt_p, wt_m, w_p, w_m, k * k, tol):
             continue
         modes.append(_make_mode(z, k, w_p, w_m))
     modes.sort(key=lambda md: (md.omega.real, md.omega.imag))
@@ -389,12 +389,10 @@ def _interface_profile(omega, a, problem, tol):
         raise PreconditionError("(omega, a) violates the ray exclusions of N")
     mu_p = principal_sqrt(a - w_p)
     mu_m = principal_sqrt(a - w_m)
-    lhs = wt_p * mu_m
-    rhs = wt_m * mu_p
-    if abs(lhs + rhs) > 10 * tol.equality_tol * (abs(lhs) + abs(rhs)):
+    if not _n_identity_holds(wt_p, wt_m, w_p, w_m, a, tol, slack=10):
         raise PreconditionError(
             f"(omega, a) does not satisfy the N-membership identity: "
-            f"|Wt+ mu- + Wt- mu+| = {abs(lhs + rhs):.3e}")
+            f"|Wt+ mu- + Wt- mu+| = {abs(wt_p * mu_m + wt_m * mu_p):.3e}")
     v_p = np.array([1j * k0, mu_p], dtype=complex)
     v_m = (mu_p / mu_m) * np.array([-1j * k0, mu_m], dtype=complex)
     return k0, w_p, w_m, mu_p, mu_m, v_p, v_m

@@ -13,25 +13,16 @@ import argparse
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .classify1d import SpectrumClass, classify
+from .classify1d import ArrayClassification, SpectrumClass, classify, classify_array
 from .classify2d import classify2, in_N2
 from .complex_numerics import Tolerances, poly_roots
 from .config import load_problem
-from .dielectric import InterfaceProblem, omega0_set, singular_points, wtilde
+from .dielectric import InterfaceProblem, omega0_set, singular_points
 from .errors import PencilSpectraError, PreconditionError
-from .fd_oracle import (
-    default_grid,
-    direct_solve,
-    discretize,
-    lambda_isolation_probe,
-    shoot_determinant,
-    shoot_refine,
-)
 from .modes import (
     bump,
     eigen_omegas,
@@ -59,37 +50,24 @@ class PortraitGrid:
 
     re_axis: np.ndarray
     im_axis: np.ndarray
-    cells: list            # row-major SpectrumClass records
+    cells: ArrayClassification   # row-major branch codes and pointwise records
     classes: list          # display class per cell (after marker stamping)
     overlays: dict         # name -> list of complex points (or curves)
     k: float | None        # None for the 2D portrait
     dim: int
 
 
-def _classify_chunk(args):
-    points, k, problem, dim, tol = args
-    if dim == 1:
-        return [classify(om, k, problem, tol) for om in points]
-    return [classify2(om, problem, tol) for om in points]
-
-
 def trace_portrait(problem: InterfaceProblem, grid_spec, k: float | None,
-                   dim: int, tol: Tolerances, workers: int = 1,
-                   overlays: bool = True) -> PortraitGrid:
+                   dim: int, tol: Tolerances, overlays: bool = True) -> PortraitGrid:
     (re0, re1, nx), (im0, im1, ny) = grid_spec
     re_axis = np.linspace(re0, re1, nx)
     im_axis = np.linspace(im0, im1, ny)
-    points = [complex(re, im) for im in im_axis for re in re_axis]
+    points = np.empty((ny, nx), dtype=complex)   # row-major, one row per Im value
+    points.real = re_axis
+    points.imag = im_axis[:, None]
 
-    if workers > 1:
-        chunks = np.array_split(np.asarray(points, dtype=complex), workers * 4)
-        jobs = [(list(map(complex, c)), k, problem, dim, tol) for c in chunks if len(c)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = [rec for part in pool.map(_classify_chunk, jobs) for rec in part]
-    else:
-        cells = _classify_chunk((points, k, problem, dim, tol))
-
-    classes = [rec.raster_class() for rec in cells]
+    cells = classify_array(points, k if dim == 1 else None, problem, tol)
+    classes = cells.raster_classes()
 
     ov: dict = {}
     if overlays and problem.is_rational:
@@ -190,12 +168,12 @@ def _n_points_2d(problem: InterfaceProblem, tol: Tolerances, n_a: int = 160):
 
 def write_portrait_csv(path, pg: PortraitGrid) -> None:
     nx = pg.re_axis.size
+    notes = pg.cells.branch_notes()
     with open(path, "w", newline="") as fh:
         fh.write("re,im,class,branch_note\n")
         for j, im in enumerate(pg.im_axis):
             for i, re in enumerate(pg.re_axis):
-                cell = pg.cells[j * nx + i]
-                fh.write(f"{re:.12g},{im:.12g},{pg.classes[j * nx + i]},{cell.branch_note}\n")
+                fh.write(f"{re:.12g},{im:.12g},{pg.classes[j * nx + i]},{notes[j * nx + i]}\n")
 
 
 def write_portrait_svg(path, pg: PortraitGrid, width: int = 720) -> None:
@@ -262,14 +240,30 @@ def write_portrait_svg(path, pg: PortraitGrid, width: int = 720) -> None:
 
 def _parse_omega(text: str) -> complex:
     re_s, _, im_s = text.partition(",")
-    return complex(float(re_s), float(im_s or 0.0))
+    try:
+        re, im = float(re_s), float(im_s or 0.0)
+    except ValueError:
+        raise PencilSpectraError(f"--omega must be re,im, got {text!r}") from None
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise PencilSpectraError(f"--omega must be finite, got {text!r}")
+    return complex(re, im)
 
 
 def _parse_grid(text: str):
-    re_part, _, im_part = text.partition(",")
+    """((re0, re1, nx), (im0, im1, ny)) from re0:re1:nx,im0:im1:ny."""
     def axis(part):
-        a, b, n = part.split(":")
-        return float(a), float(b), int(n)
+        try:
+            a, b, n = part.split(":")   # ValueError unless exactly three fields
+            a, b, n = float(a), float(b), int(n)
+        except ValueError:
+            raise PencilSpectraError(
+                f"--grid axis must be lo:hi:count, got {part!r} in {text!r}") from None
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise PencilSpectraError(f"--grid bounds must be finite, got {part!r}")
+        if n < 1:
+            raise PencilSpectraError(f"--grid count must be at least 1, got {part!r}")
+        return a, b, n
+    re_part, _, im_part = text.partition(",")
     return axis(re_part), axis(im_part)
 
 
@@ -315,8 +309,7 @@ def cmd_trace(args, tol) -> int:
     dim = 2 if args.dim == 2 else 1
     if dim == 1 and k is None:
         raise PencilSpectraError("1D trace needs --k (or pass --dim 2)")
-    pg = trace_portrait(problem, grid_spec, k, dim, tol,
-                        workers=args.workers, overlays=not args.no_overlays)
+    pg = trace_portrait(problem, grid_spec, k, dim, tol, overlays=not args.no_overlays)
     import os
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "portrait.csv")
@@ -425,7 +418,7 @@ def cmd_resolve(args, tol) -> int:
 
 
 # ---------------------------------------------------------------------------
-# check suites
+# check suites (only these import fd_oracle, and with it scipy)
 # ---------------------------------------------------------------------------
 
 
@@ -437,6 +430,7 @@ def _find_resolvent_point(problem, k, tol):
 
 
 def _suite_shoot(problem, k, tol):
+    from .fd_oracle import shoot_determinant, shoot_refine
     modes = eigen_omegas(k, problem, tol)
     if not modes:
         dets = []
@@ -459,6 +453,7 @@ def _suite_shoot(problem, k, tol):
 
 
 def _suite_lambda(problem, k, tol):
+    from .fd_oracle import lambda_isolation_probe
     modes = eigen_omegas(k, problem, tol)
     if not modes:
         return True, "no modes; isolation probe skipped"
@@ -471,6 +466,7 @@ def _suite_lambda(problem, k, tol):
 
 
 def _suite_resolvent(problem, k, tol):
+    from .fd_oracle import direct_solve, discretize
     omega = _find_resolvent_point(problem, k, tol)
     errs = {}
     for h in (1 / 50, 1 / 100, 1 / 200):
@@ -574,7 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", default=None, help="1D wavenumber")
     sp.add_argument("--dim", type=int, choices=(1, 2), default=1)
     sp.add_argument("--out", default=".", help="output directory")
-    sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--no-overlays", action="store_true")
 
     sp = sub.add_parser("eigen", help="plasmon mode table over k or a k range")

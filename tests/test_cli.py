@@ -1,8 +1,12 @@
 import csv
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pencil_spectra
 from pencil_spectra.config import parse_problem_config
 from pencil_spectra.errors import ConfigError
 from pencil_spectra.trace_cli import main
@@ -208,16 +212,6 @@ def test_trace_2d_segment(cfg, tmp_path, capsys):
     assert all("N" in r["branch_note"] for r in seg)
 
 
-def test_trace_workers_same_bytes(cfg, tmp_path, capsys):
-    path = cfg(DRUDE_CFG)
-    a, b = tmp_path / "w1", tmp_path / "w2"
-    args = ["trace", "--config", path, "--grid=-2:2:41,-1:0.4:15", "--k", "3"]
-    assert main(args + ["--out", str(a), "--workers", "1"]) == 0
-    assert main(args + ["--out", str(b), "--workers", "2"]) == 0
-    capsys.readouterr()
-    assert (a / "portrait.csv").read_bytes() == (b / "portrait.csv").read_bytes()
-
-
 def test_trace_no_overlays_and_k0(cfg, tmp_path, capsys):
     path = cfg(DRUDE_CFG)
     out = tmp_path / "plain"
@@ -316,3 +310,67 @@ def test_tolerance_env_applies(cfg, capsys, monkeypatch):
     assert main(["classify", "--config", path, "--omega", "0,0.5", "--k", "3"]) == 0
     out = capsys.readouterr().out
     assert "resolvent" not in out.splitlines()[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "--grid=-4:4,-1:1:5", "--k", "3"],          # two fields
+    ["trace", "--grid=-4:4:9:2,-1:1:5", "--k", "3"],      # four fields
+    ["trace", "--grid=-4:4:9,-1:1", "--k", "3"],
+    ["trace", "--grid=-4:4:9", "--k", "3"],               # no imaginary axis
+    ["trace", "--grid=-4:4:0,-1:1:5", "--k", "3"],        # count < 1
+    ["trace", "--grid=-4:4:9,-1:1:-2", "--k", "3"],
+    ["trace", "--grid=-inf:4:9,-1:1:5", "--k", "3"],      # non-finite bound
+    ["trace", "--grid=-4:4:9,-1:nan:5", "--k", "3"],
+    ["trace", "--grid=a:4:9,-1:1:5", "--k", "3"],
+    ["trace", "--grid=-4:4:2.5,-1:1:5", "--k", "3"],
+    ["classify", "--omega", "nan,0", "--k", "3"],
+    ["classify", "--omega", "0,inf", "--k", "3"],
+    ["classify", "--omega", "1,2,3", "--k", "3"],
+    ["classify", "--omega", "x", "--k", "3"],
+    ["resolve", "--omega", "nan,0", "--k", "3"],
+])
+def test_bad_grid_and_omega_are_usage_errors(cfg, tmp_path, capsys, argv):
+    args = argv[:1] + ["--config", cfg(DRUDE_CFG)] + argv[1:]
+    if argv[0] != "classify":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_grid_count_one_is_accepted(cfg, tmp_path, capsys):
+    out = tmp_path / "one"
+    assert main(["trace", "--config", cfg(DRUDE_CFG), "--grid=0.5:0.5:1,0.5:0.5:1",
+                 "--k", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = list(csv.DictReader((out / "portrait.csv").read_text().splitlines()))
+    assert len(rows) == 1 and rows[0]["branch_note"] == "reduced/resolvent"
+
+
+def test_cli_commands_do_not_load_scipy(cfg, tmp_path):
+    """classify, trace, resolve and eigen run without scipy; only check needs it."""
+    path = cfg(DRUDE_CFG)
+    out = str(tmp_path)
+    runs = [
+        ["classify", "--config", path, "--omega", "0,0.5", "--k", "3"],
+        ["classify", "--config", path, "--omega", "0,-1.2", "--dim", "2"],
+        ["trace", "--config", path, "--grid=-2:2:21,-1:0.4:8", "--k", "3", "--out", out],
+        ["trace", "--config", path, "--grid=-2:2:21,-1:0.4:8", "--dim", "2", "--out", out],
+        ["resolve", "--config", path, "--omega", "0,0.5", "--k", "3", "--h", "0.05",
+         "--out", out],
+        ["eigen", "--config", path, "--k", "1:3:3", "--out", out],
+    ]
+    code = (
+        "import sys\n"
+        "from pencil_spectra.trace_cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "from pencil_spectra import shoot_determinant\n"
+        "print(shoot_determinant.__module__)\n"
+    )
+    src = os.path.dirname(os.path.dirname(pencil_spectra.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.splitlines()[-2:] == ["[]", "pencil_spectra.fd_oracle"]

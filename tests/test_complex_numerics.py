@@ -6,10 +6,15 @@ import pytest
 
 from pencil_spectra.complex_numerics import (
     Tolerances,
+    cabs,
+    cdiv,
+    cmul,
+    complex_array,
     in_open_positive_ray,
     in_ray,
     poly_roots,
     polyval,
+    polyval_array,
     principal_sqrt,
 )
 from pencil_spectra.errors import DegenerateInputError
@@ -162,3 +167,58 @@ def test_tolerances_validation_and_env():
         Tolerances.from_env({"PENCIL_SPECTRA_TOL": "nonsense=3"})
     with pytest.raises(ValueError):
         Tolerances.from_env({"PENCIL_SPECTRA_TOL": "ray_imag_tol=-2"})
+
+
+def _awkward_values():
+    """Complex values over the whole float range, with zeros, subnormals, inf and NaN."""
+    rng = np.random.default_rng(17)
+    n = 20000
+    wide = complex_array(rng.standard_normal(n) * 10.0 ** rng.integers(-320, 308, n),
+                         rng.standard_normal(n) * 10.0 ** rng.integers(-320, 308, n))
+    usual = complex_array(rng.standard_normal(n) * 10.0 ** rng.integers(-6, 6, n),
+                          rng.standard_normal(n) * 10.0 ** rng.integers(-6, 6, n))
+    parts = [0.0, -0.0, 5e-324, -1e-310, 1.0, -2.5, 1e200, -1.7e308,
+             math.inf, -math.inf, math.nan]
+    special = [complex(a, b) for a in parts for b in parts]
+    return np.concatenate([wide, usual, np.array(special * 4)])
+
+
+def _same_bits(x, y):
+    """Elementwise equality of floats, telling signed zeros apart and matching NaN to NaN."""
+    x, y = np.asarray(x), np.asarray(y)
+    return ((x == y) & (np.signbit(x) == np.signbit(y))) | (np.isnan(x) & np.isnan(y))
+
+
+def _assert_bitwise(got, scalar_fn, *args):
+    ref = []
+    for vals in zip(*(a.tolist() for a in args)):
+        try:
+            ref.append(scalar_fn(*vals))
+        except ZeroDivisionError:
+            ref.append(complex(math.nan, math.nan))
+    ref = np.array(ref)
+    if np.iscomplexobj(ref):
+        assert np.all(_same_bits(got.real, ref.real) & _same_bits(got.imag, ref.imag))
+    else:
+        assert np.all(_same_bits(got, ref))
+
+
+def test_array_arithmetic_is_cpythons_bit_for_bit():
+    a = _awkward_values()
+    b = np.roll(a, 7919)
+    with np.errstate(all="ignore"):
+        _assert_bitwise(cmul(a, b), lambda x, y: x * y, a, b)
+        _assert_bitwise(cmul(1.7, a), lambda x: 1.7 * x, a)
+        _assert_bitwise(cdiv(a, b), lambda x, y: x / y, a, b)
+        _assert_bitwise(cabs(a), lambda x: cabs(x), a)
+        _assert_bitwise(principal_sqrt(a), principal_sqrt, a)
+        coeffs = (2 + 1j, -3j, 0.5, 1e-3 + 0j)
+        _assert_bitwise(polyval_array(coeffs, a), lambda x: polyval(coeffs, x), a)
+
+
+def test_array_arithmetic_scalars_and_zero_division():
+    assert cmul(1 + 2j, 3 - 1j) == (1 + 2j) * (3 - 1j)
+    assert cdiv(1 + 2j, 3 - 1j) == (1 + 2j) / (3 - 1j)
+    assert cmath.isnan(cdiv(1 + 2j, 0j)) and cmath.isnan(cdiv(1 + 2j, -0.0 + 0j))
+    assert cabs(complex(1.5e308, 1.5e308)) == math.inf      # abs() raises OverflowError
+    assert principal_sqrt(np.array([-4 - 0j]))[0] == 2j
