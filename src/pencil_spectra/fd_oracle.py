@@ -5,9 +5,10 @@ Three probes, all independent of the closed-form representations:
 * a second-order FD discretization on [-L, L] with the interface imposed as
   constraint rows at a doubled node - direct linear solves cross-validate the
   variation-of-parameters resolvent;
-* a shooting detector: the two decaying half-line solutions are integrated
-  numerically (adaptive high-order stepping) and matched at the interface;
-  its determinant vanishes exactly at eigenvalues;
+* a shooting detector: the two decaying half-line solutions are propagated
+  to the interface by the flow map of the constant-coefficient first-order
+  system (a generic matrix exponential, not the closed-form eigenfunctions)
+  and matched there; its determinant vanishes exactly at eigenvalues;
 * a lambda-plane probe: smallest singular values of T_k - lambda W on rings
   around lambda = 1, numerical evidence for isolation of discrete eigenvalues.
   Singular values (not eigenvalue routines) are used on purpose: the
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from .complex_numerics import DEFAULT_TOL, Tolerances, principal_sqrt
 from .dielectric import InterfaceProblem, wtilde
@@ -78,8 +79,7 @@ def discretize(omega: complex, k: float, problem: InterfaceProblem,
     lam = complex(lam)
     if grid is None:
         grid = default_grid(omega, k, problem, tol=tol)
-    x = grid.x
-    N = x.size
+    N = grid.x.size
     h = grid.h
     im, ip = grid.i_zero_minus, grid.i_zero_plus
     wt_p = wtilde(problem.plus, omega, tol)
@@ -91,64 +91,48 @@ def discretize(omega: complex, k: float, problem: InterfaceProblem,
     if k != 0.0 and min(abs(den_p), abs(den_m)) < 1e-12 * max(1.0, abs(lam)):
         raise PreconditionError(
             "k^2 - lambda W vanishes on one side; the u1 elimination degenerates")
-    wvals = np.where(np.arange(N) >= ip, w_p, w_m)
-
     fwd = np.array([-1.5, 2.0, -0.5]) / h   # one-sided derivative, second order
     bwd = np.array([1.5, -2.0, 0.5]) / h
 
-    interior = [j for j in range(N) if j not in (0, im, ip, N - 1)]
+    # interior three-point rows first, then the boundary, [u2] and derivative rows
+    interior = np.setdiff1d(np.arange(N), (0, im, ip, N - 1))
+    n_int = interior.size
+    wu1_row = n_int + 3
+    eq = np.zeros(N, dtype=bool)
+    eq[:n_int] = True
+    node = np.zeros(N, dtype=np.int64)
+    node[:n_int] = interior
+    # one diagonal scalar per side: each entry rounds as a per-node sum would
+    diag = np.where(interior >= ip, 2.0 / h**2 + k * k - lam * w_p, 2.0 / h**2 + k * k - lam * w_m)
+    off = np.full(n_int, -1.0 / h**2)
+    rows = np.concatenate([np.repeat(np.arange(n_int), 3),
+                           [n_int, n_int + 1, n_int + 2, n_int + 2], np.full(6, wu1_row)])
+    cols = np.concatenate([(interior[:, None] + np.array([-1, 0, 1])).ravel(),
+                           [0, N - 1, ip, im], [ip, ip + 1, ip + 2, im, im - 1, im - 2]])
+    stencil = np.concatenate([np.column_stack([off, diag, off]).ravel(),
+                              [1.0, 1.0, 1.0, -1.0]])
 
-    def scalar_block(include_wu1: bool):
-        rows, cols, vals = [], [], []
-        eq = np.zeros(N, dtype=bool)
-        node = np.zeros(N, dtype=np.int64)
-        row = 0
-        for j in interior:
-            rows += [row, row, row]
-            cols += [j - 1, j, j + 1]
-            vals += [-1.0 / h**2, 2.0 / h**2 + k * k - lam * wvals[j], -1.0 / h**2]
-            eq[row] = True
-            node[row] = j
-            row += 1
-        rows.append(row); cols.append(0); vals.append(1.0); row += 1
-        rows.append(row); cols.append(N - 1); vals.append(1.0); row += 1
-        rows.append(row); cols.append(ip); vals.append(1.0)
-        rows.append(row); cols.append(im); vals.append(-1.0); row += 1
-        wu1_row = row
-        if include_wu1 and k != 0.0:
-            # [Wt u1] = 0 with u1 = (r1 - i k u2')/(k^2 - lam W):
-            # (Wt+/den+) u2'(0+) - (Wt-/den-) u2'(0-) = r1(0)(Wt+/den+ - Wt-/den-)/(i k)
-            cp = wt_p / den_p
-            cm = wt_m / den_m
-            for o, cf in zip((0, 1, 2), fwd):
-                rows.append(wu1_row); cols.append(ip + o); vals.append(cp * cf)
-            for o, cf in zip((0, -1, -2), bwd):
-                rows.append(wu1_row); cols.append(im + o); vals.append(-cm * cf)
-        else:
-            # k = 0 (or the u3 block): the derivative itself is continuous
-            for o, cf in zip((0, 1, 2), fwd):
-                rows.append(wu1_row); cols.append(ip + o); vals.append(cf)
-            for o, cf in zip((0, -1, -2), bwd):
-                rows.append(wu1_row); cols.append(im + o); vals.append(-cf)
-        row += 1
-        assert row == N
-        mat = sp.csc_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(N, N)))
-        return mat, eq, node, wu1_row
+    def scalar_block(cp, cm):
+        # derivative row cp u2'(0+) - cm u2'(0-), one-sided stencils on each side
+        vals = np.concatenate([stencil, cp * fwd, -cm * bwd])
+        return sp.csc_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(N, N)))
 
-    block2, eq2, node2, wu1_row = scalar_block(include_wu1=True)
-    block3, eq3, node3, _ = scalar_block(include_wu1=False)
+    block3 = scalar_block(1.0, 1.0)   # u3: the derivative itself is continuous
     if k != 0.0:
+        # [Wt u1] = 0 with u1 = (r1 - i k u2')/(k^2 - lam W):
+        # (Wt+/den+) u2'(0+) - (Wt-/den-) u2'(0-) = r1(0)(Wt+/den+ - Wt-/den-)/(i k)
+        block2 = scalar_block(wt_p / den_p, wt_m / den_m)
         factor = (wt_p / den_p - wt_m / den_m) / (1j * k)
     else:
-        factor = 0.0
-        wu1_row = -1
+        # k = 0: u2 has the same interface rows as u3
+        block2, factor, wu1_row = block3, 0.0, -1
 
     return DiscretizedPencil(
         grid=grid, omega=omega, k=k, lam=lam,
         block2=block2, block3=block3,
-        eq_rows_2=eq2, rhs_node_2=node2,
+        eq_rows_2=eq, rhs_node_2=node,
         wu1_row=wu1_row, wu1_rhs_factor=complex(factor),
-        eq_rows_3=eq3, rhs_node_3=node3,
+        eq_rows_3=eq, rhs_node_3=node,
         denom_plus=complex(den_p), denom_minus=complex(den_m),
     )
 
@@ -221,43 +205,37 @@ def direct_solve(omega: complex, k: float, r: RhsField,
 # ---------------------------------------------------------------------------
 
 
-def _integrate_decaying(omega, k, problem, side, tol, rtol=1e-10):
-    """Integrate the decaying half-line solution of the (psi1, psi2) system to 0.
+def _integrate_decaying(omega, k, problem, side, tol):
+    """Propagate the decaying half-line solution of the (psi1, psi2) system to 0.
 
-    The system is psi' = M_pm psi with M = [[0, -ik], [(W - k^2)/(ik), 0]].
-    The start value is the exact decaying eigenvector at distance X from the
-    interface; X is sized from the decay rate so the growth toward 0 stays
-    comfortably inside floating-point range.
+    The system is psi' = M_pm psi with M = [[0, -ik], [(W - k^2)/(ik), 0]],
+    constant on each half-line, so the flow from x0 to 0 is exp(-x0 M),
+    taken as a generic matrix exponential (scaling and squaring with Pade
+    approximants) rather than from the closed-form mu. The start value is
+    the exact decaying eigenvector at distance X from the interface; X is
+    sized from the decay rate so the growth toward 0 stays comfortably inside
+    floating-point range, and the backward flow damps any error in the start
+    direction by exp(-2 Re mu X).
     """
-    model = problem.side(side)
-    wv = omega * omega * wtilde(model, omega, tol)
+    wv = omega * omega * wtilde(problem.side(side), omega, tol)
     mu = principal_sqrt(k * k - wv)
     if mu.real <= 0:
         raise PreconditionError(f"side {side}: Re mu <= 0, no decaying solution")
     X = 25.0 / mu.real
 
     if side in ("+", "plus"):
-        x0, x1 = X, 0.0
-        v0 = np.array([1j * k, mu], dtype=complex)       # eigenvalue -mu branch
+        x0, v0 = X, np.array([1j * k, mu], dtype=complex)      # eigenvalue -mu branch
     else:
-        x0, x1 = -X, 0.0
-        v0 = np.array([-1j * k, mu], dtype=complex)      # eigenvalue +mu branch
-
-    def rhs(x, y):
-        return [-1j * k * y[1], (wv - k * k) / (1j * k) * y[0]]
-
-    sol = solve_ivp(rhs, (x0, x1), v0, method="DOP853",
-                    rtol=rtol, atol=1e-14, dense_output=False)
-    if not sol.success:
-        raise PreconditionError(f"shooting integration failed: {sol.message}")
-    return sol.y[:, -1]
+        x0, v0 = -X, np.array([-1j * k, mu], dtype=complex)    # eigenvalue +mu branch
+    M = np.array([[0.0, -1j * k], [(wv - k * k) / (1j * k), 0.0]])
+    return expm(-x0 * M) @ v0
 
 
 def shoot_determinant(omega: complex, k: float, problem: InterfaceProblem,
                       tol: Tolerances = DEFAULT_TOL) -> complex:
     """Normalized interface-matching determinant; zero exactly at eigenvalues.
 
-    Built from numerically integrated decaying solutions on each side, not
+    Built from the decaying solutions propagated by each side's flow map, not
     from the closed-form eigenfunctions. Requires k != 0 and Re mu_pm > 0.
     """
     omega = complex(omega)

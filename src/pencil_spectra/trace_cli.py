@@ -267,6 +267,26 @@ def _parse_grid(text: str):
     return axis(re_part), axis(im_part)
 
 
+def _parse_k(text: str, sweep: bool = False):
+    """A finite k; with sweep=True, the list of k from "k" or "k0:k1:n"."""
+    fields = text.split(":")
+    form = "k or k0:k1:count" if sweep else "a number"
+    try:
+        if len(fields) not in ((1, 3) if sweep else (1,)):
+            raise ValueError
+        ends = [float(f) for f in fields[:2]]
+        n = int(fields[2]) if len(fields) == 3 else 1
+    except ValueError:
+        raise PencilSpectraError(f"--k must be {form}, got {text!r}") from None
+    if not all(math.isfinite(v) for v in ends):
+        raise PencilSpectraError(f"--k must be finite, got {text!r}")
+    if n < 1:
+        raise PencilSpectraError(f"--k count must be at least 1, got {text!r}")
+    if len(fields) == 3:
+        return list(np.linspace(ends[0], ends[1], n))
+    return [ends[0]] if sweep else ends[0]
+
+
 def _describe(record: SpectrumClass) -> str:
     if not record.in_domain:
         return f"outside D(W~): {record.branch_note}"
@@ -293,7 +313,7 @@ def cmd_classify(args, tol) -> int:
     if args.dim == 2:
         rec = classify2(omega, problem, tol)
     else:
-        rec = classify(omega, float(args.k), problem, tol)
+        rec = classify(omega, _parse_k(args.k), problem, tol)
     print(f"omega = {omega}  ->  {_describe(rec)}")
     flags = [int(b) for b in (rec.in_domain, rec.in_omega0) + rec.flags()]
     print("csv:", ",".join(
@@ -305,7 +325,7 @@ def cmd_classify(args, tol) -> int:
 def cmd_trace(args, tol) -> int:
     problem = load_problem(args.config)
     grid_spec = _parse_grid(args.grid)
-    k = float(args.k) if args.k is not None else None
+    k = _parse_k(args.k) if args.k is not None else None
     dim = 2 if args.dim == 2 else 1
     if dim == 1 and k is None:
         raise PencilSpectraError("1D trace needs --k (or pass --dim 2)")
@@ -322,13 +342,6 @@ def cmd_trace(args, tol) -> int:
     print(f"wrote {csv_path} and {svg_path}; cell counts: "
           + ", ".join(f"{k_}={v}" for k_, v in sorted(counts.items())))
     return 0
-
-
-def _parse_k_range(text: str):
-    if ":" in text:
-        a, b, n = text.split(":")
-        return list(np.linspace(float(a), float(b), int(n)))
-    return [float(text)]
 
 
 def eigen_table(problem: InterfaceProblem, ks, tol):
@@ -360,7 +373,7 @@ def eigen_table(problem: InterfaceProblem, ks, tol):
 
 def cmd_eigen(args, tol) -> int:
     problem = load_problem(args.config)
-    ks = _parse_k_range(args.k)
+    ks = _parse_k(args.k, sweep=True)
     rows = eigen_table(problem, ks, tol)
     header = ("k,branch,re_omega,im_omega,re_mu_plus,im_mu_plus,"
               "re_mu_minus,im_mu_minus,residual")
@@ -394,7 +407,7 @@ def cmd_eigen(args, tol) -> int:
 def cmd_resolve(args, tol) -> int:
     problem = load_problem(args.config)
     omega = _parse_omega(args.omega)
-    k = float(args.k)
+    k = _parse_k(args.k)
     lo, hi = (float(v) for v in args.support.split(":"))
     h = float(args.h)
     from .resolvent import suggest_half_length
@@ -466,11 +479,11 @@ def _suite_lambda(problem, k, tol):
 
 
 def _suite_resolvent(problem, k, tol):
-    from .fd_oracle import direct_solve, discretize
+    from .fd_oracle import default_grid, direct_solve, discretize
     omega = _find_resolvent_point(problem, k, tol)
     errs = {}
     for h in (1 / 50, 1 / 100, 1 / 200):
-        grid = make_grid(8.0, h)
+        grid = default_grid(omega, k, problem, h=h, tol=tol)
         width = 0.5
         r2 = lambda x: bump((np.asarray(x) - 1.5) / width)
         r = RhsField.from_callables(grid, k, r2_fn=r2, r3_fn=r2, support=(1.0, 2.0))
@@ -529,7 +542,7 @@ def _suite_weyl(problem, k, tol):
 
 def cmd_check(args, tol) -> int:
     problem = load_problem(args.config)
-    k = float(args.k)
+    k = _parse_k(args.k)
     suites = [
         ("shoot-vs-polynomial", _suite_shoot),
         ("lambda-isolation", _suite_lambda),

@@ -294,6 +294,14 @@ def test_check_command(cfg, capsys):
     assert "no modes" in out and "FAIL" not in out
 
 
+def test_check_k0_lossy_drude_passes(cfg, capsys):
+    # at k = 0 the lossy Drude medium decays like exp(-0.71|x|): the resolvent
+    # suite's grids must be sized from the decay rate, not a fixed [-8, 8]
+    assert main(["check", "--config", cfg(DRUDE_CFG), "--k", "0"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("PASS") == 4 and "FAIL" not in out
+
+
 def test_corrupted_tolerance_env(cfg, capsys, monkeypatch):
     path = cfg(DRUDE_CFG)
     monkeypatch.setenv("PENCIL_SPECTRA_TOL", "ray_imag_tol=-5")
@@ -332,6 +340,32 @@ def test_tolerance_env_applies(cfg, capsys, monkeypatch):
 def test_bad_grid_and_omega_are_usage_errors(cfg, tmp_path, capsys, argv):
     args = argv[:1] + ["--config", cfg(DRUDE_CFG)] + argv[1:]
     if argv[0] != "classify":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["eigen", "--k", "1:2"],              # two fields
+    ["eigen", "--k", "1:2:3:4"],          # four fields
+    ["eigen", "--k", "1:2:x"],
+    ["eigen", "--k", "1:2:2.5"],
+    ["eigen", "--k", "1:2:0"],            # count < 1
+    ["eigen", "--k", "nan"],
+    ["eigen", "--k", "0:inf:3"],
+    ["eigen", "--k", ""],
+    ["check", "--k", "nan"],
+    ["check", "--k", "1:2:3"],            # a sweep where one k is expected
+    ["classify", "--omega", "0,0.5", "--k", "x"],
+    ["classify", "--omega", "0,0.5", "--k=-inf"],
+    ["trace", "--grid=-4:4:9,-1:1:5", "--k", "nan"],
+    ["resolve", "--omega", "0,0.5", "--k", "inf"],
+])
+def test_bad_k_is_a_usage_error(cfg, tmp_path, capsys, argv):
+    args = argv[:1] + ["--config", cfg(DRUDE_CFG)] + argv[1:]
+    if argv[0] in ("eigen", "trace", "resolve"):
         args += ["--out", str(tmp_path / "out")]
     assert main(args) == 2
     captured = capsys.readouterr()

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +15,10 @@ from pencil_spectra import (
     shoot_determinant,
     solve,
 )
+import pencil_spectra
+from pencil_spectra import fd_oracle
+from pencil_spectra.complex_numerics import principal_sqrt
+from pencil_spectra.dielectric import wtilde
 from pencil_spectra.errors import PreconditionError
 from pencil_spectra.fd_oracle import discretize, shoot_refine, smallest_singular_value
 from pencil_spectra.modes import bump
@@ -164,3 +171,110 @@ def test_discretize_grid_mismatch(drude_problem):
     r = _bump_rhs(g2, 3.0)
     with pytest.raises(PreconditionError):
         direct_solve(0.5j, 3.0, r, disc)
+
+
+def _loop_blocks(omega, k, problem, grid, lam):
+    """Reference assembly: one Python loop over the nodes, entry by entry."""
+    x, h = grid.x, grid.h
+    N = x.size
+    im, ip = grid.i_zero_minus, grid.i_zero_plus
+    wt_p, wt_m = wtilde(problem.plus, omega), wtilde(problem.minus, omega)
+    w_p, w_m = omega**2 * wt_p, omega**2 * wt_m
+    den_p, den_m = k * k - lam * w_p, k * k - lam * w_m
+    wvals = np.where(np.arange(N) >= ip, w_p, w_m)
+    fwd = np.array([-1.5, 2.0, -0.5]) / h
+    bwd = np.array([1.5, -2.0, 0.5]) / h
+    interior = [j for j in range(N) if j not in (0, im, ip, N - 1)]
+
+    def block(include_wu1):
+        rows, cols, vals = [], [], []
+        eq = np.zeros(N, dtype=bool)
+        node = np.zeros(N, dtype=np.int64)
+        row = 0
+        for j in interior:
+            rows += [row, row, row]
+            cols += [j - 1, j, j + 1]
+            vals += [-1.0 / h**2, 2.0 / h**2 + k * k - lam * wvals[j], -1.0 / h**2]
+            eq[row] = True
+            node[row] = j
+            row += 1
+        rows += [row, row + 1, row + 2, row + 2]
+        cols += [0, N - 1, ip, im]
+        vals += [1.0, 1.0, 1.0, -1.0]
+        row += 3
+        cp, cm = (wt_p / den_p, wt_m / den_m) if include_wu1 and k != 0.0 else (1.0, 1.0)
+        for o, cf in zip((0, 1, 2), fwd):
+            rows.append(row); cols.append(ip + o); vals.append(cp * cf)
+        for o, cf in zip((0, -1, -2), bwd):
+            rows.append(row); cols.append(im + o); vals.append(-cm * cf)
+        mat = sp.csc_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(N, N)))
+        return mat, eq, node
+
+    return block(True), block(False)
+
+
+@pytest.mark.parametrize("k", [0.0, 3.0])
+@pytest.mark.parametrize("lam", [1.0, 1.0 + 0.05j, 0.8 + 0.01j])
+@pytest.mark.parametrize("medium", ["lossless_problem", "drude_problem"])
+def test_discretize_matches_loop_assembly(k, lam, medium, request):
+    problem = request.getfixturevalue(medium)
+    omega = 1.0 + 0.3j
+    grid = make_grid(5.0, 1 / 40)
+    disc = discretize(omega, k, problem, grid=grid, lam=lam)
+    (ref2, eq2, node2), (ref3, eq3, node3) = _loop_blocks(
+        complex(omega), k, problem, grid, complex(lam))
+    for got, ref in ((disc.block2, ref2), (disc.block3, ref3)):
+        assert got.format == "csc"
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for got, ref in ((disc.eq_rows_2, eq2), (disc.rhs_node_2, node2),
+                     (disc.eq_rows_3, eq3), (disc.rhs_node_3, node3)):
+        assert np.array_equal(got, ref)
+    assert disc.wu1_row == (grid.x.size - 1 if k != 0.0 else -1)
+
+
+def _dop853_direction(omega, k, problem, side):
+    """phi[0]/phi[1] from an adaptive DOP853 integration of psi' = M psi."""
+    from scipy.integrate import solve_ivp
+
+    wv = omega * omega * wtilde(problem.side(side), omega)
+    mu = principal_sqrt(k * k - wv)
+    X = 25.0 / mu.real
+    x0, v0 = (X, [1j * k, mu]) if side == "+" else (-X, [-1j * k, mu])
+    sol = solve_ivp(lambda x, y: [-1j * k * y[1], (wv - k * k) / (1j * k) * y[0]],
+                    (x0, 0.0), np.array(v0, dtype=complex), method="DOP853",
+                    rtol=1e-10, atol=1e-14)
+    assert sol.success
+    return sol.y[0, -1] / sol.y[1, -1]
+
+
+def test_flow_map_matches_adaptive_integration(drude_problem):
+    k = 3.0
+    # the modes, and omega = 2.12 where Re mu_+ = 0.106 on the constant side
+    points = [m.omega for m in eigen_omegas(k, drude_problem)] + [2.12 + 0j]
+    for om in points:
+        for side in ("+", "-"):
+            phi = fd_oracle._integrate_decaying(om, k, drude_problem, side, fd_oracle.DEFAULT_TOL)
+            ref = _dop853_direction(om, k, drude_problem, side)
+            assert abs(phi[0] / phi[1] - ref) <= 1e-12 * abs(ref), (om, side)
+
+
+def test_shooting_does_not_lean_on_the_closed_form_start(drude_problem, monkeypatch):
+    # a wrong mu gives a wrong start direction; the backward flow must wash
+    # it out, so the roots still come from the flow of M alone
+    modes = eigen_omegas(3.0, drude_problem)
+    assert modes
+    monkeypatch.setattr(fd_oracle, "principal_sqrt", lambda z: principal_sqrt(z) + 1e-3)
+    for m in modes:
+        root = shoot_refine(m.omega * (1 + 1e-5) + 1e-7, 3.0, drude_problem)
+        assert abs(root - m.omega) <= 1e-9
+
+
+def test_fd_oracle_import_skips_scipy_integrate():
+    code = ("import sys, pencil_spectra.fd_oracle\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))\n")
+    src = os.path.dirname(os.path.dirname(pencil_spectra.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.splitlines()[-1] == "[]"
