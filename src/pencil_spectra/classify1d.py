@@ -17,6 +17,11 @@ takes Python scalars or numpy arrays (a size-1 array call would cost about
 20x a scalar one in numpy call overhead). Classification is total: domain or
 singularity issues are encoded in the record, never thrown, so grid tracing
 cannot abort. All functions are pure.
+
+The values come from dielectric.w_values and every set test lives in
+_reduced_codes: in_M and in_N (so classify2d's in_M2) read one bit of its
+code (M_PLUS, M_MINUS, IN_N) after _reduced_point_values' precondition, and
+modes.eigen_omegas keeps the polynomial roots whose code is IN_N.
 """
 
 from __future__ import annotations
@@ -41,8 +46,8 @@ from .dielectric import (
     near_omega0,
     omega0_set,
     singular_set,
+    w_values,
     which_pole_side,
-    wtilde,
     wtilde_array,
 )
 from .errors import PreconditionError
@@ -175,19 +180,18 @@ class ArrayClassification:
         return self._per_point(SpectrumClass.raster_class)
 
 
-def _w_values(problem: InterfaceProblem, omega: complex, tol: Tolerances):
-    wt_p = wtilde(problem.plus, omega, tol)
-    wt_m = wtilde(problem.minus, omega, tol)
-    return wt_p, wt_m, omega * omega * wt_p, omega * omega * wt_m
+def _reduced_point_values(problem, omega, tol, op_name):
+    """w_values at an omega off S and Omega_0, the precondition of the set predicates.
 
-
-def _check_reduced_point(problem, omega, tol, op_name):
+    Raises PreconditionError on S or Omega_0, where the reduced branch does not apply.
+    """
     hit = which_pole_side(problem, omega, tol)
     if hit is not None:
         pole, side = hit
         raise PreconditionError(f"{op_name}: omega={omega} is a pole of the {side} side ({pole})")
     if near_omega0(problem, omega, tol) is not None:
         raise PreconditionError(f"{op_name}: omega={omega} lies in the exceptional set Omega_0")
+    return w_values(problem, omega, tol)
 
 
 def in_M(side: str, omega: complex, k: float, problem: InterfaceProblem,
@@ -198,13 +202,13 @@ def in_M(side: str, omega: complex, k: float, problem: InterfaceProblem,
     (0, inf). The open/closed distinction at the k = 0 endpoint is moot off
     the exceptional set: W_side(omega) = 0 is exactly membership in Omega_0,
     which this operation rejects. Raises PreconditionError on S or Omega_0.
+    The answer is the M_side bit of the reduced branch code (_reduced_codes).
     """
     omega = complex(omega)
-    _check_reduced_point(problem, omega, tol, "in_M")
-    wv = omega * omega * wtilde(problem.side(side), omega, tol)
-    if k != 0.0:
-        return in_ray(wv, k * k, tol)
-    return in_open_positive_ray(wv, tol)
+    values = _reduced_point_values(problem, omega, tol, "in_M")
+    # problem.side rejects a bad label; when one model serves both sides the bits agree
+    bit = M_PLUS if problem.side(side) is problem.plus else M_MINUS
+    return bool(_reduced_codes(*values, k, tol) & bit)
 
 
 def _n_identity_holds(wt_p, wt_m, w_p, w_m, k2, tol, slack=1.0):
@@ -244,19 +248,18 @@ def in_N(omega: complex, k: float, problem: InterfaceProblem,
 
     Requires the two ray exclusions W_pm(omega) not in [k^2, inf) and the
     unsquared matching identity W-tilde_+ mu_- + W-tilde_- mu_+ = 0 with
-    mu_pm = principal_sqrt(k^2 - W_pm). N^(0) is empty.
+    mu_pm = principal_sqrt(k^2 - W_pm). N^(0) is empty. The answer is the N
+    bit of the reduced branch code (_reduced_codes); PreconditionError on S
+    or Omega_0.
     """
     omega = complex(omega)
-    _check_reduced_point(problem, omega, tol, "in_N")
-    wt_p, wt_m, w_p, w_m = _w_values(problem, omega, tol)
-    if in_ray(w_p, k * k, tol) or in_ray(w_m, k * k, tol):
-        return False
-    return _n_identity_holds(wt_p, wt_m, w_p, w_m, k * k, tol)
+    values = _reduced_point_values(problem, omega, tol, "in_N")
+    return bool(_reduced_codes(*values, k, tol) & IN_N)
 
 
 def _classify_omega0(problem, omega, k, pt: Omega0Point, tol, exact_hit: bool) -> SpectrumClass:
     """The exceptional-set case table; k=None is the 2D pencil."""
-    wt_p, wt_m, w_p, w_m = _w_values(problem, omega, tol)
+    wt_p, wt_m, w_p, w_m = w_values(problem, omega, tol)
     m = max(abs(wt_p), abs(wt_m), 1.0)
     sum_zero = abs(wt_p + wt_m) <= tol.equality_tol * m
     suffix = "" if exact_hit else ";near-Omega0"
@@ -324,7 +327,7 @@ def _classify_point(omega: complex, k, problem: InterfaceProblem, tol: Tolerance
     pt = near_omega0(problem, omega, tol)
     if pt is not None:
         return _classify_omega0(problem, omega, k, pt, tol, omega == pt.omega)
-    wt_p, wt_m, w_p, w_m = _w_values(problem, omega, tol)
+    wt_p, wt_m, w_p, w_m = w_values(problem, omega, tol)
     return REDUCED[2 if k is None else 1][_reduced_codes(wt_p, wt_m, w_p, w_m, k, tol)]
 
 

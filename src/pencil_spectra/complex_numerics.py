@@ -216,14 +216,6 @@ def _trim_leading(coeffs):
     return coeffs[i:]
 
 
-def _deflate(coeffs, root):
-    """Synthetic division by (z - root); drops the remainder."""
-    out = [coeffs[0]]
-    for c in coeffs[1:-1]:
-        out.append(out[-1] * root + c)
-    return out
-
-
 def poly_roots(coeffs, tol: Tolerances = DEFAULT_TOL):
     """All complex roots of a polynomial, with multiplicities.
 

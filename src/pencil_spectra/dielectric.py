@@ -192,6 +192,17 @@ def w(model: DielectricModel, omega: complex, tol: Tolerances = DEFAULT_TOL) -> 
     return omega * omega * wtilde(model, omega, tol)
 
 
+def w_values(problem: InterfaceProblem, omega: complex, tol: Tolerances = DEFAULT_TOL):
+    """(W-tilde_+, W-tilde_-, W_+, W_-) at omega: both media, W = omega^2 W-tilde.
+
+    omega is used as given (a Python complex keeps CPython's arithmetic);
+    raises SingularityError on either side's poles, as wtilde does.
+    """
+    wt_p = wtilde(problem.plus, omega, tol)
+    wt_m = wtilde(problem.minus, omega, tol)
+    return wt_p, wt_m, omega * omega * wt_p, omega * omega * wt_m
+
+
 @dataclass(frozen=True)
 class InterfaceProblem:
     """The (plus-model, minus-model) pair defining the pencil; plus lives on x1 > 0."""
@@ -275,12 +286,9 @@ def omega0_set(problem: InterfaceProblem, tol: Tolerances = DEFAULT_TOL) -> tupl
 
     out = []
     for z in pts:
-        wt_p = wtilde(problem.plus, z, tol)
-        wt_m = wtilde(problem.minus, z, tol)
+        wt_p, wt_m, w_p, w_m = w_values(problem, z, tol)
         m = max(abs(wt_p), abs(wt_m), 1.0)
         zz = max(abs(z) ** 2, 1.0)
-        w_p = z * z * wt_p
-        w_m = z * z * wt_m
         plus_v = abs(w_p) <= tol.equality_tol * m * zz
         minus_v = abs(w_m) <= tol.equality_tol * m * zz
         if not (plus_v or minus_v):
@@ -308,15 +316,14 @@ def near_omega0(problem: InterfaceProblem, omega: complex, tol: Tolerances = DEF
                 return p
         return None
     # cabs and the except clause keep classify total at huge |omega|
-    wt_p = wtilde(problem.plus, omega, tol)
-    wt_m = wtilde(problem.minus, omega, tol)
+    wt_p, wt_m, w_p, w_m = w_values(problem, omega, tol)
     m = max(cabs(wt_p), cabs(wt_m), 1.0)
     try:
         zz = max(cabs(omega) ** 2, 1.0)
     except OverflowError:
         zz = math.inf
-    plus_v = cabs(omega * omega * wt_p) <= tol.equality_tol * m * zz
-    minus_v = cabs(omega * omega * wt_m) <= tol.equality_tol * m * zz
+    plus_v = cabs(w_p) <= tol.equality_tol * m * zz
+    minus_v = cabs(w_m) <= tol.equality_tol * m * zz
     if plus_v or minus_v:
         return Omega0Point(
             omega=omega, plus_vanishes=plus_v, minus_vanishes=minus_v,

@@ -36,7 +36,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import expm
 
 from .complex_numerics import DEFAULT_TOL, Tolerances, principal_sqrt
-from .dielectric import InterfaceProblem, wtilde
+from .dielectric import InterfaceProblem, w, w_values, wtilde
 from .errors import PreconditionError
 from .resolvent import Grid, RhsField, make_grid
 
@@ -82,10 +82,7 @@ def discretize(omega: complex, k: float, problem: InterfaceProblem,
     N = grid.x.size
     h = grid.h
     im, ip = grid.i_zero_minus, grid.i_zero_plus
-    wt_p = wtilde(problem.plus, omega, tol)
-    wt_m = wtilde(problem.minus, omega, tol)
-    w_p = omega**2 * wt_p
-    w_m = omega**2 * wt_m
+    wt_p, wt_m, w_p, w_m = w_values(problem, omega, tol)
     den_p = k * k - lam * w_p
     den_m = k * k - lam * w_m
     if k != 0.0 and min(abs(den_p), abs(den_m)) < 1e-12 * max(1.0, abs(lam)):
@@ -140,8 +137,7 @@ def discretize(omega: complex, k: float, problem: InterfaceProblem,
 def default_grid(omega: complex, k: float, problem: InterfaceProblem,
                  h: float = DEFAULT_H, tol: Tolerances = DEFAULT_TOL) -> Grid:
     """L = 20 tightened until exp(-Re mu L) < 1e-12 on both sides."""
-    w_p = omega * omega * wtilde(problem.plus, omega, tol)
-    w_m = omega * omega * wtilde(problem.minus, omega, tol)
+    _, _, w_p, w_m = w_values(problem, omega, tol)
     alpha = min(principal_sqrt(k * k - w_p).real, principal_sqrt(k * k - w_m).real)
     L = DEFAULT_L
     if alpha > 0:
@@ -217,7 +213,7 @@ def _integrate_decaying(omega, k, problem, side, tol):
     floating-point range, and the backward flow damps any error in the start
     direction by exp(-2 Re mu X).
     """
-    wv = omega * omega * wtilde(problem.side(side), omega, tol)
+    wv = w(problem.side(side), omega, tol)
     mu = principal_sqrt(k * k - wv)
     if mu.real <= 0:
         raise PreconditionError(f"side {side}: Re mu <= 0, no decaying solution")

@@ -20,11 +20,13 @@ from functools import lru_cache
 import numpy as np
 
 from .complex_numerics import DEFAULT_TOL, Tolerances, in_ray, poly_roots, principal_sqrt
-from .classify1d import _n_identity_holds
+from .classify1d import IN_N, _n_identity_holds, _reduced_codes
 from .dielectric import (
     InterfaceProblem,
     near_omega0,
     singular_points,
+    w,
+    w_values,
     wtilde,
 )
 from .errors import DegenerateDispersionError, PreconditionError, UnsupportedModelError
@@ -181,9 +183,12 @@ def eigen_omegas(k: float, problem: InterfaceProblem,
                  tol: Tolerances = DEFAULT_TOL) -> list:
     """All plasmon eigenvalues omega in N^(k), as PlasmonMode records.
 
-    Filter order matters: discard poles, then the exceptional set, then the
-    essential rays, and only then apply the unsquared matching identity
-    (squaring is what produced the polynomial's spurious roots).
+    Filter order matters: discard poles, then the exceptional set, and only
+    then read the reduced branch code, which excludes the essential rays
+    before it applies the unsquared matching identity (squaring is what
+    produced the polynomial's spurious roots). The pole filter is wider than
+    classify's, since its tolerance is about root accuracy; the root must
+    then be reduced/N exactly as classify decides it (code IN_N).
     """
     if not problem.is_rational:
         raise UnsupportedModelError("eigen_omegas needs rational models on both sides")
@@ -199,15 +204,9 @@ def eigen_omegas(k: float, problem: InterfaceProblem,
             continue
         if near_omega0(problem, z, tol) is not None:
             continue
-        wt_p = wtilde(problem.plus, z, tol)
-        wt_m = wtilde(problem.minus, z, tol)
-        w_p = z * z * wt_p
-        w_m = z * z * wt_m
-        if in_ray(w_p, k * k, tol) or in_ray(w_m, k * k, tol):
-            continue
-        if not _n_identity_holds(wt_p, wt_m, w_p, w_m, k * k, tol):
-            continue
-        modes.append(_make_mode(z, k, w_p, w_m))
+        wt_p, wt_m, w_p, w_m = w_values(problem, z, tol)
+        if _reduced_codes(wt_p, wt_m, w_p, w_m, k, tol) == IN_N:
+            modes.append(_make_mode(z, k, w_p, w_m))
     modes.sort(key=lambda md: (md.omega.real, md.omega.imag))
     return modes
 
@@ -226,12 +225,6 @@ def eigenfunction_eval(mode: PlasmonMode, x1):
     out[0, ~right] = mode.v_minus[0] * em
     out[1, ~right] = mode.v_minus[1] * em
     return out[:, 0] if scalar else out
-
-
-def _mode_w_values(mode: PlasmonMode):
-    w_p = mode.k**2 - mode.mu_plus**2
-    w_m = mode.k**2 - mode.mu_minus**2
-    return w_p, w_m
 
 
 def mode_residual(mode: PlasmonMode, grid, problem: InterfaceProblem,
@@ -289,8 +282,7 @@ def weyl_sequence_1d(omega: complex, k: float, n: int, side: str,
     """
     omega = complex(omega)
     sgn = 1.0 if side in ("+", "plus") else -1.0
-    model = problem.side(side)
-    w_side = omega * omega * wtilde(model, omega, tol)
+    w_side = w(problem.side(side), omega, tol)
     center = sgn * n * n
     _, nphi1, nphi2 = _bump_constants()
 
@@ -333,7 +325,7 @@ def weyl_field_1d(omega: complex, k: float, n: int, side: str, variant: str,
     out = np.zeros((3, x.size), dtype=complex)
     center = sgn * n * n
     if variant == "plane_wave":
-        w_side = omega * omega * wtilde(problem.side(side), omega, tol)
+        w_side = w(problem.side(side), omega, tol)
         ell = math.sqrt(max(w_side.real - k * k, 0.0))
         out[2] = np.exp(1j * ell * x) * bump((x - center) / n) / math.sqrt(n)
     elif variant == "k0_w0":
@@ -349,7 +341,7 @@ def weyl_sequence_2d_bulk(omega: complex, side: str, n: int,
     """2D plane-wave Weyl member in the third component; W_side(omega) in [0, inf)."""
     omega = complex(omega)
     sgn = 1.0 if side in ("+", "plus") else -1.0
-    w_side = omega * omega * wtilde(problem.side(side), omega, tol)
+    w_side = w(problem.side(side), omega, tol)
     if not in_ray(w_side, 0.0, tol):
         raise PreconditionError(
             f"2D bulk Weyl sample needs W_{side}(omega) in [0, inf); got {w_side}")
@@ -381,10 +373,7 @@ class Weyl2DInterfaceReport:
 def _interface_profile(omega, a, problem, tol):
     """psi, its coefficient data, and exponents for the guided construction."""
     k0 = math.sqrt(a)
-    wt_p = wtilde(problem.plus, omega, tol)
-    wt_m = wtilde(problem.minus, omega, tol)
-    w_p = omega * omega * wt_p
-    w_m = omega * omega * wt_m
+    wt_p, wt_m, w_p, w_m = w_values(problem, omega, tol)
     if in_ray(w_p, a, tol) or in_ray(w_m, a, tol):
         raise PreconditionError("(omega, a) violates the ray exclusions of N")
     mu_p = principal_sqrt(a - w_p)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .complex_numerics import DEFAULT_TOL, Tolerances, principal_sqrt
 from .classify1d import classify
-from .dielectric import InterfaceProblem, wtilde
+from .dielectric import InterfaceProblem, w_values
 from .errors import PreconditionError, SpectralPointError
 
 _CELL_GL = 8
@@ -44,10 +44,6 @@ class Grid:
     x: np.ndarray
     i_zero_minus: int
     i_zero_plus: int
-
-    @property
-    def n_side(self) -> int:
-        return self.i_zero_plus  # nodes per side including the 0 node
 
     def left(self) -> np.ndarray:
         return self.x[: self.i_zero_minus + 1]
@@ -71,8 +67,7 @@ def suggest_half_length(omega: complex, k: float, problem: InterfaceProblem,
                         support_edge: float, h: float,
                         tol: Tolerances = DEFAULT_TOL) -> float:
     """Smallest L (multiple of h) with exp(-Re mu (L - edge)) < 1e-12 on both sides."""
-    w_p = omega * omega * wtilde(problem.plus, omega, tol)
-    w_m = omega * omega * wtilde(problem.minus, omega, tol)
+    _, _, w_p, w_m = w_values(problem, omega, tol)
     alpha = min(principal_sqrt(k * k - w_p).real, principal_sqrt(k * k - w_m).real)
     if alpha <= 0:
         raise PreconditionError("decay rates are not positive at this omega")
@@ -249,10 +244,7 @@ def solve(omega: complex, k: float, r: RhsField, problem: InterfaceProblem,
     if not record.resolvent:
         raise SpectralPointError(
             f"omega={omega} is not in the resolvent set ({record.branch_note})")
-    wt_p = wtilde(problem.plus, omega, tol)
-    wt_m = wtilde(problem.minus, omega, tol)
-    w_p = omega * omega * wt_p
-    w_m = omega * omega * wt_m
+    wt_p, wt_m, w_p, w_m = w_values(problem, omega, tol)
     mu_p = principal_sqrt(k * k - w_p)
     mu_m = principal_sqrt(k * k - w_m)
     if mu_p.real <= 0 or mu_m.real <= 0:
@@ -353,14 +345,13 @@ def _verify_fields(grid: Grid, u: np.ndarray, u2_prime: np.ndarray, u3_prime: np
                    tol: Tolerances) -> VerifyReport:
     h = grid.h
     nl = grid.i_zero_minus + 1
-    wt_p = wtilde(problem.plus, omega, tol)
-    wt_m = wtilde(problem.minus, omega, tol)
+    wt_p, wt_m, w_p, w_m = w_values(problem, omega, tol)
     r_norm = r.norm()
     scale = max(r_norm, 1e-300)
 
     res = [0.0, 0.0, 0.0]
     div_max = 0.0
-    for sl, wval in ((slice(0, nl), omega**2 * wt_m), (slice(nl, None), omega**2 * wt_p)):
+    for sl, wval in ((slice(0, nl), w_m), (slice(nl, None), w_p)):
         u1 = u[0, sl]; u2 = u[1, sl]; u3 = u[2, sl]
         du1 = _fd_first(u1, h)
         du2 = _fd_first(u2, h)

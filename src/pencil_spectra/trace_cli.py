@@ -249,42 +249,37 @@ def _parse_omega(text: str) -> complex:
     return complex(re, im)
 
 
+def _parse_fields(text: str, flag: str, form: str, counts) -> list:
+    """The colon-separated numbers of a flag: finite floats, then an integer
+    count >= 1 when there are three fields; the field count must be in counts."""
+    fields = text.split(":")
+    try:
+        if len(fields) not in counts:
+            raise ValueError
+        values = [float(f) for f in fields[:2]] + [int(f) for f in fields[2:]]
+    except ValueError:
+        raise PencilSpectraError(f"{flag} must be {form}, got {text!r}") from None
+    if not all(math.isfinite(v) for v in values[:2]):
+        raise PencilSpectraError(f"{flag} must be finite, got {text!r}")
+    if len(values) == 3 and values[2] < 1:
+        raise PencilSpectraError(f"{flag} count must be at least 1, got {text!r}")
+    return values
+
+
 def _parse_grid(text: str):
     """((re0, re1, nx), (im0, im1, ny)) from re0:re1:nx,im0:im1:ny."""
-    def axis(part):
-        try:
-            a, b, n = part.split(":")   # ValueError unless exactly three fields
-            a, b, n = float(a), float(b), int(n)
-        except ValueError:
-            raise PencilSpectraError(
-                f"--grid axis must be lo:hi:count, got {part!r} in {text!r}") from None
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise PencilSpectraError(f"--grid bounds must be finite, got {part!r}")
-        if n < 1:
-            raise PencilSpectraError(f"--grid count must be at least 1, got {part!r}")
-        return a, b, n
     re_part, _, im_part = text.partition(",")
-    return axis(re_part), axis(im_part)
+    return tuple(tuple(_parse_fields(part, "--grid axis", "lo:hi:count", (3,)))
+                 for part in (re_part, im_part))
 
 
 def _parse_k(text: str, sweep: bool = False):
     """A finite k; with sweep=True, the list of k from "k" or "k0:k1:n"."""
-    fields = text.split(":")
     form = "k or k0:k1:count" if sweep else "a number"
-    try:
-        if len(fields) not in ((1, 3) if sweep else (1,)):
-            raise ValueError
-        ends = [float(f) for f in fields[:2]]
-        n = int(fields[2]) if len(fields) == 3 else 1
-    except ValueError:
-        raise PencilSpectraError(f"--k must be {form}, got {text!r}") from None
-    if not all(math.isfinite(v) for v in ends):
-        raise PencilSpectraError(f"--k must be finite, got {text!r}")
-    if n < 1:
-        raise PencilSpectraError(f"--k count must be at least 1, got {text!r}")
-    if len(fields) == 3:
-        return list(np.linspace(ends[0], ends[1], n))
-    return [ends[0]] if sweep else ends[0]
+    values = _parse_fields(text, "--k", form, (1, 3) if sweep else (1,))
+    if len(values) == 3:
+        return list(np.linspace(*values))
+    return values if sweep else values[0]
 
 
 def _describe(record: SpectrumClass) -> str:
@@ -408,11 +403,18 @@ def cmd_resolve(args, tol) -> int:
     problem = load_problem(args.config)
     omega = _parse_omega(args.omega)
     k = _parse_k(args.k)
-    lo, hi = (float(v) for v in args.support.split(":"))
-    h = float(args.h)
+    lo, hi = _parse_fields(args.support, "--support", "lo:hi", (2,))
+    if not lo < hi:
+        raise PencilSpectraError(f"--support needs lo < hi, got {args.support!r}")
+    (h,) = _parse_fields(args.h, "--h", "a number", (1,))
+    if not h > 0:
+        raise PencilSpectraError(f"--h must be positive, got {args.h!r}")
     from .resolvent import suggest_half_length
     L = suggest_half_length(omega, k, problem, max(abs(lo), abs(hi)), h, tol)
-    grid = make_grid(L, h)
+    try:
+        grid = make_grid(L, h)
+    except ValueError as exc:   # e.g. fewer cells than make_grid's minimum
+        raise PencilSpectraError(f"--h {args.h!r} gives no grid: {exc} (L={L:g})") from None
     center, width = 0.5 * (lo + hi), 0.5 * (hi - lo)
     r2 = lambda x: bump((np.asarray(x) - center) / width)
     r = RhsField.from_callables(grid, k, r2_fn=r2, r3_fn=r2, support=(lo, hi))

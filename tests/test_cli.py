@@ -373,6 +373,20 @@ def test_bad_k_is_a_usage_error(cfg, tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag", [
+    "--support=1:x", "--support=1", "--support=1:2:3", "--support=1:1", "--support=2:1",
+    "--support=-inf:1", "--support=1:nan",
+    "--h=nan", "--h=inf", "--h=0", "--h=-0.01", "--h=x", "--h=100",
+])
+def test_bad_resolve_support_and_h_are_usage_errors(cfg, tmp_path, capsys, flag):
+    out = tmp_path / "out"
+    assert main(["resolve", "--config", cfg(DRUDE_CFG), "--omega", "0,0.5", "--k", "3",
+                 flag, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert not out.exists()
+
+
 def test_grid_count_one_is_accepted(cfg, tmp_path, capsys):
     out = tmp_path / "one"
     assert main(["trace", "--config", cfg(DRUDE_CFG), "--grid=0.5:0.5:1,0.5:0.5:1",

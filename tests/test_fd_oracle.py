@@ -278,3 +278,31 @@ def test_fd_oracle_import_skips_scipy_integrate():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_fd_oracle_stays_independent_of_the_closed_forms():
+    """The oracle may share the media evaluation (dielectric) and the grid types,
+    but no closed form: nothing from modes or the classifiers, and from resolvent
+    only Grid, RhsField and make_grid."""
+    import ast
+
+    tree = ast.parse(open(fd_oracle.__file__).read())
+    imported = {}   # pencil_spectra module -> names taken from it
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and not (node.module or "").startswith("pencil_spectra"):
+                continue
+            module = (node.module or "").removeprefix("pencil_spectra").lstrip(".")
+            if module:
+                imported.setdefault(module, set()).update(a.name for a in node.names)
+            else:   # from . import x
+                for a in node.names:
+                    imported.setdefault(a.name, set()).add("*")
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.startswith("pencil_spectra"):
+                    module = a.name.removeprefix("pencil_spectra").lstrip(".")
+                    imported.setdefault(module or "pencil_spectra", set()).add("*")
+    assert "resolvent" in imported and "dielectric" in imported   # the scan sees them
+    assert not {"modes", "classify1d", "classify2d", "pencil_spectra"} & set(imported)
+    assert imported["resolvent"] <= {"Grid", "RhsField", "make_grid"}

@@ -197,3 +197,33 @@ def test_weyl_2d_interface_at_mode(lossless_problem):
             if abs(m.omega - PLASMON) < 1e-9][0]
     rep = weyl_2d_interface_report(mode.omega, 9.0, 16, lossless_problem)
     assert rep.k0 == 3.0 and rep.residual_norm > 0
+
+
+@pytest.mark.parametrize("medium", ["lossless", "rational"])
+def test_eigen_omegas_are_the_reduced_N_roots(medium, lossless_problem):
+    """eigen_omegas and classify agree on the roots of the eigenvalue polynomial:
+    every mode is reduced/N, and every root off the pole filter that classify
+    puts in reduced/N is a mode."""
+    from pencil_spectra import classify
+    from pencil_spectra.complex_numerics import DEFAULT_TOL, poly_roots
+    from pencil_spectra.dielectric import singular_points
+    from pencil_spectra.modes import eigenvalue_polynomial
+
+    problem = lossless_problem if medium == "lossless" else InterfaceProblem(
+        DielectricModel.constant(2.0),
+        DielectricModel.rational([1, 0.3j, -3.14], [1, 0.3j, -0.64]))   # one Lorentz pole pair
+    poles = singular_points(problem)
+    pole_reach = max(DEFAULT_TOL.ray_imag_tol, 1e-9)   # eigen_omegas' own pole filter
+    found = rejected = 0
+    for k in np.linspace(0.05, 8.0, 160):
+        k = float(k)
+        modes = [m.omega for m in eigen_omegas(k, problem)]
+        assert all(classify(z, k, problem).branch_note == "reduced/N" for z in modes), k
+        roots = [z for z, _ in poly_roots(eigenvalue_polynomial(k, problem))]
+        kept = [z for z in roots
+                if not any(abs(z - p) <= pole_reach * (1.0 + abs(p)) for p in poles)
+                and classify(z, k, problem).branch_note == "reduced/N"]
+        assert modes == sorted(kept, key=lambda z: (z.real, z.imag)), k
+        found += len(modes)
+        rejected += len(roots) - len(modes)
+    assert found > 0 and rejected > 0
