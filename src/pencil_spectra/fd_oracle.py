@@ -42,6 +42,8 @@ from .resolvent import Grid, RhsField, make_grid
 
 DEFAULT_L = 20.0
 DEFAULT_H = 1.0 / 200.0
+_SECANT_STEPS, _SECANT_TARGET = 60, 1e-12   # shoot_refine: step limit, |det| to stop at
+_POWER_STEPS, _POWER_RTOL = 300, 1e-10      # smallest_singular_value: steps, rel. change
 
 
 @dataclass(frozen=True)
@@ -247,21 +249,20 @@ def shoot_determinant(omega: complex, k: float, problem: InterfaceProblem,
 
 
 def shoot_refine(omega0: complex, k: float, problem: InterfaceProblem,
-                 tol: Tolerances = DEFAULT_TOL, maxiter: int = 60,
-                 target: float = 1e-12) -> complex:
+                 tol: Tolerances = DEFAULT_TOL) -> complex:
     """Secant refinement of a shooting-determinant root from a nearby guess."""
     z0 = complex(omega0)
     z1 = z0 * (1 + 1e-6) + 1e-8
     f0 = shoot_determinant(z0, k, problem, tol)
     f1 = shoot_determinant(z1, k, problem, tol)
-    for _ in range(maxiter):
+    for _ in range(_SECANT_STEPS):
         if f1 == f0:
             break
         z2 = z1 - f1 * (z1 - z0) / (f1 - f0)
         z0, f0 = z1, f1
         z1 = z2
         f1 = shoot_determinant(z1, k, problem, tol)
-        if abs(f1) < target or abs(z1 - z0) < 1e-14 * (1 + abs(z1)):
+        if abs(f1) < _SECANT_TARGET or abs(z1 - z0) < 1e-14 * (1 + abs(z1)):
             break
     return z1
 
@@ -287,8 +288,7 @@ class LambdaProbeReport:
         return self.separation_factor >= 100.0
 
 
-def smallest_singular_value(A: sp.csc_matrix, iters: int = 300,
-                            rtol: float = 1e-10) -> float:
+def smallest_singular_value(A: sp.csc_matrix) -> float:
     """sigma_min via inverse power iteration on (A^H A)^(-1) through one LU."""
     n = A.shape[0]
     if n <= 400:
@@ -298,7 +298,7 @@ def smallest_singular_value(A: sp.csc_matrix, iters: int = 300,
     y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     y /= np.linalg.norm(y)
     prev = 0.0
-    for _ in range(iters):
+    for _ in range(_POWER_STEPS):
         wvec = lu.solve(y, trans="H")
         z = lu.solve(wvec, trans="N")
         nz = np.linalg.norm(z)
@@ -306,7 +306,7 @@ def smallest_singular_value(A: sp.csc_matrix, iters: int = 300,
             return 0.0
         est = math.sqrt(nz)  # ||z|| ~ 1/sigma_min^2
         y = z / nz
-        if prev > 0 and abs(est - prev) <= rtol * est:
+        if prev > 0 and abs(est - prev) <= _POWER_RTOL * est:
             prev = est
             break
         prev = est

@@ -22,6 +22,7 @@ import numpy as np
 from .complex_numerics import DEFAULT_TOL, Tolerances, in_ray, poly_roots, principal_sqrt
 from .classify1d import IN_N, _n_identity_holds, _reduced_codes
 from .dielectric import (
+    DielectricModel,
     InterfaceProblem,
     near_omega0,
     singular_points,
@@ -87,12 +88,6 @@ def _bump_fourier_table():
     kappa = np.linspace(0.0, kap_max, 4801)
     table = math.sqrt(2.0 / math.pi) * (np.cos(np.outer(kappa, y)) @ (wy * phi))
     return kappa, table
-
-
-def bump_fourier(kappa):
-    """hat-phi on an arbitrary grid (even extension of the tabulated half-line)."""
-    grid, table = _bump_fourier_table()
-    return np.interp(np.abs(kappa), grid, table, right=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +163,18 @@ def eigenvalue_polynomial(k: float, problem: InterfaceProblem) -> tuple:
     qa = tuple(k * k * c for c in cross)
     qb = _polymul((s, 0.0, 0.0), _polymul(np_, nm))
     return _polyadd(qa, tuple(-c for c in qb))
+
+
+def ray_polynomial(model: DielectricModel, t: float) -> tuple:
+    """Cleared-denominator polynomial s omega^2 n(omega) - t d(omega).
+
+    With W = omega^2 s n/d, its roots off the poles of d are the omega with
+    W(omega) = t; a t >= k^2 gives points of the ray set M^(k).
+    """
+    if not model.is_rational:
+        raise UnsupportedModelError("ray preimages need a rational model")
+    return _polyadd(_polymul((model.scale, 0.0, 0.0), model.numerator),
+                    tuple(-t * c for c in model.denominator))
 
 
 def _make_mode(omega, k, w_p, w_m):

@@ -11,15 +11,18 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .classify1d import ArrayClassification, SpectrumClass, classify, classify_array
+from .classify1d import (IN_N, M_MINUS, M_PLUS, ArrayClassification, SpectrumClass, classify,
+                         classify_array)
 from .classify2d import classify2, in_N2
-from .complex_numerics import Tolerances, poly_roots
+from .complex_numerics import DEFAULT_TOL, Tolerances, poly_roots
 from .config import load_problem
 from .dielectric import InterfaceProblem, omega0_set, singular_points
 from .errors import PencilSpectraError, PreconditionError
@@ -29,11 +32,22 @@ from .modes import (
     eigenvalue_polynomial,
     fit_loglog_slope,
     mode_residual,
+    ray_polynomial,
     weyl_2d_interface_report,
     weyl_sequence_1d,
 )
-from .resolvent import RhsField, make_grid, save_field_csv, solve
+from .resolvent import RhsField, make_grid, save_field_csv, solve, suggest_half_length
 
+_SVG_WIDTH = 720   # pixels; the height follows the grid's aspect ratio
+# overlay point markers, in drawing order; (x, y) is the point, x0..y1 its 8 px box
+_MARKERS = (
+    ("M-boundary", '<circle cx="{x:.2f}" cy="{y:.2f}" r="0.8" fill="#cc0000"/>'),
+    ("N", '<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="#000000"/>'),
+    ("Omega0", '<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="none" stroke="#4e9a06" '
+               'stroke-width="2"/>'),
+    ("S", '<path d="M {x0:.2f} {y0:.2f} L {x1:.2f} {y1:.2f} M {x0:.2f} {y1:.2f} '
+          'L {x1:.2f} {y0:.2f}" stroke="#555753" stroke-width="2"/>'),
+)
 _COLORS = {
     "resolvent": "#ffffff",
     "M+": "#3465a4",
@@ -75,17 +89,11 @@ def trace_portrait(problem: InterfaceProblem, grid_spec, k: float | None,
         ov["Omega0"] = [p.omega for p in omega0_set(problem, tol)]
         if dim == 1 and k is not None:
             ov["N"] = [m.omega for m in eigen_omegas(k, problem, tol)]
-            curve = _m_minus_boundary(problem, k)
-            if curve:
-                ov["M-boundary"] = curve
-            rays = _m_plus_rays(problem, k, re0, re1)
-            if rays:
-                ov["M+rays"] = rays
+            ov["M-boundary"] = _m_minus_boundary(problem, k)
+            ov["M+rays"] = _m_plus_rays(problem, k, re0, re1) or []
         elif dim == 2:
             ov["N"] = _n_points_2d(problem, tol)
-            rays = _m_plus_rays(problem, 0.0, re0, re1)
-            if rays:
-                ov["M+rays"] = rays
+            ov["M+rays"] = _m_plus_rays(problem, 0.0, re0, re1) or []
 
     pg = PortraitGrid(re_axis=re_axis, im_axis=im_axis, cells=cells,
                       classes=classes, overlays=ov, k=k, dim=dim)
@@ -96,15 +104,13 @@ def trace_portrait(problem: InterfaceProblem, grid_spec, k: float | None,
 def _stamp_markers(pg: PortraitGrid) -> None:
     """Mark the cells containing overlay points so the CSV mirrors the marker layer."""
     nx = pg.re_axis.size
+    step_re = pg.re_axis[1] - pg.re_axis[0] if nx > 1 else math.inf
+    step_im = pg.im_axis[1] - pg.im_axis[0] if pg.im_axis.size > 1 else math.inf
     for name in ("N", "Omega0", "S"):
         for z in pg.overlays.get(name, []):
             i = int(np.argmin(np.abs(pg.re_axis - z.real)))
             j = int(np.argmin(np.abs(pg.im_axis - z.imag)))
-            dre = abs(pg.re_axis[i] - z.real)
-            dim_ = abs(pg.im_axis[j] - z.imag)
-            step_re = pg.re_axis[1] - pg.re_axis[0] if nx > 1 else math.inf
-            step_im = pg.im_axis[1] - pg.im_axis[0] if pg.im_axis.size > 1 else math.inf
-            if dre <= step_re and dim_ <= step_im:
+            if abs(pg.re_axis[i] - z.real) <= step_re and abs(pg.im_axis[j] - z.imag) <= step_im:
                 pg.classes[j * nx + i] = name
 
 
@@ -130,40 +136,38 @@ def _m_plus_rays(problem: InterfaceProblem, k: float, re0: float, re1: float):
     return segs or None
 
 
-def _m_minus_boundary(problem: InterfaceProblem, k: float):
-    """Closed-form M- lobe boundary for the Drude metal example (background 1)."""
-    m = problem.minus
-    if m.kind != "drude" or m.background != 1.0 or m.scale != 1.0 or not m.gamma:
-        return None
-    wp, g = m.omega_p, m.gamma
-    pts = []
-    for s in np.linspace(-g / 2 + 1e-9, -1e-9, 4001):
-        rad = -math.pi * wp**2 * g / s - (s + g) ** 2
-        cond = (math.pi * wp**2 / s) * (2 * s + g) + (2 * s + g) ** 2
-        if rad >= 0.0 and cond <= -k * k:
-            r = math.sqrt(rad)
-            pts.append(complex(r, s))
-            pts.append(complex(-r, s))
-    return pts
+# parameter grids of the sampled sets: the 2D witness a, and (t - k^2) / max(k^2, 1)
+# along the ray W_- = t >= k^2
+_N2_WITNESSES = np.geomspace(1e-3, 1e3, 160)
+_RAY_OFFSETS = np.concatenate(([0.0], np.geomspace(1e-3, 1e3, 200)))
 
 
-def _n_points_2d(problem: InterfaceProblem, tol: Tolerances, n_a: int = 160):
-    """Sample the 2D interface set N by sweeping the witness a over a log grid."""
-    pts = []
-    for a in np.geomspace(1e-3, 1e3, n_a):
+def _preimage_points(family, params, k, bit: int, problem: InterfaceProblem,
+                     tol: Tolerances) -> list:
+    """The roots of family(p), p over params, whose classify_array code has bit
+    (k=None is the 2D pencil); a member raising PencilSpectraError is skipped."""
+    roots = []
+    for p in params:
         try:
-            q = eigenvalue_polynomial(math.sqrt(a), problem)
-            roots = [z for z, _ in poly_roots(q, tol)]
+            roots.extend(z for z, _ in poly_roots(family(p), tol))
         except PencilSpectraError:
             continue
-        for z in roots:
-            try:
-                ok, _ = in_N2(z, problem, tol)
-            except PencilSpectraError:
-                continue
-            if ok:
-                pts.append(z)
-    return pts
+    codes = classify_array(np.array(roots, dtype=complex), k, problem, tol).codes
+    # points decided one at a time (code POINTWISE) lie on S or Omega_0, in no set
+    return [z for z, c in zip(roots, codes.tolist()) if c >= 0 and c & bit]
+
+
+def _m_minus_boundary(problem: InterfaceProblem, k: float) -> list:
+    """Sampled M_-^(k) of a rational medium: the omega with W_- = t, t over _RAY_OFFSETS."""
+    return _preimage_points(lambda t: ray_polynomial(problem.minus, t),
+                            k * k + max(k * k, 1.0) * _RAY_OFFSETS, k, M_MINUS, problem,
+                            DEFAULT_TOL)
+
+
+def _n_points_2d(problem: InterfaceProblem, tol: Tolerances) -> list:
+    """Sampled 2D interface set N: eigenvalue-polynomial roots over the witnesses a."""
+    return _preimage_points(lambda a: eigenvalue_polynomial(math.sqrt(a), problem),
+                            _N2_WITNESSES, None, IN_N, problem, tol)
 
 
 def write_portrait_csv(path, pg: PortraitGrid) -> None:
@@ -176,8 +180,8 @@ def write_portrait_csv(path, pg: PortraitGrid) -> None:
                 fh.write(f"{re:.12g},{im:.12g},{pg.classes[j * nx + i]},{notes[j * nx + i]}\n")
 
 
-def write_portrait_svg(path, pg: PortraitGrid, width: int = 720) -> None:
-    nx, ny = pg.re_axis.size, pg.im_axis.size
+def write_portrait_svg(path, pg: PortraitGrid) -> None:
+    width, nx, ny = _SVG_WIDTH, pg.re_axis.size, pg.im_axis.size
     re0, re1 = float(pg.re_axis[0]), float(pg.re_axis[-1])
     im0, im1 = float(pg.im_axis[0]), float(pg.im_axis[-1])
     sx = width / max(re1 - re0, 1e-12)
@@ -213,21 +217,10 @@ def write_portrait_svg(path, pg: PortraitGrid, width: int = 720) -> None:
         xb, _ = px(complex(b, 0.0))
         parts.append(f'<line x1="{xa:.2f}" y1="{ya:.2f}" x2="{xb:.2f}" y2="{ya:.2f}" '
                      f'stroke="{_COLORS["M+"]}" stroke-width="3"/>')
-    for z in pg.overlays.get("M-boundary", []):
-        xpix, ypix = px(z)
-        parts.append(f'<circle cx="{xpix:.2f}" cy="{ypix:.2f}" r="0.8" fill="#cc0000"/>')
-    for z in pg.overlays.get("N", []):
-        xpix, ypix = px(z)
-        parts.append(f'<circle cx="{xpix:.2f}" cy="{ypix:.2f}" r="4" fill="#000000"/>')
-    for z in pg.overlays.get("Omega0", []):
-        xpix, ypix = px(z)
-        parts.append(f'<circle cx="{xpix:.2f}" cy="{ypix:.2f}" r="4" fill="none" '
-                     f'stroke="#4e9a06" stroke-width="2"/>')
-    for z in pg.overlays.get("S", []):
-        xpix, ypix = px(z)
-        parts.append(f'<path d="M {xpix - 4:.2f} {ypix - 4:.2f} L {xpix + 4:.2f} {ypix + 4:.2f} '
-                     f'M {xpix - 4:.2f} {ypix + 4:.2f} L {xpix + 4:.2f} {ypix - 4:.2f}" '
-                     f'stroke="#555753" stroke-width="2"/>')
+    for name, mark in _MARKERS:
+        for z in pg.overlays.get(name, []):
+            x, y = px(z)
+            parts.append(mark.format(x=x, y=y, x0=x - 4, y0=y - 4, x1=x + 4, y1=y + 4))
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")
@@ -325,15 +318,12 @@ def cmd_trace(args, tol) -> int:
     if dim == 1 and k is None:
         raise PencilSpectraError("1D trace needs --k (or pass --dim 2)")
     pg = trace_portrait(problem, grid_spec, k, dim, tol, overlays=not args.no_overlays)
-    import os
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "portrait.csv")
     svg_path = os.path.join(args.out, "portrait.svg")
     write_portrait_csv(csv_path, pg)
     write_portrait_svg(svg_path, pg)
-    counts = {}
-    for c in pg.classes:
-        counts[c] = counts.get(c, 0) + 1
+    counts = Counter(pg.classes)
     print(f"wrote {csv_path} and {svg_path}; cell counts: "
           + ", ".join(f"{k_}={v}" for k_, v in sorted(counts.items())))
     return 0
@@ -383,7 +373,6 @@ def cmd_eigen(args, tol) -> int:
             f"{m.mu_minus.real:.12g},{m.mu_minus.imag:.12g},{res:.6g}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        import os
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "modes.csv")
         with open(path, "w") as fh:
@@ -409,7 +398,6 @@ def cmd_resolve(args, tol) -> int:
     (h,) = _parse_fields(args.h, "--h", "a number", (1,))
     if not h > 0:
         raise PencilSpectraError(f"--h must be positive, got {args.h!r}")
-    from .resolvent import suggest_half_length
     L = suggest_half_length(omega, k, problem, max(abs(lo), abs(hi)), h, tol)
     try:
         grid = make_grid(L, h)
@@ -420,7 +408,6 @@ def cmd_resolve(args, tol) -> int:
     r = RhsField.from_callables(grid, k, r2_fn=r2, r3_fn=r2, support=(lo, hi))
     sol = solve(omega, k, r, problem, tol)
     rep = sol.report
-    import os
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "resolvent.csv")
     save_field_csv(path, grid.x, sol.u)
@@ -503,38 +490,28 @@ def _suite_resolvent(problem, k, tol):
 
 
 def _suite_weyl(problem, k, tol):
+    """Weyl residual slopes: 1D at the largest omega with W_+ = k^2 + max(k^2, 1)
+    in M_+ (FAIL when there is none), 2D at the first point of the 2D set N on
+    the negative imaginary axis (skipped when there is none)."""
     ns = [8, 16, 32, 64]
-    details = []
-    ok = True
-    ess = None
-    for om in (3.0, 4.0, 6.0, 2.0, 9.0):
-        try:
-            s = weyl_sequence_1d(complex(om), k, 8, "+", "plane_wave", problem, tol)
-            ess = complex(om)
-            break
-        except PreconditionError:
-            continue
-    if ess is None:
-        details.append("no 1D plane-wave point found")
-    else:
-        res = [weyl_sequence_1d(ess, k, n, "+", "plane_wave", problem, tol).residual_norm
-               for n in ns]
-        slope = fit_loglog_slope(ns, res)
-        details.append(f"1D slope = {slope:.3f}")
-        ok = ok and -1.15 <= slope <= -0.85
-    found = None
-    for t in np.linspace(0.05, 3.0, 60):
-        try:
-            hit, a = in_N2(-1j * t, problem, tol)
-        except PencilSpectraError:
-            continue
-        if hit:
-            found = (-1j * t, a)
-            break
-    if found is None:
+    plane = _preimage_points(lambda t: ray_polynomial(problem.plus, t),
+                             [k * k + max(k * k, 1.0)], k, M_PLUS, problem, tol)
+    if not plane:
+        return False, "no 1D plane-wave point found in M+"
+    ess = max(plane, key=lambda z: (z.real, z.imag))
+    res = [weyl_sequence_1d(ess, k, n, "+", "plane_wave", problem, tol).residual_norm
+           for n in ns]
+    slope = fit_loglog_slope(ns, res)
+    details = [f"1D slope = {slope:.3f}"]
+    ok = -1.15 <= slope <= -0.85
+    axis = -1j * np.linspace(0.05, 3.0, 60)
+    codes = classify_array(axis, None, problem, tol).codes
+    hits = np.flatnonzero((codes >= 0) & ((codes & IN_N) != 0))
+    if hits.size == 0:
         details.append("no interface-guided 2D point; skipped")
     else:
-        om2, a = found
+        om2 = complex(axis[hits[0]])
+        _, a = in_N2(om2, problem, tol)
         res2 = [weyl_2d_interface_report(om2, a, n, problem, tol).residual_norm for n in ns]
         slope2 = fit_loglog_slope(ns, res2)
         details.append(f"2D slope = {slope2:.3f}")
@@ -621,10 +598,19 @@ def main(argv=None) -> int:
             "resolve": cmd_resolve,
             "check": cmd_check,
         }[args.command]
-        return handler(args, tol)
+        code = handler(args, tol)
+        sys.stdout.flush()
+        return code
     except PencilSpectraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # stdout closed early (| head): no traceback; what is still buffered
+        # goes to devnull, so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

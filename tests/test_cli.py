@@ -377,6 +377,7 @@ def test_bad_k_is_a_usage_error(cfg, tmp_path, capsys, argv):
     "--support=1:x", "--support=1", "--support=1:2:3", "--support=1:1", "--support=2:1",
     "--support=-inf:1", "--support=1:nan",
     "--h=nan", "--h=inf", "--h=0", "--h=-0.01", "--h=x", "--h=100",
+    "--h=1e-310",
 ])
 def test_bad_resolve_support_and_h_are_usage_errors(cfg, tmp_path, capsys, flag):
     out = tmp_path / "out"
@@ -422,3 +423,29 @@ def test_cli_commands_do_not_load_scipy(cfg, tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.stdout.splitlines()[-2:] == ["[]", "pencil_spectra.fd_oracle"]
+
+
+def test_make_grid_rejects_a_node_count_above_the_cap(monkeypatch):
+    from pencil_spectra import resolvent
+
+    # a lowered cap: the grids stay small whether or not the check holds
+    monkeypatch.setattr(resolvent, "MAX_GRID_NODES", 102)
+    assert resolvent.make_grid(1.0, 0.02).x.size == 102
+    with pytest.raises(ValueError, match="above 102"):
+        resolvent.make_grid(1.0, 0.01)
+
+
+def test_closed_stdout_ends_quietly(cfg):
+    """check | head -1: the reader leaves after one line; no traceback follows."""
+    src = os.path.dirname(os.path.dirname(pencil_spectra.__file__))
+    with subprocess.Popen(
+            [sys.executable, "-u", "-m", "pencil_spectra.trace_cli", "check",
+             "--config", cfg(DRUDE_CFG), "--k", "3"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=src)) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()   # the reader is gone; the next print meets a closed pipe
+        err = proc.stderr.read()
+        proc.wait(timeout=120)
+    assert first.startswith("PASS shoot-vs-polynomial")
+    assert err == ""
