@@ -12,7 +12,8 @@ Three probes, all independent of the closed-form representations:
 * a lambda-plane probe: smallest singular values of T_k - lambda W on rings
   around lambda = 1, numerical evidence for isolation of discrete eigenvalues.
   Singular values (not eigenvalue routines) are used on purpose: the
-  discretized pencil is non-normal.
+  discretized pencil is non-normal. sigma_min comes from inverse Lanczos
+  (ARPACK) on (A^H A)^(-1) applied through one sparse LU of A.
 
 The (u1, u2) block is assembled in Schur-reduced form: the first equation
 slaves u1 = (r1 - i k u2')/(k^2 - lambda W) exactly, leaving a scalar
@@ -37,13 +38,13 @@ from scipy.linalg import expm
 
 from .complex_numerics import DEFAULT_TOL, Tolerances, principal_sqrt
 from .dielectric import InterfaceProblem, w, w_values, wtilde
-from .errors import PreconditionError
+from .errors import PencilSpectraError, PreconditionError
 from .resolvent import Grid, RhsField, make_grid
 
 DEFAULT_L = 20.0
 DEFAULT_H = 1.0 / 200.0
 _SECANT_STEPS, _SECANT_TARGET = 60, 1e-12   # shoot_refine: step limit, |det| to stop at
-_POWER_STEPS, _POWER_RTOL = 300, 1e-10      # smallest_singular_value: steps, rel. change
+_LANCZOS_NCV, _LANCZOS_TOL, _LANCZOS_STEPS = 4, 1e-10, 300   # smallest_singular_value
 
 
 @dataclass(frozen=True)
@@ -289,28 +290,22 @@ class LambdaProbeReport:
 
 
 def smallest_singular_value(A: sp.csc_matrix) -> float:
-    """sigma_min via inverse power iteration on (A^H A)^(-1) through one LU."""
+    """sigma_min by inverse Lanczos: the largest eigenvalue of (A^H A)^(-1), one LU."""
     n = A.shape[0]
     if n <= 400:
         return float(np.linalg.svd(A.toarray(), compute_uv=False)[-1])
     lu = spla.splu(A)
+    op = spla.LinearOperator((n, n), dtype=complex,
+                             matvec=lambda y: lu.solve(lu.solve(y, trans="H")))
     rng = np.random.default_rng(12345)
-    y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    y /= np.linalg.norm(y)
-    prev = 0.0
-    for _ in range(_POWER_STEPS):
-        wvec = lu.solve(y, trans="H")
-        z = lu.solve(wvec, trans="N")
-        nz = np.linalg.norm(z)
-        if nz == 0:
-            return 0.0
-        est = math.sqrt(nz)  # ||z|| ~ 1/sigma_min^2
-        y = z / nz
-        if prev > 0 and abs(est - prev) <= _POWER_RTOL * est:
-            prev = est
-            break
-        prev = est
-    return 1.0 / prev
+    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    try:
+        top = spla.eigsh(op, k=1, which="LM", v0=v0, ncv=_LANCZOS_NCV,
+                         tol=_LANCZOS_TOL, maxiter=_LANCZOS_STEPS,
+                         return_eigenvectors=False)[0]
+    except spla.ArpackNoConvergence as exc:
+        raise PencilSpectraError(f"sigma_min did not converge: {exc}") from None
+    return 1.0 / math.sqrt(top)
 
 
 def lambda_isolation_probe(omega: complex, k: float, problem: InterfaceProblem,

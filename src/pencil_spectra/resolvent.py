@@ -393,15 +393,14 @@ def _verify_fields(grid: Grid, u: np.ndarray, u2_prime: np.ndarray, u3_prime: np
 
 
 def save_field_csv(path, x: np.ndarray, u: np.ndarray) -> None:
-    """CSV columns: x1, re_u1, im_u1, re_u2, im_u2, re_u3, im_u3."""
+    """CSV columns: x1, re_u1, im_u1, re_u2, im_u2, re_u3, im_u3 (csv.writer's dialect)."""
+    cols = np.column_stack([x] + [part for c in u for part in (c.real, c.imag)])
+    row = ",".join(["%.17g"] * 7) + "\r\n"
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["x1", "re_u1", "im_u1", "re_u2", "im_u2", "re_u3", "im_u3"])
-        for j in range(x.size):
-            row = [f"{x[j]:.17g}"]
-            for c in range(3):
-                row += [f"{u[c, j].real:.17g}", f"{u[c, j].imag:.17g}"]
-            wr.writerow(row)
+        fh.write("x1,re_u1,im_u1,re_u2,im_u2,re_u3,im_u3\r\n")
+        for lo in range(0, x.size, 4096):   # chunks bound the memory of the text
+            chunk = cols[lo:lo + 4096]
+            fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def load_field_csv(path):

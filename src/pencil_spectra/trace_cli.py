@@ -220,7 +220,8 @@ def write_portrait_svg(path, pg: PortraitGrid) -> None:
     for name, mark in _MARKERS:
         for z in pg.overlays.get(name, []):
             x, y = px(z)
-            parts.append(mark.format(x=x, y=y, x0=x - 4, y0=y - 4, x1=x + 4, y1=y + 4))
+            if -4 <= x <= width + 4 and -4 <= y <= height + 4:   # 8-px box meets the picture
+                parts.append(mark.format(x=x, y=y, x0=x - 4, y0=y - 4, x1=x + 4, y1=y + 4))
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -1,0 +1,77 @@
+"""sigma_min of the discretized pencil against dense SVD, its cost in LU solves,
+and how a non-converged iteration surfaces in `check`."""
+import math
+
+import numpy as np
+import pytest
+import scipy.sparse.linalg as spla
+
+from pencil_spectra import eigen_omegas, lambda_isolation_probe
+from pencil_spectra import fd_oracle
+from pencil_spectra.errors import PencilSpectraError
+from pencil_spectra.fd_oracle import discretize, smallest_singular_value
+from pencil_spectra.resolvent import make_grid
+from pencil_spectra.trace_cli import main
+from tests.test_cli import DRUDE_CFG
+
+RING = 1.0 + 0.2 * np.exp(0.75j * math.pi)   # a point of the probe's outer ring
+
+
+def _probed_mode(k, problem):
+    """The mode `check` probes: the best-localized one."""
+    modes = eigen_omegas(k, problem)
+    return max(modes, key=lambda m: min(m.mu_plus.real, m.mu_minus.real)).omega
+
+
+@pytest.mark.parametrize("case, k, lams", [
+    ("drude", 3.0, (1.0, 1.0 + 0.2j)),
+    ("drude", 10.0, (1.0, RING)),
+    ("equal", 3.0, (1.0 + 0.2j,)),
+    ("equal_off_axis", 3.0, (1.0 - 0.1j, RING)),
+])
+def test_sigma_min_matches_dense_svd(case, k, lams, drude_problem, equal_problem):
+    # 802 nodes: above the dense branch's 400, so the iterative path runs
+    grid = make_grid(4.0, 1 / 100)
+    if case == "drude":
+        problem, omega = drude_problem, _probed_mode(k, drude_problem)
+    else:
+        # equal constants: the two smallest singular values lie within 0.3% of each other
+        problem, omega = equal_problem, (2.5 if case == "equal" else 2.2 + 0.01j)
+    for lam in lams:
+        disc = discretize(omega, k, problem, grid=grid, lam=lam)
+        for block in (disc.block2, disc.block3):
+            dense = np.linalg.svd(block.toarray(), compute_uv=False)[-1]
+            assert smallest_singular_value(block) == pytest.approx(dense, rel=1e-8)
+
+
+def test_probe_lu_solve_count(drude_problem, monkeypatch):
+    """A count, not a timing: the lossy-Drude k = 3 probe on the default grid."""
+    solves = []
+    splu = spla.splu
+
+    class CountingLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, *args, **kwargs):
+            solves.append(1)
+            return self.lu.solve(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", lambda A: CountingLU(splu(A)))
+    rep = lambda_isolation_probe(_probed_mode(3.0, drude_problem), 3.0, drude_problem)
+    assert rep.isolated
+    assert 0 < len(solves) <= 1200
+
+
+def test_non_convergence_is_an_error_line(drude_problem, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(fd_oracle, "_LANCZOS_STEPS", 1)
+    with pytest.raises(PencilSpectraError, match="did not converge"):
+        lambda_isolation_probe(_probed_mode(3.0, drude_problem), 3.0, drude_problem)
+
+    path = tmp_path / "drude.cfg"
+    path.write_text(DRUDE_CFG)
+    assert main(["check", "--config", str(path), "--k", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    line = next(ln for ln in lines if "lambda-isolation" in ln)
+    assert line.startswith("FAIL lambda-isolation") and "error: sigma_min" in line
+    assert sum(ln.startswith("PASS") for ln in lines) == 3
