@@ -410,6 +410,7 @@ def load_field_csv(path):
     data = np.array([[float(v) for v in row] for row in rows[1:]])
     x = data[:, 0]
     u = np.empty((3, x.size), dtype=complex)
-    for c in range(3):
-        u[c] = data[:, 1 + 2 * c] + 1j * data[:, 2 + 2 * c]
+    # part by part: re + 1j * im would turn 1 + inf i into nan + inf i
+    u.real = data[:, 1::2].T
+    u.imag = data[:, 2::2].T
     return x, u

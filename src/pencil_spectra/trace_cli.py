@@ -3,8 +3,11 @@ solve resolvent problems, and run the oracle cross-check suites.
 
 Subcommands: classify, trace, eigen, resolve, check. Outputs are plain CSV
 (byte-deterministic for fixed inputs) and a minimal hand-written SVG raster
-with overlay markers; no timestamps are emitted. The environment variable
-PENCIL_SPECTRA_TOL ("name=value,name=value") overrides default tolerances.
+with overlay markers; no timestamps are emitted. The markers of M+, M- and N
+are sampled preimages (_preimage_points) of one set definition for every
+rational medium and both pencils, kept where classify_array puts them in the
+set. The environment variable PENCIL_SPECTRA_TOL ("name=value,name=value")
+overrides default tolerances, for the raster and the overlays alike.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .resolvent import RhsField, make_grid, save_field_csv, solve, suggest_half_
 _SVG_WIDTH = 720   # pixels; the height follows the grid's aspect ratio
 # overlay point markers, in drawing order; (x, y) is the point, x0..y1 its 8 px box
 _MARKERS = (
+    ("M+boundary", '<circle cx="{x:.2f}" cy="{y:.2f}" r="0.8" fill="#3465a4"/>'),
     ("M-boundary", '<circle cx="{x:.2f}" cy="{y:.2f}" r="0.8" fill="#cc0000"/>'),
     ("N", '<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="#000000"/>'),
     ("Omega0", '<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="none" stroke="#4e9a06" '
@@ -66,7 +70,7 @@ class PortraitGrid:
     im_axis: np.ndarray
     cells: ArrayClassification   # row-major branch codes and pointwise records
     classes: list          # display class per cell (after marker stamping)
-    overlays: dict         # name -> list of complex points (or curves)
+    overlays: dict         # name -> list of complex points
     k: float | None        # None for the 2D portrait
     dim: int
 
@@ -80,32 +84,34 @@ def trace_portrait(problem: InterfaceProblem, grid_spec, k: float | None,
     points.real = re_axis
     points.imag = im_axis[:, None]
 
-    cells = classify_array(points, k if dim == 1 else None, problem, tol)
+    k = k if dim == 1 else None   # the 2D pencil, for the raster and the overlays alike
+    cells = classify_array(points, k, problem, tol)
     classes = cells.raster_classes()
 
     ov: dict = {}
     if overlays and problem.is_rational:
         ov["S"] = list(singular_points(problem, tol))
         ov["Omega0"] = [p.omega for p in omega0_set(problem, tol)]
-        if dim == 1 and k is not None:
-            ov["N"] = [m.omega for m in eigen_omegas(k, problem, tol)]
-            ov["M-boundary"] = _m_minus_boundary(problem, k)
-            ov["M+rays"] = _m_plus_rays(problem, k, re0, re1) or []
-        elif dim == 2:
-            ov["N"] = _n_points_2d(problem, tol)
-            ov["M+rays"] = _m_plus_rays(problem, 0.0, re0, re1) or []
+        ov["N"] = (_n_points_2d(problem, tol) if k is None
+                   else [m.omega for m in eigen_omegas(k, problem, tol)])
+        ov["M+boundary"] = _ray_points(problem, "+", k, tol)
+        ov["M-boundary"] = _m_minus_boundary(problem, k, tol)
 
     pg = PortraitGrid(re_axis=re_axis, im_axis=im_axis, cells=cells,
                       classes=classes, overlays=ov, k=k, dim=dim)
-    _stamp_markers(pg)
+    _stamp_markers(pg, tol)
     return pg
 
 
-def _stamp_markers(pg: PortraitGrid) -> None:
-    """Mark the cells containing overlay points so the CSV mirrors the marker layer."""
+def _stamp_markers(pg: PortraitGrid, tol: Tolerances) -> None:
+    """Mark the cells containing overlay points so the CSV mirrors the marker layer.
+
+    A point is stamped within one step of its nearest node; a one-node axis is
+    a line and takes only the points within ray_imag_tol of it.
+    """
     nx = pg.re_axis.size
-    step_re = pg.re_axis[1] - pg.re_axis[0] if nx > 1 else math.inf
-    step_im = pg.im_axis[1] - pg.im_axis[0] if pg.im_axis.size > 1 else math.inf
+    step_re, step_im = (a[1] - a[0] if a.size > 1 else tol.ray_imag_tol
+                        for a in (pg.re_axis, pg.im_axis))
     for name in ("N", "Omega0", "S"):
         for z in pg.overlays.get(name, []):
             i = int(np.argmin(np.abs(pg.re_axis - z.real)))
@@ -114,30 +120,8 @@ def _stamp_markers(pg: PortraitGrid) -> None:
                 pg.classes[j * nx + i] = name
 
 
-def _m_plus_rays(problem: InterfaceProblem, k: float, re0: float, re1: float):
-    """Closed-form real rays of M_+ when the plus side is a positive constant.
-
-    c omega^2 in [k^2, inf) on the real axis: |omega| >= sqrt(k^2/c); the 2D
-    case is k = 0 with the origin excluded. Returned as segment endpoint
-    pairs clipped to [re0, re1].
-    """
-    p = problem.plus
-    if p.kind != "constant" or len(p.numerator) != 1:
-        return None
-    c = p.numerator[0] * p.scale
-    if abs(c.imag) > 0 or c.real <= 0:
-        return None
-    edge = math.sqrt(k * k / c.real)
-    segs = []
-    if re1 > edge:
-        segs.append((max(re0, edge), re1))
-    if re0 < -edge:
-        segs.append((re0, min(re1, -edge)))
-    return segs or None
-
-
 # parameter grids of the sampled sets: the 2D witness a, and (t - k^2) / max(k^2, 1)
-# along the ray W_- = t >= k^2
+# along the ray W_side = t >= k^2
 _N2_WITNESSES = np.geomspace(1e-3, 1e3, 160)
 _RAY_OFFSETS = np.concatenate(([0.0], np.geomspace(1e-3, 1e3, 200)))
 
@@ -157,11 +141,20 @@ def _preimage_points(family, params, k, bit: int, problem: InterfaceProblem,
     return [z for z, c in zip(roots, codes.tolist()) if c >= 0 and c & bit]
 
 
-def _m_minus_boundary(problem: InterfaceProblem, k: float) -> list:
-    """Sampled M_-^(k) of a rational medium: the omega with W_- = t, t over _RAY_OFFSETS."""
-    return _preimage_points(lambda t: ray_polynomial(problem.minus, t),
-                            k * k + max(k * k, 1.0) * _RAY_OFFSETS, k, M_MINUS, problem,
-                            DEFAULT_TOL)
+def _ray_points(problem: InterfaceProblem, side: str, k, tol: Tolerances,
+                offsets=_RAY_OFFSETS) -> list:
+    """Sampled ray set M_side^(k) of a rational medium: the omega with W_side = t,
+    t = k0^2 + max(k0^2, 1) * offsets, k0 = k (k = None: the 2D pencil, k0 = 0)."""
+    k2 = 0.0 if k is None else k * k
+    model, bit = (problem.plus, M_PLUS) if side == "+" else (problem.minus, M_MINUS)
+    return _preimage_points(lambda t: ray_polynomial(model, t),
+                            k2 + max(k2, 1.0) * np.asarray(offsets), k, bit, problem, tol)
+
+
+def _m_minus_boundary(problem: InterfaceProblem, k, tol: Tolerances = DEFAULT_TOL) -> list:
+    """The M- overlay: _ray_points of the minus side (a name of its own, which
+    perfbench/traced_cli.py times)."""
+    return _ray_points(problem, "-", k, tol)
 
 
 def _n_points_2d(problem: InterfaceProblem, tol: Tolerances) -> list:
@@ -212,11 +205,6 @@ def write_portrait_svg(path, pg: PortraitGrid) -> None:
                     f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{(i2 - i + 1) * cw:.2f}" '
                     f'height="{ch:.2f}" fill="{_COLORS.get(cls, "#888888")}"/>')
             i = i2 + 1
-    for a, b in pg.overlays.get("M+rays", []):
-        xa, ya = px(complex(a, 0.0))
-        xb, _ = px(complex(b, 0.0))
-        parts.append(f'<line x1="{xa:.2f}" y1="{ya:.2f}" x2="{xb:.2f}" y2="{ya:.2f}" '
-                     f'stroke="{_COLORS["M+"]}" stroke-width="3"/>')
     for name, mark in _MARKERS:
         for z in pg.overlays.get(name, []):
             x, y = px(z)
@@ -364,9 +352,9 @@ def cmd_eigen(args, tol) -> int:
     header = ("k,branch,re_omega,im_omega,re_mu_plus,im_mu_plus,"
               "re_mu_minus,im_mu_minus,residual")
     lines = [header]
+    grid = np.linspace(-8.0, 8.0, 257)
+    grid = grid[grid != 0.0]
     for k, bid, m in rows:
-        grid = np.linspace(-8.0, 8.0, 257)
-        grid = grid[grid != 0.0]
         res = mode_residual(m, grid, problem, tol)
         lines.append(
             f"{k:.12g},{bid},{m.omega.real:.12g},{m.omega.imag:.12g},"
@@ -495,8 +483,7 @@ def _suite_weyl(problem, k, tol):
     in M_+ (FAIL when there is none), 2D at the first point of the 2D set N on
     the negative imaginary axis (skipped when there is none)."""
     ns = [8, 16, 32, 64]
-    plane = _preimage_points(lambda t: ray_polynomial(problem.plus, t),
-                             [k * k + max(k * k, 1.0)], k, M_PLUS, problem, tol)
+    plane = _ray_points(problem, "+", k, tol, offsets=[1.0])
     if not plane:
         return False, "no 1D plane-wave point found in M+"
     ess = max(plane, key=lambda z: (z.real, z.imag))

@@ -137,9 +137,11 @@ def test_trace_determinism_and_anchors(cfg, tmp_path, capsys):
     assert sum(1 for r in rows if r["class"] == "S") == 2
     # at most four plasmon markers
     assert sum(1 for r in rows if r["class"] == "N") <= 4
-    # the closed-form M+ rays are drawn even when the grid misses Im = 0
-    svg_text = svg.decode()
-    assert svg_text.count('<line') >= 2 and MPLUS_EDGE_3 < 4.0
+    # the sampled M+ markers are drawn even when the grid misses Im = 0, on both rays
+    mplus_x = [float(line.split('"')[1]) for line in svg.decode().splitlines()
+               if line.startswith("<circle") and line.endswith('r="0.8" fill="#3465a4"/>')]
+    assert len(mplus_x) >= 2 and MPLUS_EDGE_3 < 4.0
+    assert min(mplus_x) <= (4.0 - MPLUS_EDGE_3) * 90 and max(mplus_x) >= (4.0 + MPLUS_EDGE_3) * 90
 
 
 def test_trace_overlay_consistency(cfg, tmp_path, capsys):

@@ -1,13 +1,15 @@
-"""The sampled omega-plane sets: ray preimages (the M- overlay and the Weyl
-suite's 1D point) and the 2D set N, all accepted by one classify_array call."""
+"""The sampled omega-plane sets: ray preimages (the M+ and M- overlays and the
+Weyl suite's 1D point) and the 2D set N, all accepted by one classify_array call."""
 
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pencil_spectra import DielectricModel, InterfaceProblem, classify, in_N2
+from pencil_spectra import DielectricModel, InterfaceProblem, classify, classify2, in_N2
 from pencil_spectra.classify1d import M_PLUS
 from pencil_spectra.complex_numerics import DEFAULT_TOL, poly_roots
 from pencil_spectra.dielectric import singular_set, w
@@ -146,3 +148,49 @@ def test_weyl_suite_fails_without_a_1d_point():
                                DielectricModel.drude(0.8, 1.0))
     ok, detail = _suite_weyl(problem, 3.0, DEFAULT_TOL)
     assert not ok and "no 1D plane-wave point" in detail
+
+
+def _lorentz_model(w0, g, f):
+    """W~ = 1 - f/(omega^2 + i g omega - w0^2), one oscillator."""
+    den = [1.0, 1j * g, -w0 * w0]
+    return DielectricModel.rational([1.0, 1j * g, -w0 * w0 - f], den)
+
+
+_MEDIUM = st.one_of(
+    st.builds(DielectricModel.constant, st.floats(1.1, 4.0)),
+    st.builds(DielectricModel.drude, st.floats(0.2, 2.0), st.floats(0.0, 2.0)),
+    st.builds(_lorentz_model, st.floats(0.3, 3.0), st.floats(0.0, 1.0), st.floats(0.2, 3.0)),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(plus=_MEDIUM, minus=_MEDIUM, k=st.one_of(st.just(0.0), st.floats(0.1, 5.0), st.none()))
+def test_ray_overlays_lie_in_their_sets(plus, minus, k):
+    # k = None is the 2D pencil, whose rays are the open (0, inf)
+    problem = InterfaceProblem(plus, minus)
+    pg = trace_portrait(problem, ((-4, 4, 3), (-1.2, 0.4, 3)), k, 1 if k is not None else 2,
+                        DEFAULT_TOL)
+    for name, label in (("M+boundary", "M+"), ("M-boundary", "M-")):
+        for z in pg.overlays[name]:
+            rec = classify2(z, problem) if k is None else classify(z, k, problem)
+            members = rec.memberships()
+            assert label in members or "M+-" in members, (name, z, rec.branch_note)
+
+
+def test_m_plus_overlay_of_a_lossless_drude_plus_side():
+    # W_+ = omega^2 - 2 pi 0.64 is real on the real axis: M+ there is |omega| >= sqrt(9 + 1.28 pi)
+    problem = InterfaceProblem(DielectricModel.drude(0.8, 0.0), DielectricModel.constant(2.0))
+    pg = trace_portrait(problem, ((-4, 4, 161), (-1.2, 0.4, 65)), 3.0, 1, DEFAULT_TOL)
+    edge = math.sqrt(9.0 + 1.28 * math.pi)
+    real = [z.real for z in pg.overlays["M+boundary"] if z.imag == 0.0]
+    assert min(real) < -3.0 and max(real) > 3.0
+    assert all(abs(x) >= edge - 1e-9 for x in real)
+
+
+def test_2d_m_plus_overlay_runs_into_the_origin(guided_2d_problem):
+    # 2D: W_+ = 2 omega^2 = t over the open ray t > 0, sampled down to t = 1e-3
+    pg = trace_portrait(guided_2d_problem, ((-3, 3, 3), (-2.2, 0.4, 3)), None, 2, DEFAULT_TOL)
+    plus = pg.overlays["M+boundary"]
+    assert all(z.imag == 0.0 and z != 0.0 for z in plus)
+    assert min(abs(z) for z in plus) <= math.sqrt(1e-3 / 2) + 1e-12
+    assert max(abs(z) for z in plus) >= math.sqrt(1e3 / 2) - 1e-9
