@@ -209,11 +209,13 @@ def poly_eval_scale(coeffs, z: complex) -> float:
     return max(acc, 1e-300)
 
 
-def _trim_leading(coeffs):
+def trim_leading(coeffs) -> tuple:
+    """Descending coefficients as a tuple of Python complex, leading zeros removed."""
+    cs = tuple(complex(c) for c in coeffs)
     i = 0
-    while i < len(coeffs) and coeffs[i] == 0:
+    while i < len(cs) and cs[i] == 0:
         i += 1
-    return coeffs[i:]
+    return cs[i:]
 
 
 def poly_roots(coeffs, tol: Tolerances = DEFAULT_TOL):
@@ -226,13 +228,11 @@ def poly_roots(coeffs, tol: Tolerances = DEFAULT_TOL):
 
     Raises DegenerateInputError for the zero polynomial or degree 0.
     """
-    cs = [complex(c) for c in coeffs]
-    cs = _trim_leading(cs)
+    cs = trim_leading(coeffs)
     if not cs:
         raise DegenerateInputError("zero polynomial has no well-defined roots")
     if len(cs) == 1:
         raise DegenerateInputError("constant polynomial (degree 0) has no roots")
-    deg = len(cs) - 1
 
     arr = np.asarray(cs, dtype=complex)
     raw = np.roots(arr)
@@ -256,28 +256,39 @@ def poly_roots(coeffs, tol: Tolerances = DEFAULT_TOL):
                 break
         polished.append(z)
 
-    # Cluster roots that coincide up to the multiple-root noise floor.
+    # The exact root 0 of trailing zero coefficients stays apart. The other
+    # roots cluster up to the multiple-root noise floor, within a radius
+    # relative to the root scale s (Fujiwara: all roots lie within 2 s of 0).
+    zeros = polished.count(0)
+    s = max((abs(c) / abs(cs[0])) ** (1.0 / i) for i, c in enumerate(cs) if i)
+
+    def radius(c):
+        return 1e-5 * min(1.0 + abs(c), s + abs(c))
+
     polished.sort(key=lambda w: (w.real, w.imag))
     clusters: list[list[complex]] = []
     for z in polished:
+        if z == 0:
+            continue
         for cl in clusters:
             c = sum(cl) / len(cl)
-            if abs(z - c) <= 1e-5 * (1.0 + abs(c)):
+            if abs(z - c) <= radius(c):
                 cl.append(z)
                 break
         else:
             clusters.append([z])
 
-    out = []
+    out = [(0j, zeros)] if zeros else []
     for cl in clusters:
         m = len(cl)
         z = sum(cl) / m
         if m > 1:
-            # multiplicity-aware Newton sharpens the cluster centre
+            # multiplicity-aware Newton sharpens the cluster centre; it stops
+            # before a step longer than the radius, where p' is only noise
             for _ in range(5):
                 p = polyval(cs, z)
                 dp = polyval(der, z)
-                if dp == 0:
+                if not m * abs(p) < radius(z) * abs(dp):
                     break
                 z = z - m * p / dp
         out.append((z, m))

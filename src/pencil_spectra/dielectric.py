@@ -12,7 +12,6 @@ everything here may be shared freely between threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -29,18 +28,11 @@ from .complex_numerics import (
     poly_roots,
     polyval,
     polyval_array,
+    trim_leading,
 )
 from .errors import DegenerateInputError, SingularityError, UnsupportedModelError
 
 TWO_PI = 2.0 * np.pi
-
-
-def _as_coeff_tuple(coeffs) -> tuple:
-    cs = tuple(complex(c) for c in coeffs)
-    i = 0
-    while i < len(cs) and cs[i] == 0:
-        i += 1
-    return cs[i:]
 
 
 def _deflate_once(coeffs, root):
@@ -104,7 +96,7 @@ class DielectricModel:
         num = (b + 0j, 1j * gamma * b, complex(-TWO_PI * omega_p**2))
         den = (1 + 0j, 1j * gamma, 0j)
         return DielectricModel(
-            kind="drude", numerator=_as_coeff_tuple(num), denominator=den,
+            kind="drude", numerator=trim_leading(num), denominator=den,
             scale=scale, omega_p=float(omega_p), gamma=float(gamma), background=b,
         )
 
@@ -112,8 +104,8 @@ class DielectricModel:
     def rational(numerator, denominator, scale: float = 1.0,
                  tol: Tolerances = DEFAULT_TOL) -> "DielectricModel":
         """W-tilde = scale*num/den; common roots (within equality_tol) are cancelled."""
-        num = _as_coeff_tuple(numerator)
-        den = _as_coeff_tuple(denominator)
+        num = trim_leading(numerator)
+        den = trim_leading(denominator)
         if not den:
             raise ValueError("denominator is identically zero")
         if not num:
@@ -257,12 +249,25 @@ class Omega0Point:
     wtilde_minus_zero: bool
 
 
-def _w_zero_candidates(model: DielectricModel, tol: Tolerances):
-    """Zeros of W_side = omega^2 * scale * num/den before domain filtering."""
-    cands = [0j]
-    if len(model.numerator) > 1:
-        cands.extend(z for z, _ in poly_roots(model.numerator, tol))
-    return cands
+def _omega0_point(problem: InterfaceProblem, omega: complex, tol: Tolerances):
+    """The Omega0Point at omega if W_+ or W_- vanishes there, else None.
+
+    W = omega^2 W-tilde vanishes relative to max(|omega|^2, 1) exactly when
+    min(|omega|^2, 1) |W-tilde| <= equality_tol max(|W-tilde_+|, |W-tilde_-|, 1).
+    W is never formed and |omega|^2 is a float product (inf, not an
+    OverflowError, beyond the float range), so the test holds at every |omega|.
+    Raises SingularityError on either side's poles, as wtilde does.
+    """
+    wt_p = wtilde(problem.plus, omega, tol)
+    wt_m = wtilde(problem.minus, omega, tol)
+    a_p, a_m = cabs(wt_p), cabs(wt_m)
+    bound = tol.equality_tol * max(a_p, a_m, 1.0)
+    zz = min(cabs(omega) * cabs(omega), 1.0)
+    plus_v, minus_v = zz * a_p <= bound, zz * a_m <= bound
+    if not (plus_v or minus_v):
+        return None
+    return Omega0Point(omega=omega, plus_vanishes=plus_v, minus_vanishes=minus_v,
+                       wtilde_plus_zero=a_p <= bound, wtilde_minus_zero=a_m <= bound)
 
 
 @lru_cache(maxsize=256)
@@ -270,7 +275,8 @@ def omega0_set(problem: InterfaceProblem, tol: Tolerances = DEFAULT_TOL) -> tupl
     """The exceptional set Omega_0 = {omega in D(W-tilde): W_+ = 0 or W_- = 0}.
 
     Only rational models are supported: denominators are cleared so the set is
-    an exact polynomial problem. Each returned point carries side tags.
+    an exact polynomial problem. The candidates are omega = 0 and the roots of
+    both numerators off S; each returned point carries side tags.
     """
     if not problem.is_rational:
         raise UnsupportedModelError("omega0_set needs rational models on both sides")
@@ -278,28 +284,17 @@ def omega0_set(problem: InterfaceProblem, tol: Tolerances = DEFAULT_TOL) -> tupl
 
     pts: list[complex] = []
     for model in (problem.plus, problem.minus):
-        for z in _w_zero_candidates(model, tol):
+        cands = [0j]
+        if len(model.numerator) > 1:
+            cands.extend(z for z, _ in poly_roots(model.numerator, tol))
+        for z in cands:
             if _near(z, poles, tol.ray_imag_tol * (1.0 + abs(z))) is not None:
                 continue  # not in D(W-tilde)
             if _near(z, pts, 10 * tol.ray_imag_tol * (1.0 + abs(z))) is None:
                 pts.append(z)
 
-    out = []
-    for z in pts:
-        wt_p, wt_m, w_p, w_m = w_values(problem, z, tol)
-        m = max(abs(wt_p), abs(wt_m), 1.0)
-        zz = max(abs(z) ** 2, 1.0)
-        plus_v = abs(w_p) <= tol.equality_tol * m * zz
-        minus_v = abs(w_m) <= tol.equality_tol * m * zz
-        if not (plus_v or minus_v):
-            continue  # spurious candidate (e.g. clustered duplicate)
-        out.append(Omega0Point(
-            omega=z,
-            plus_vanishes=plus_v,
-            minus_vanishes=minus_v,
-            wtilde_plus_zero=abs(wt_p) <= tol.equality_tol * m,
-            wtilde_minus_zero=abs(wt_m) <= tol.equality_tol * m,
-        ))
+    # a candidate where neither W vanishes (e.g. a clustered duplicate) is dropped
+    out = [p for z in pts if (p := _omega0_point(problem, z, tol)) is not None]
     out.sort(key=lambda p: (p.omega.real, p.omega.imag))
     return tuple(out)
 
@@ -307,7 +302,9 @@ def omega0_set(problem: InterfaceProblem, tol: Tolerances = DEFAULT_TOL) -> tupl
 def near_omega0(problem: InterfaceProblem, omega: complex, tol: Tolerances = DEFAULT_TOL):
     """The Omega0Point within ray_imag_tol of omega, or None.
 
-    For black-box models, falls back to the pointwise test |W_pm| <= tol*scale.
+    For rational models, the first point of omega0_set that close; for
+    black-box models, the pointwise test of _omega0_point at omega itself:
+    min(|omega|^2, 1) |W-tilde_pm| <= equality_tol max(|W-tilde_+|, |W-tilde_-|, 1).
     """
     omega = complex(omega)
     if problem.is_rational:
@@ -315,19 +312,4 @@ def near_omega0(problem: InterfaceProblem, omega: complex, tol: Tolerances = DEF
             if cabs(omega - p.omega) <= tol.ray_imag_tol:
                 return p
         return None
-    # cabs and the except clause keep classify total at huge |omega|
-    wt_p, wt_m, w_p, w_m = w_values(problem, omega, tol)
-    m = max(cabs(wt_p), cabs(wt_m), 1.0)
-    try:
-        zz = max(cabs(omega) ** 2, 1.0)
-    except OverflowError:
-        zz = math.inf
-    plus_v = cabs(w_p) <= tol.equality_tol * m * zz
-    minus_v = cabs(w_m) <= tol.equality_tol * m * zz
-    if plus_v or minus_v:
-        return Omega0Point(
-            omega=omega, plus_vanishes=plus_v, minus_vanishes=minus_v,
-            wtilde_plus_zero=abs(wt_p) <= tol.equality_tol * m,
-            wtilde_minus_zero=abs(wt_m) <= tol.equality_tol * m,
-        )
-    return None
+    return _omega0_point(problem, omega, tol)

@@ -19,11 +19,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .complex_numerics import DEFAULT_TOL, Tolerances, in_ray, poly_roots, principal_sqrt
+from .complex_numerics import DEFAULT_TOL, Tolerances, in_ray, poly_roots, principal_sqrt, trim_leading
 from .classify1d import IN_N, _n_identity_holds, _reduced_codes
 from .dielectric import (
     DielectricModel,
     InterfaceProblem,
+    _omega0_point,
     near_omega0,
     singular_points,
     w,
@@ -201,9 +202,9 @@ def eigen_omegas(k: float, problem: InterfaceProblem,
         raise UnsupportedModelError("eigen_omegas needs rational models on both sides")
     if k == 0.0:
         return []  # N^(0) is empty: 0 = W_+ W_- cannot hold off Omega_0
-    q = eigenvalue_polynomial(k, problem)
-    if len(q) <= 1:
-        return []
+    q = trim_leading(eigenvalue_polynomial(k, problem))
+    if len(q) == 1:
+        return []  # a nonzero constant: no root, N^(k) is empty
     poles = singular_points(problem, tol)
     modes = []
     for z, _ in poly_roots(q, tol):
@@ -284,8 +285,9 @@ def weyl_sequence_1d(omega: complex, k: float, n: int, side: str,
 
     variant == "plane_wave": u^(n) = n^(-1/2) e^(i l x1) phi((x1 -+ n^2)/n) e3
     with l = sqrt(W_side - k^2) real; needs W_side(omega) in [k^2, inf).
-    variant == "k0_w0": k = 0 with W_side(omega) = 0; compactly supported
-    profile in the first component, residual exactly zero.
+    variant == "k0_w0": k = 0 with W_side(omega) = 0, the Omega_0 test of
+    dielectric._omega0_point; compactly supported profile in the first
+    component, residual |W_side(omega)|.
     """
     omega = complex(omega)
     sgn = 1.0 if side in ("+", "plus") else -1.0
@@ -311,8 +313,8 @@ def weyl_sequence_1d(omega: complex, k: float, n: int, side: str,
     if variant == "k0_w0":
         if k != 0.0:
             raise PreconditionError("k0_w0 variant requires k = 0")
-        zz = max(abs(omega) ** 2, 1.0)
-        if abs(w_side) > tol.equality_tol * zz:
+        pt = _omega0_point(problem, omega, tol)
+        if pt is None or not (pt.plus_vanishes if sgn > 0 else pt.minus_vanishes):
             raise PreconditionError(
                 f"k0_w0 variant needs W_{side}(omega) = 0; got {w_side}")
         # L_0 u = (-W_side f, 0, 0): the residual is |W_side| exactly

@@ -427,6 +427,31 @@ def test_cli_commands_do_not_load_scipy(cfg, tmp_path):
     assert proc.stdout.splitlines()[-2:] == ["[]", "pencil_spectra.fd_oracle"]
 
 
+INVERSE_SQUARE_CFG = """\
+[plus]
+kind = "rational"
+numerator = [1]
+denominator = [1, 0, 0]
+
+[minus]
+kind = "constant"
+value = 2.0
+"""
+
+
+def test_constant_eigenvalue_polynomial_is_no_error(cfg, tmp_path, capsys):
+    """At k = 1 the eigenvalue polynomial of W~_+ = 1/omega^2 against 2 is the constant 1."""
+    path = cfg(INVERSE_SQUARE_CFG)
+    out = str(tmp_path / "eig")
+    assert main(["eigen", "--config", path, "--k", "0.5:1.5:3", "--out", out]) == 0
+    with open(os.path.join(out, "modes.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    # W_+ = 1 lies on the ray [k^2, inf) for k < 1; at k = 1.5 the two roots of 2.5 omega^2 + 2.25
+    assert [row["k"] for row in rows] == ["1.5", "1.5"]
+    assert main(["trace", "--config", path, "--k", "1", "--grid=-2:2:9,-1:1:5",
+                 "--out", str(tmp_path / "tr")]) == 0
+    assert "error" not in capsys.readouterr().err
+
 def test_make_grid_rejects_a_node_count_above_the_cap(monkeypatch):
     from pencil_spectra import resolvent
 

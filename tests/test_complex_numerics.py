@@ -222,3 +222,40 @@ def test_array_arithmetic_scalars_and_zero_division():
     assert cmath.isnan(cdiv(1 + 2j, 0j)) and cmath.isnan(cdiv(1 + 2j, -0.0 + 0j))
     assert cabs(complex(1.5e308, 1.5e308)) == math.inf      # abs() raises OverflowError
     assert principal_sqrt(np.array([-4 - 0j]))[0] == 2j
+
+
+def test_poly_roots_keeps_distinct_close_roots_apart():
+    # a simple root at 0 and one at -i gamma: the Drude denominator z^2 + i gamma z
+    for gamma in (1e-5, 1e-9, 1e-300, 5e-324):
+        (pole, m_pole), zero = poly_roots([1, 1j * gamma, 0])
+        assert zero == (0j, 1) and m_pole == 1
+        assert abs(pole + 1j * gamma) <= 1e-15 * gamma
+    # two simple roots of a polynomial whose whole root scale is 1e-8
+    (lo, m_lo), (hi, m_hi) = poly_roots([1, 0, -1e-16])
+    assert (m_lo, m_hi) == (1, 1)
+    assert abs(lo + 1e-8) < 1e-20 and abs(hi - 1e-8) < 1e-20
+    # exact root 0 next to a computed root 1.5e-10 away, in a polynomial of
+    # root scale 2.6 (a Drude ray polynomial): four simple, finite roots
+    cs = [1, 1e-9j, -6.8, -1e-9j, 0]
+    roots = poly_roots(cs)
+    assert [m for _, m in roots] == [1, 1, 1, 1]
+    assert (0j, 1) in roots
+    for z, _ in roots:
+        assert cmath.isfinite(z) and abs(polyval(cs, z)) < 1e-12 * (1 + abs(z) ** 4)
+    assert any(abs(z + 1e-9j / 6.8) < 1e-20 for z, _ in roots)
+
+
+def test_poly_roots_small_scale_multiple_roots_still_merge():
+    assert poly_roots([1, 0, 0]) == [(0j, 2)]
+    ((z, m),) = poly_roots([1, -3e-3, 3e-6, -1e-9])    # (z - 1e-3)^3, root scale 3e-3
+    assert m == 3 and abs(z - 1e-3) < 1e-12
+
+
+def test_poly_roots_double_root_centre_stays_in_its_cluster():
+    # Newton with multiplicity 2 on noise-level p and p' used to throw the
+    # centre of this double root 1.7 away
+    roots = [2.5 + 2j, 2.5 + 2j, -0.6 + 2j, 0.4 + 2j]
+    found = poly_roots(list(np.poly(roots)))
+    assert sorted(m for _, m in found) == [1, 1, 2]
+    ((z, _),) = [(z, m) for z, m in found if m == 2]
+    assert abs(z - (2.5 + 2j)) < 1e-8

@@ -1,11 +1,15 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
+from pencil_spectra.classify1d import classify
+from pencil_spectra.classify2d import classify2
 from pencil_spectra.dielectric import (
     DielectricModel,
     InterfaceProblem,
+    near_omega0,
     omega0_set,
     singular_points,
     singular_set,
@@ -140,3 +144,35 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         InterfaceProblem(DielectricModel.constant(1.0, scale=1.0),
                          DielectricModel.constant(1.0, scale=2.0))
+
+
+def test_omega0_at_a_huge_numerator_root():
+    # W~_- = omega - 1e200: |omega|^2 overflows at its root, the test must not
+    problem = InterfaceProblem(DielectricModel.constant(2.0),
+                               DielectricModel.rational([1, -1e200], [1]))
+    pts = omega0_set(problem)
+    assert [p.omega for p in pts] == [0j, 1e200]
+    far = pts[1]
+    assert far.minus_vanishes and far.wtilde_minus_zero
+    assert not far.plus_vanishes and not far.wtilde_plus_zero
+    assert near_omega0(problem, 1e200) == far
+    assert classify(0.5j, 3.0, problem).branch_note == "reduced/resolvent"
+    assert classify2(0.5j, problem).branch_note == "2D-reduced/resolvent"
+    assert classify(1e200, 3.0, problem).in_omega0
+
+
+def test_black_box_omega0_matches_the_rational_model():
+    # the same W~_- = 1 - 1/(omega^2 + 1e-3 i) as a callable and as a rational model
+    plus = DielectricModel.constant(2.0)
+    box = InterfaceProblem(plus, DielectricModel.from_callable(
+        lambda z: 1 - 1 / (z * z + 1e-3j), poles=[cmath.sqrt(-1e-3j), -cmath.sqrt(-1e-3j)]))
+    rat = InterfaceProblem(plus, DielectricModel.rational([1, 0, 1e-3j - 1], [1, 0, 1e-3j]))
+    pts = omega0_set(rat)
+    assert len(pts) == 3
+    for p in pts:
+        assert near_omega0(box, p.omega) == p
+    # W~_+ = 2 and W~_- -> 1: nothing vanishes at |omega| = 1e200
+    for omega in (1e200, -1e200j, 1e300 + 1e300j):
+        assert near_omega0(box, omega) is None
+        assert not classify(omega, 3.0, box).in_omega0
+        assert not classify2(omega, box).in_omega0

@@ -139,6 +139,23 @@ def test_weyl_1d_preconditions(equal_problem):
         weyl_sequence_1d(3.0, 0.0, 8, "+", "k0_w0", equal_problem)  # W != 0
 
 
+def test_weyl_k0_precondition_at_huge_omega(equal_problem):
+    # W_+ = 2 omega^2 does not vanish at 1e200; |omega|^2 overflows there
+    with pytest.raises(PreconditionError):
+        weyl_sequence_1d(1e200, 0.0, 8, "+", "k0_w0", equal_problem)
+    with pytest.raises(PreconditionError):
+        weyl_sequence_1d(-1e300j, 0.0, 8, "-", "k0_w0", equal_problem)
+
+
+def test_eigen_omegas_constant_eigenvalue_polynomial():
+    # W~_+ = 1/omega^2 against 2: Q = (2k^2 - 2) omega^2 + k^2 is the constant 1 at k = 1
+    problem = InterfaceProblem(DielectricModel.rational([1], [1, 0, 0]),
+                               DielectricModel.constant(2.0))
+    assert eigen_omegas(1.0, problem) == []
+    modes = eigen_omegas(1.5, problem)
+    assert [md.omega.imag for md in modes] == pytest.approx([-0.3 * math.sqrt(10), 0.3 * math.sqrt(10)])
+
+
 def test_weyl_k0_zero_variant(equal_problem, drude_problem):
     # omega = 0 with constant media: W vanishes exactly, residual is exactly 0
     for n in (4, 8, 16):
