@@ -21,7 +21,8 @@ cannot abort. All functions are pure.
 The values come from dielectric.w_values and every set test lives in
 _reduced_codes: in_M and in_N (so classify2d's in_M2) read one bit of its
 code (M_PLUS, M_MINUS, IN_N) after _reduced_point_values' precondition, and
-modes.eigen_omegas keeps the polynomial roots whose code is IN_N.
+modes.eigen_sweep keeps the polynomial roots whose code is IN_N, deciding the
+roots of a whole k sweep in one call with one k per root.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .dielectric import (
     singular_set,
     w_values,
     which_pole_side,
-    wtilde_array,
 )
 from .errors import PreconditionError
 
@@ -216,13 +216,15 @@ def _n_identity_holds(wt_p, wt_m, w_p, w_m, k2, tol, slack=1.0):
 
     mu_pm = principal_sqrt(k2 - W_pm), where k2 is k^2 (or the 2D witness a).
     With a = W-tilde_+ mu_-, b = W-tilde_- mu_+ it holds when
-    |a + b| <= slack * equality_tol * (|a| + |b|). Elementwise on arrays.
+    |a + b| <= slack * equality_tol * (|a| + |b|) and |a| + |b| is finite.
+    Elementwise on arrays.
     """
     mu_p = principal_sqrt(k2 - w_p)
     mu_m = principal_sqrt(k2 - w_m)
     a = cmul(wt_p, mu_m)
     b = cmul(wt_m, mu_p)
-    return cabs(a + b) <= slack * tol.equality_tol * (cabs(a) + cabs(b))
+    size = cabs(a) + cabs(b)   # beyond the float range no cancellation can be read
+    return (cabs(a + b) <= slack * tol.equality_tol * size) & (size < np.inf)
 
 
 def _n2_witness(w_p, w_m, tol: Tolerances):
@@ -300,7 +302,8 @@ def _classify_omega0(problem, omega, k, pt: Omega0Point, tol, exact_hit: bool) -
 
 
 def _reduced_codes(wt_p, wt_m, w_p, w_m, k, tol):
-    """Branch codes off S and Omega_0; k=None is the 2D pencil. Elementwise on arrays."""
+    """Branch codes off S and Omega_0; k=None is the 2D pencil. Elementwise on
+    arrays, k included (one wavenumber per point)."""
     if k is None:
         mp = in_open_positive_ray(w_p, tol)
         mm = in_open_positive_ray(w_m, tol)
@@ -308,12 +311,10 @@ def _reduced_codes(wt_p, wt_m, w_p, w_m, k, tol):
     else:
         ray_p = in_ray(w_p, k * k, tol)
         ray_m = in_ray(w_m, k * k, tol)
-        if k != 0.0:
-            mp, mm = ray_p, ray_m
-        else:
-            mp = in_open_positive_ray(w_p, tol)
-            mm = in_open_positive_ray(w_m, tol)
-        nn = (np.logical_not(mp | mm | ray_p | ray_m)
+        # M_pm is the closed ray [k^2, inf), or the open ray (0, inf) where k = 0
+        mp = ray_p & ((k != 0.0) | (w_p.real > tol.ray_real_tol))
+        mm = ray_m & ((k != 0.0) | (w_m.real > tol.ray_real_tol))
+        nn = (np.logical_not(ray_p | ray_m)
               & _n_identity_holds(wt_p, wt_m, w_p, w_m, k * k, tol))
     return M_PLUS * mp + M_MINUS * mm + IN_N * nn
 
@@ -366,11 +367,7 @@ def classify_array(omega, k: float | None, problem: InterfaceProblem,
             special = (singular_set(problem.plus, tol) + singular_set(problem.minus, tol)
                        + tuple(p.omega for p in omega0_set(problem, tol)))
             rest = ~_near_any(omega, special, tol.ray_imag_tol)
-            z = omega[rest]
-            wt_p = wtilde_array(problem.plus, z)
-            wt_m = wtilde_array(problem.minus, z)
-            zz = cmul(z, z)
-            codes[rest] = _reduced_codes(wt_p, wt_m, cmul(zz, wt_p), cmul(zz, wt_m), k, tol)
+            codes[rest] = _reduced_codes(*w_values(problem, omega[rest], tol), k, tol)
     pointwise = {i: _classify_point(complex(omega[i]), k, problem, tol)
                  for i in np.flatnonzero(codes == POINTWISE).tolist()}
     return ArrayClassification(codes, pointwise, 2 if k is None else 1)

@@ -173,6 +173,11 @@ def cabs(z):
     return np.hypot(z.real, z.imag)
 
 
+def hypot_array(x, y) -> np.ndarray:
+    """math.hypot at every element: CPython's own algorithm, not libm's (np.hypot)."""
+    return np.frompyfunc(math.hypot, 2, 1)(x, y).astype(float)
+
+
 def _principal_sqrt_array(z: np.ndarray) -> np.ndarray:
     """cmath.sqrt's algorithm on arrays, then principal_sqrt's branch flip."""
     z = np.asarray(z, dtype=complex)
@@ -226,13 +231,16 @@ def poly_roots(coeffs, tol: Tolerances = DEFAULT_TOL):
     multiplicity groups. Returns [(root, multiplicity), ...] sorted by
     (Re, Im); the multiplicities sum to the degree.
 
-    Raises DegenerateInputError for the zero polynomial or degree 0.
+    Raises DegenerateInputError for the zero polynomial, degree 0 or a
+    coefficient that is not finite.
     """
     cs = trim_leading(coeffs)
     if not cs:
         raise DegenerateInputError("zero polynomial has no well-defined roots")
     if len(cs) == 1:
         raise DegenerateInputError("constant polynomial (degree 0) has no roots")
+    if not all(cmath.isfinite(c) for c in cs):
+        raise DegenerateInputError("polynomial has a coefficient that is not finite")
 
     arr = np.asarray(cs, dtype=complex)
     raw = np.roots(arr)

@@ -188,8 +188,14 @@ def w_values(problem: InterfaceProblem, omega: complex, tol: Tolerances = DEFAUL
     """(W-tilde_+, W-tilde_-, W_+, W_-) at omega: both media, W = omega^2 W-tilde.
 
     omega is used as given (a Python complex keeps CPython's arithmetic);
-    raises SingularityError on either side's poles, as wtilde does.
+    raises SingularityError on either side's poles, as wtilde does. At a
+    numpy array of omega (rational media, off the poles: not checked) the
+    values are elementwise, rounded as the scalar ones by wtilde_array and cmul.
     """
+    if isinstance(omega, np.ndarray):
+        wt_p, wt_m = wtilde_array(problem.plus, omega), wtilde_array(problem.minus, omega)
+        zz = cmul(omega, omega)
+        return wt_p, wt_m, cmul(zz, wt_p), cmul(zz, wt_m)
     wt_p = wtilde(problem.plus, omega, tol)
     wt_m = wtilde(problem.minus, omega, tol)
     return wt_p, wt_m, omega * omega * wt_p, omega * omega * wt_m

@@ -3,8 +3,10 @@
 Eigenvalues are the zeros of k^2 (W_+ + W_-) - W_+ W_- surviving a filter
 chain (poles, exceptional set, essential rays, unsquared matching identity);
 for rational media the zeros come from one cleared-denominator polynomial, so
-the search is exact. Eigenfunctions are the explicit two-sided exponentials
-with decay rates mu_pm = sqrt(k^2 - W_pm), Re mu_pm > 0.
+the search is exact. eigen_sweep solves one polynomial per k and filters the
+roots of a whole k sweep in one array pass; mode_residuals checks all modes in
+another. Eigenfunctions are the explicit two-sided exponentials with decay
+rates mu_pm = sqrt(k^2 - W_pm), Re mu_pm > 0.
 
 Weyl-sequence residual norms are evaluated from closed-form integrands on
 quadrature grids, never by numerically differentiating samples: the decay
@@ -19,17 +21,19 @@ from functools import lru_cache
 
 import numpy as np
 
-from .complex_numerics import DEFAULT_TOL, Tolerances, in_ray, poly_roots, principal_sqrt, trim_leading
-from .classify1d import IN_N, _n_identity_holds, _reduced_codes
+from .complex_numerics import (DEFAULT_TOL, Tolerances, cabs, cmul, hypot_array, in_ray,
+                               poly_roots, principal_sqrt, trim_leading)
+from .classify1d import IN_N, _n_identity_holds, _near_any, _reduced_codes
 from .dielectric import (
     DielectricModel,
     InterfaceProblem,
     _omega0_point,
-    near_omega0,
+    omega0_set,
     singular_points,
     w,
     w_values,
     wtilde,
+    wtilde_array,
 )
 from .errors import DegenerateDispersionError, PreconditionError, UnsupportedModelError
 
@@ -187,36 +191,46 @@ def _make_mode(omega, k, w_p, w_m):
                        v_plus=v_plus, v_minus=v_minus)
 
 
-def eigen_omegas(k: float, problem: InterfaceProblem,
-                 tol: Tolerances = DEFAULT_TOL) -> list:
-    """All plasmon eigenvalues omega in N^(k), as PlasmonMode records.
+def eigen_sweep(ks, problem: InterfaceProblem, tol: Tolerances = DEFAULT_TOL) -> list:
+    """The plasmon eigenvalues in N^(k) of each k of a sweep: per k, a list of
+    PlasmonMode records sorted by (Re, Im) omega.
 
-    Filter order matters: discard poles, then the exceptional set, and only
-    then read the reduced branch code, which excludes the essential rays
-    before it applies the unsquared matching identity (squaring is what
-    produced the polynomial's spurious roots). The pole filter is wider than
-    classify's, since its tolerance is about root accuracy; the root must
-    then be reduced/N exactly as classify decides it (code IN_N).
+    Each k's eigenvalue_polynomial is solved on its own; the roots of all k
+    then pass one array filter chain. A root is kept off the pole reach (wider
+    than classify's, since it is about root accuracy) and Omega_0, with the
+    reduced branch code IN_N: off the essential rays, and satisfying the
+    unsquared matching identity (squaring made the polynomial's spurious roots).
     """
     if not problem.is_rational:
         raise UnsupportedModelError("eigen_omegas needs rational models on both sides")
-    if k == 0.0:
-        return []  # N^(0) is empty: 0 = W_+ W_- cannot hold off Omega_0
-    q = trim_leading(eigenvalue_polynomial(k, problem))
-    if len(q) == 1:
-        return []  # a nonzero constant: no root, N^(k) is empty
-    poles = singular_points(problem, tol)
-    modes = []
-    for z, _ in poly_roots(q, tol):
-        if any(abs(z - p) <= max(tol.ray_imag_tol, 1e-9) * (1.0 + abs(p)) for p in poles):
-            continue
-        if near_omega0(problem, z, tol) is not None:
-            continue
+    roots, owner = [], []
+    reach = max(tol.ray_imag_tol, 1e-9)
+    with np.errstate(all="ignore"):   # a polynomial that overflows raises in poly_roots
+        for i, k in enumerate(ks):
+            q = trim_leading(eigenvalue_polynomial(k, problem))
+            # N^(0) is empty (0 = W_+ W_- cannot hold off Omega_0); so is the
+            # N^(k) of a nonzero constant polynomial
+            if k != 0.0 and len(q) > 1:
+                roots += [z for z, _ in poly_roots(q, tol)]
+                owner += [i] * (len(roots) - len(owner))
+        z = np.array(roots, dtype=complex)
+        keep = ~_near_any(z, [p.omega for p in omega0_set(problem, tol)], tol.ray_imag_tol)
+        for p in singular_points(problem, tol):
+            keep &= ~(cabs(z - p) <= reach * (1.0 + abs(p)))
         wt_p, wt_m, w_p, w_m = w_values(problem, z, tol)
-        if _reduced_codes(wt_p, wt_m, w_p, w_m, k, tol) == IN_N:
-            modes.append(_make_mode(z, k, w_p, w_m))
-    modes.sort(key=lambda md: (md.omega.real, md.omega.imag))
-    return modes
+        k_of_root = np.asarray(ks, dtype=float)[owner]
+        keep &= _reduced_codes(wt_p, wt_m, w_p, w_m, k_of_root, tol) == IN_N
+    sweep = [[] for _ in ks]   # each k's modes in poly_roots' (Re, Im) order
+    for i, root, wp, wm in zip(np.array(owner, dtype=int)[keep].tolist(), z[keep].tolist(),
+                               w_p[keep].tolist(), w_m[keep].tolist()):
+        sweep[i].append(_make_mode(root, ks[i], wp, wm))
+    return sweep
+
+
+def eigen_omegas(k: float, problem: InterfaceProblem,
+                 tol: Tolerances = DEFAULT_TOL) -> list:
+    """All plasmon eigenvalues omega in N^(k), as PlasmonMode records: eigen_sweep at one k."""
+    return eigen_sweep([k], problem, tol)[0]
 
 
 def eigenfunction_eval(mode: PlasmonMode, x1):
@@ -235,42 +249,49 @@ def eigenfunction_eval(mode: PlasmonMode, x1):
     return out[:, 0] if scalar else out
 
 
+def mode_residuals(modes, grid, problem: InterfaceProblem,
+                   tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """mode_residual of every mode, in one array pass over modes and grid: cmul,
+    cabs, wtilde_array and hypot_array round as the one-mode formula does in
+    CPython scalars, so each value is bitwise that formula's (a NaN term gives
+    NaN). The modes must lie off S, as eigen_sweep's do."""
+    x = np.asarray(grid, dtype=float)
+    if np.any(x == 0.0):
+        raise PreconditionError("mode_residual grid must avoid x1 = 0")
+    # k ** 2 is CPython's pow, which can round differently from k * k
+    k, k_sq, omega, mu_p, mu_m, vp0, vp1, vm0, vm1 = np.array(
+        [(md.k, md.k ** 2, md.omega, md.mu_plus, md.mu_minus, *md.v_plus, *md.v_minus)
+         for md in modes], dtype=complex).reshape(-1, 9).T
+    ik = cmul(1j, k)   # k and k_sq hold a zero imaginary part, which rounds as a float
+    parts = []   # per mode: the residual on each side, then the three jumps
+    with np.errstate(all="ignore"):
+        for sel, m, v0, v1 in ((x > 0, -mu_p, vp0, vp1), (x < 0, mu_m, vm0, vm1)):
+            if not np.any(sel):
+                continue
+            # psi = v e^(m x1); W_side = k^2 - mu^2 (CPython's mu**2 is mu * mu
+            # up to the sign of a zero, which the subtraction from k^2 drops)
+            w_side = k_sq - cmul(m, m)
+            r1 = cmul(k * k - w_side, v0) + cmul(cmul(ik, m), v1)
+            r2 = cmul(cmul(ik, m), v0) - cmul(cmul(m, m), v1) - cmul(w_side, v1)
+            env = m[:, None] * x[sel]   # one mode per row, overwritten in place
+            env = np.abs(np.exp(env, out=env))
+            env *= hypot_array(cabs(r1), cabs(r2))[:, None]
+            parts.append(env.max(axis=1))
+        parts += [cabs(cmul(wtilde_array(problem.plus, omega), vp0)
+                       - cmul(wtilde_array(problem.minus, omega), vm0)),
+                  cabs(vp1 - vm1),
+                  cabs((cmul(-mu_p, vp1) - cmul(ik, vp0)) - (cmul(mu_m, vm1) - cmul(ik, vm0)))]
+    return np.max(parts, axis=0)
+
+
 def mode_residual(mode: PlasmonMode, grid, problem: InterfaceProblem,
                   tol: Tolerances = DEFAULT_TOL) -> float:
     """max |T_k psi - W psi| over the grid plus the three interface jumps.
 
     Derivatives of the exponential closed form are exact; no finite
-    differences enter. The grid must avoid x1 = 0.
+    differences enter. The grid must avoid x1 = 0. One mode of mode_residuals.
     """
-    x = np.asarray(grid, dtype=float)
-    if np.any(x == 0.0):
-        raise PreconditionError("mode_residual grid must avoid x1 = 0")
-    k = mode.k
-    worst = 0.0
-    for sign in (1.0, -1.0):
-        sel = x > 0 if sign > 0 else x < 0
-        if not np.any(sel):
-            continue
-        mu = mode.mu_plus if sign > 0 else mode.mu_minus
-        v = mode.v_plus if sign > 0 else mode.v_minus
-        m = -mu if sign > 0 else mu  # psi = v e^(m x1)
-        w_side = mode.k**2 - mu**2
-        r1 = (k * k - w_side) * v[0] + 1j * k * m * v[1]
-        r2 = 1j * k * m * v[0] - m * m * v[1] - w_side * v[1]
-        env = np.abs(np.exp(m * x[sel]))
-        res = math.hypot(abs(r1), abs(r2)) * env
-        worst = max(worst, float(res.max()))
-
-    wt_p = wtilde(problem.plus, mode.omega, tol)
-    wt_m = wtilde(problem.minus, mode.omega, tol)
-    psi_p = np.array(mode.v_plus)
-    psi_m = np.array(mode.v_minus)
-    jump_wu1 = abs(wt_p * psi_p[0] - wt_m * psi_m[0])
-    jump_u2 = abs(psi_p[1] - psi_m[1])
-    dpsi2_p = -mode.mu_plus * psi_p[1]
-    dpsi2_m = mode.mu_minus * psi_m[1]
-    jump_comb = abs((dpsi2_p - 1j * k * psi_p[0]) - (dpsi2_m - 1j * k * psi_m[0]))
-    return max(worst, float(jump_wu1), float(jump_u2), float(jump_comb))
+    return float(mode_residuals([mode], grid, problem, tol)[0])
 
 
 # ---------------------------------------------------------------------------

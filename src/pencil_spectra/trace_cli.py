@@ -32,9 +32,10 @@ from .errors import PencilSpectraError, PreconditionError
 from .modes import (
     bump,
     eigen_omegas,
+    eigen_sweep,
     eigenvalue_polynomial,
     fit_loglog_slope,
-    mode_residual,
+    mode_residuals,
     ray_polynomial,
     weyl_2d_interface_report,
     weyl_sequence_1d,
@@ -256,9 +257,12 @@ def _parse_grid(text: str):
 
 
 def _parse_k(text: str, sweep: bool = False):
-    """A finite k; with sweep=True, the list of k from "k" or "k0:k1:n"."""
+    """A k whose square is finite; with sweep=True, the list of k from "k" or "k0:k1:n"."""
     form = "k or k0:k1:count" if sweep else "a number"
     values = _parse_fields(text, "--k", form, (1, 3) if sweep else (1,))
+    if not all(math.isfinite(v * v) for v in values[:2]):
+        raise PencilSpectraError(
+            f"--k must have a finite square (|k| below about 1.34e154), got {text!r}")
     if len(values) == 3:
         return list(np.linspace(*values))
     return values if sweep else values[0]
@@ -323,22 +327,14 @@ def eigen_table(problem: InterfaceProblem, ks, tol):
     rows = []
     last: dict = {}
     next_id = 0
-    for k in ks:
-        modes = eigen_omegas(float(k), problem, tol)
+    for k, modes in zip(ks, eigen_sweep([float(k) for k in ks], problem, tol)):
         current: dict = {}
         for m in modes:
-            best = None
-            for bid, om in last.items():
-                if bid in current:
-                    continue
-                d = abs(m.omega - om)
-                if best is None or d < best[1]:
-                    best = (bid, d)
-            if best is not None and best[1] <= 0.5 * (1.0 + abs(m.omega)):
-                bid = best[0]
-            else:
-                bid = next_id
-                next_id += 1
+            # the nearest branch of the last k not yet taken (the first of a tie)
+            free = ((abs(m.omega - om), bid) for bid, om in last.items() if bid not in current)
+            d, bid = min(free, key=lambda pair: pair[0], default=(math.inf, None))
+            if not d <= 0.5 * (1.0 + abs(m.omega)):
+                bid, next_id = next_id, next_id + 1
             current[bid] = m.omega
             rows.append((float(k), bid, m))
         last = current or last
@@ -354,8 +350,8 @@ def cmd_eigen(args, tol) -> int:
     lines = [header]
     grid = np.linspace(-8.0, 8.0, 257)
     grid = grid[grid != 0.0]
-    for k, bid, m in rows:
-        res = mode_residual(m, grid, problem, tol)
+    residuals = mode_residuals([m for _, _, m in rows], grid, problem, tol)
+    for (k, bid, m), res in zip(rows, residuals.tolist()):
         lines.append(
             f"{k:.12g},{bid},{m.omega.real:.12g},{m.omega.imag:.12g},"
             f"{m.mu_plus.real:.12g},{m.mu_plus.imag:.12g},"
