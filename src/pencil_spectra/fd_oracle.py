@@ -23,7 +23,8 @@ oscillatory characteristic roots whenever lambda W lies in (0, k^2), which
 would flood the sigma_min landscape; the reduced form has none.
 
 Dirichlet truncation at +-L is justified only for exponentially decaying
-targets; the defaults tighten L until exp(-Re mu L) < 1e-12.
+targets: default_grid (direct solves) tightens L = 20 until exp(-Re mu L) < 1e-12. The
+lambda probe's grid follows the mode: L = 27.7/min Re mu, h = min(1/200, 0.02/max |mu|).
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ DEFAULT_L = 20.0
 DEFAULT_H = 1.0 / 200.0
 _SECANT_STEPS, _SECANT_TARGET = 60, 1e-12   # shoot_refine: step limit, |det| to stop at
 _LANCZOS_NCV, _LANCZOS_TOL, _LANCZOS_STEPS = 4, 1e-10, 300   # smallest_singular_value
+PROBE_RADII = (0.05, 0.1, 0.2)   # the lambda probe's rings around lambda = 1
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,7 @@ def discretize(omega: complex, k: float, problem: InterfaceProblem,
     bwd = np.array([1.5, -2.0, 0.5]) / h
 
     # interior three-point rows first, then the boundary, [u2] and derivative rows
-    interior = np.setdiff1d(np.arange(N), (0, im, ip, N - 1))
+    interior = np.r_[1:im, ip + 1:N - 1]
     n_int = interior.size
     wu1_row = n_int + 3
     eq = np.zeros(N, dtype=bool)
@@ -137,15 +139,17 @@ def discretize(omega: complex, k: float, problem: InterfaceProblem,
     )
 
 
+def _decay_rates(omega: complex, k: float, problem: InterfaceProblem, tol: Tolerances):
+    """(min Re mu, max |mu|) over mu_pm = principal_sqrt(k^2 - W_pm) at omega."""
+    mus = [principal_sqrt(k * k - wv) for wv in w_values(problem, omega, tol)[2:]]
+    return min(mu.real for mu in mus), max(map(abs, mus))
+
+
 def default_grid(omega: complex, k: float, problem: InterfaceProblem,
                  h: float = DEFAULT_H, tol: Tolerances = DEFAULT_TOL) -> Grid:
     """L = 20 tightened until exp(-Re mu L) < 1e-12 on both sides."""
-    _, _, w_p, w_m = w_values(problem, omega, tol)
-    alpha = min(principal_sqrt(k * k - w_p).real, principal_sqrt(k * k - w_m).real)
-    L = DEFAULT_L
-    if alpha > 0:
-        L = max(DEFAULT_L, 27.7 / alpha)
-    return make_grid(L, h)
+    alpha, _ = _decay_rates(omega, k, problem, tol)
+    return make_grid(max(DEFAULT_L, 27.7 / alpha) if alpha > 0 else DEFAULT_L, h)
 
 
 def _d1_grid(u: np.ndarray, grid: Grid) -> np.ndarray:
@@ -308,14 +312,24 @@ def smallest_singular_value(A: sp.csc_matrix) -> float:
     return 1.0 / math.sqrt(top)
 
 
+def ring_meets_essential(omega: complex, k: float, problem: InterfaceProblem, tol: Tolerances):
+    """(side, distance, radius) if the ray {t / W : t >= k^2}, a side's lambda-plane essential
+    spectrum, enters the innermost ring, else None; outer rings crossing it only lower ring min."""
+    dists = [(side, (abs(wv.imag) if wv.real >= k * k else abs(wv - k * k)) / abs(wv))
+             for side, wv in zip("+-", w_values(problem, complex(omega), tol)[2:])]
+    return next(((s, d, PROBE_RADII[0]) for s, d in dists if d < PROBE_RADII[0]), None)
+
+
 def lambda_isolation_probe(omega: complex, k: float, problem: InterfaceProblem,
-                           radius_grid=(0.05, 0.1, 0.2), n_angles: int = 8,
+                           radius_grid=PROBE_RADII, n_angles: int = 8,
                            grid: Grid | None = None,
                            tol: Tolerances = DEFAULT_TOL) -> LambdaProbeReport:
     """sigma_min map of the lambda-pencil near lambda = 1 at fixed omega."""
     omega = complex(omega)
-    if grid is None:
-        grid = default_grid(omega, k, problem, h=DEFAULT_H, tol=tol)
+    if grid is None:   # sized by the mode, see the module docstring
+        alpha, mu_max = _decay_rates(omega, k, problem, tol)
+        grid = (make_grid(27.7 / alpha, min(DEFAULT_H, 0.02 / mu_max))
+                if alpha > 0 else default_grid(omega, k, problem, tol=tol))
 
     def sigma(lam):
         disc = discretize(omega, k, problem, grid=grid, lam=lam, tol=tol)

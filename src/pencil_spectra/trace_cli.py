@@ -440,33 +440,36 @@ def _suite_shoot(problem, k, tol):
 
 
 def _suite_lambda(problem, k, tol):
-    from .fd_oracle import lambda_isolation_probe
+    from .fd_oracle import lambda_isolation_probe, ring_meets_essential
     modes = eigen_omegas(k, problem, tol)
     if not modes:
         return True, "no modes; isolation probe skipped"
     # probe the best-localized mode: weak decay rates force very long domains
     mode = max(modes, key=lambda m: min(m.mu_plus.real, m.mu_minus.real))
+    if hit := ring_meets_essential(mode.omega, k, problem, tol):
+        return False, (f"the {hit[0]} side's essential spectrum lies {hit[1]:.3f} from lambda"
+                       f" = 1, inside the innermost ring ({hit[2]}); probe not run")
     rep = lambda_isolation_probe(mode.omega, k, problem, tol=tol)
     ok = rep.separation_factor >= 100.0
     return ok, (f"sigma(lambda=1) = {rep.sigma_at_one:.3e}, ring min = "
                 f"{min(rep.ring_minima):.3e}, factor = {rep.separation_factor:.1f}")
 
 
-def _suite_resolvent(problem, k, tol):
+def _fd_rel_error(omega, k, h, problem, tol) -> float:
+    """Relative l2 gap of resolvent and FD solves; a frame per grid frees it before the next."""
     from .fd_oracle import default_grid, direct_solve, discretize
+    grid = default_grid(omega, k, problem, h=h, tol=tol)
+    r2 = lambda x: bump((np.asarray(x) - 1.5) / 0.5)
+    r = RhsField.from_callables(grid, k, r2_fn=r2, r3_fn=r2, support=(1.0, 2.0))
+    sol = solve(omega, k, r, problem, tol)
+    u_fd = direct_solve(omega, k, r, discretize(omega, k, problem, grid=grid, tol=tol))
+    return float(np.sqrt(sum(np.sum(np.abs(sol.u[j] - u_fd[j]) ** 2) for j in range(3)))
+                 / np.sqrt(sum(np.sum(np.abs(sol.u[j]) ** 2) for j in range(3))))
+
+
+def _suite_resolvent(problem, k, tol):
     omega = _find_resolvent_point(problem, k, tol)
-    errs = {}
-    for h in (1 / 50, 1 / 100, 1 / 200):
-        grid = default_grid(omega, k, problem, h=h, tol=tol)
-        width = 0.5
-        r2 = lambda x: bump((np.asarray(x) - 1.5) / width)
-        r = RhsField.from_callables(grid, k, r2_fn=r2, r3_fn=r2, support=(1.0, 2.0))
-        sol = solve(omega, k, r, problem, tol)
-        disc = discretize(omega, k, problem, grid=grid, tol=tol)
-        u_fd = direct_solve(omega, k, r, disc)
-        num = np.sqrt(sum(np.sum(np.abs(sol.u[j] - u_fd[j]) ** 2) for j in range(3)))
-        den = np.sqrt(sum(np.sum(np.abs(sol.u[j]) ** 2) for j in range(3)))
-        errs[h] = float(num / den)
+    errs = {h: _fd_rel_error(omega, k, h, problem, tol) for h in (1 / 50, 1 / 100, 1 / 200)}
     order1 = math.log2(errs[1 / 50] / errs[1 / 100])
     order2 = math.log2(errs[1 / 100] / errs[1 / 200])
     ok = errs[1 / 200] <= 1e-3 and min(order1, order2) >= 1.9
@@ -567,8 +570,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _join_dash_values(parser: argparse.ArgumentParser, argv: list) -> list:
+    """Rewrite "--k -2:2:5" as "--k=-2:2:5": argparse reads such a '-' value as an option."""
+    flags = {o: a.nargs != 0 for sp in parser._subparsers._group_actions[0].choices.values()
+             for a in sp._actions for o in a.option_strings}
+    out = []
+    for tok in argv:
+        if out and flags.get(out[-1]) and tok[:1] == "-" != tok[1:2] and tok not in flags:
+            tok = out.pop() + "=" + tok
+        out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(_join_dash_values(parser, sys.argv[1:] if argv is None else argv))
     try:
         tol = Tolerances.from_env()
     except ValueError as exc:
