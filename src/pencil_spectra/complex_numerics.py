@@ -122,8 +122,9 @@ def polyval(coeffs, z: complex) -> complex:
 # quotient, other hypot and sqrt algorithms). The functions below rebuild
 # CPython's formulas from real-array operations, so an array kernel decides
 # every point bit-for-bit as scalar code does. Given Python scalars they use
-# CPython's own arithmetic. Array callers wrap them in np.errstate: infinities
-# and NaNs propagate, nothing raises.
+# CPython's own arithmetic. cdiv_numpy rebuilds the quotient of numpy complex
+# scalars the same way, for scalar code that mixes them in. Array callers wrap
+# them in np.errstate: infinities and NaNs propagate, nothing raises.
 
 def _scalars(*xs) -> bool:
     return not any(isinstance(x, np.ndarray) for x in xs)
@@ -160,6 +161,19 @@ def cdiv(a, b):
     re = np.where(wide, a.real + a.imag * ratio, a.real * ratio + a.imag)
     im = np.where(wide, a.imag - a.real * ratio, a.imag * ratio - a.real)
     return complex_array(re / denom, im / denom)
+
+
+def cdiv_numpy(a, b) -> np.ndarray:
+    """a/b as a numpy complex scalar divides: the scaled numerator times the
+    reciprocal of the scaled divisor, elementwise on arrays; NaN where b == 0."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    wide = np.abs(b.real) >= np.abs(b.imag)
+    ratio = np.where(wide, b.imag / b.real, b.real / b.imag)
+    scale = 1.0 / np.where(wide, b.real + b.imag * ratio, b.imag + b.real * ratio)
+    re = np.where(wide, a.real + a.imag * ratio, a.real * ratio + a.imag)
+    im = np.where(wide, a.imag - a.real * ratio, a.imag * ratio - a.real)
+    return complex_array(re * scale, im * scale)
 
 
 def cabs(z):
@@ -224,46 +238,102 @@ def trim_leading(coeffs) -> tuple:
 
 
 def poly_roots(coeffs, tol: Tolerances = DEFAULT_TOL):
-    """All complex roots of a polynomial, with multiplicities.
+    """All complex roots of a polynomial, with multiplicities: poly_roots_family
+    of one member.
 
-    coeffs are descending-power complex coefficients. Roots come from the
-    companion matrix (np.roots), Newton-polished, then clustered into
-    multiplicity groups. Returns [(root, multiplicity), ...] sorted by
-    (Re, Im); the multiplicities sum to the degree.
+    coeffs are descending-power complex coefficients. Returns [(root,
+    multiplicity), ...] sorted by (Re, Im); the multiplicities sum to the degree.
 
     Raises DegenerateInputError for the zero polynomial, degree 0 or a
     coefficient that is not finite.
     """
-    cs = trim_leading(coeffs)
-    if not cs:
-        raise DegenerateInputError("zero polynomial has no well-defined roots")
-    if len(cs) == 1:
-        raise DegenerateInputError("constant polynomial (degree 0) has no roots")
-    if not all(cmath.isfinite(c) for c in cs):
-        raise DegenerateInputError("polynomial has a coefficient that is not finite")
+    (roots,) = poly_roots_family([coeffs], tol)
+    if isinstance(roots, DegenerateInputError):
+        raise roots
+    return roots
 
-    arr = np.asarray(cs, dtype=complex)
-    raw = np.roots(arr)
-    der = np.polyder(arr)
 
-    polished = []
-    for z in raw:
-        z = complex(z)
+def poly_roots_family(polys, tol: Tolerances = DEFAULT_TOL) -> list:
+    """poly_roots of every member of a family of polynomials, in array passes.
+
+    polys is a sequence of descending-power coefficient sequences (or a 2D
+    array, one member per row). Returns one entry per member: its [(root,
+    multiplicity), ...], or the DegenerateInputError it raises alone.
+
+    Roots come from companion matrices, built as np.roots builds them: the
+    members are grouped by trimmed length and number of trailing zero
+    coefficients (the exact root 0), and each group's matrices go through one
+    stacked eigvals call. One masked Newton loop polishes every root of the
+    family (_newton_polish), and each member's roots are then clustered into
+    multiplicity groups on their own (_clusters). A member's roots are bitwise
+    those it has when solved alone.
+    """
+    out: list = [None] * len(polys)
+    groups: dict = {}   # (trimmed length, trailing zeros) -> [(member, coefficients)]
+    for i, coeffs in enumerate(polys):
+        cs = trim_leading(coeffs)
+        if not cs:
+            out[i] = DegenerateInputError("zero polynomial has no well-defined roots")
+        elif len(cs) == 1:
+            out[i] = DegenerateInputError("constant polynomial (degree 0) has no roots")
+        elif not all(cmath.isfinite(c) for c in cs):
+            out[i] = DegenerateInputError("polynomial has a coefficient that is not finite")
+        else:
+            zeros = next(j for j, c in enumerate(reversed(cs)) if c != 0)
+            groups.setdefault((len(cs), zeros), []).append((i, cs))
+    for (n, zeros), members in groups.items():
+        c = np.array([cs for _, cs in members])
+        d = n - zeros - 1   # the companion order; the zero roots are appended
+        raw = np.zeros((len(members), n - 1), dtype=complex)
+        if d:
+            companion = np.zeros((len(members), d, d), dtype=complex)
+            companion[:, 0, :] = -c[:, 1:d + 1] / c[:, :1]
+            companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+            raw[:, :d] = np.linalg.eigvals(companion)
+        der = c[:, :-1] * np.arange(n - 1, 0, -1)   # np.polyder's product
+        z, moved = _newton_polish(c, der, raw, tol)
+        for (i, cs), zs, mv, dr in zip(members, z.tolist(), moved.tolist(), der):
+            # a root Newton moved is a numpy scalar, as z - p/dp makes it; the
+            # cluster centres divide by the cluster size in that type's arithmetic
+            out[i] = _clusters(cs, dr, [np.complex128(w) if m else w for w, m in zip(zs, mv)])
+    return out
+
+
+def _newton_polish(c, der, raw, tol: Tolerances):
+    """Newton steps on every root of raw (a row of roots per coefficient row of c,
+    der their derivatives) at once: each root stops at its first small residual,
+    zero or non-finite step, small step, or after 20 steps. Returns the roots and
+    the mask of those that moved; the arithmetic is the scalar loop's, rounded
+    as CPython rounds p and numpy scalars round p' and p/p'."""
+    z = raw.ravel()
+    moved = np.zeros(z.size, dtype=bool)
+    owner = np.repeat(np.arange(raw.shape[0]), raw.shape[1])
+    mod_c = cabs(c)
+    bound = 1e-3 * tol.root_residual_tol
+    live = np.arange(z.size)
+    with np.errstate(all="ignore"):
         for _ in range(20):
-            p = polyval(cs, z)
-            if abs(p) <= 1e-3 * tol.root_residual_tol * poly_eval_scale(cs, z):
+            rows, zl = owner[live], z[live]
+            p = polyval_array(c[rows].T, zl)
+            az = cabs(zl)
+            scale = np.zeros(zl.shape)
+            for a in mod_c[rows].T:   # poly_eval_scale
+                scale = scale * az + a
+            go = ~(cabs(p) <= bound * np.maximum(scale, 1e-300))
+            live, rows, zl, p = live[go], rows[go], zl[go], p[go]
+            step = cdiv_numpy(p, polyval_array(der[rows].T, zl))   # NaN where p' == 0
+            go = np.isfinite(step.real) & np.isfinite(step.imag)
+            live, zl, step = live[go], zl[go] - step[go], step[go]
+            z[live] = zl
+            moved[live] = True
+            live = live[~(cabs(step) <= 1e-16 * (1.0 + cabs(zl)))]
+            if not live.size:
                 break
-            dp = polyval(der, z)
-            if dp == 0:
-                break
-            step = p / dp
-            if not (math.isfinite(step.real) and math.isfinite(step.imag)):
-                break
-            z = z - step
-            if abs(step) <= 1e-16 * (1.0 + abs(z)):
-                break
-        polished.append(z)
+    return z.reshape(raw.shape), moved.reshape(raw.shape)
 
+
+def _clusters(cs: tuple, der, polished: list) -> list:
+    """One member's polished roots as [(root, multiplicity), ...], sorted by (Re, Im)."""
     # The exact root 0 of trailing zero coefficients stays apart. The other
     # roots cluster up to the multiple-root noise floor, within a radius
     # relative to the root scale s (Fujiwara: all roots lie within 2 s of 0).

@@ -3,10 +3,10 @@
 Eigenvalues are the zeros of k^2 (W_+ + W_-) - W_+ W_- surviving a filter
 chain (poles, exceptional set, essential rays, unsquared matching identity);
 for rational media the zeros come from one cleared-denominator polynomial, so
-the search is exact. eigen_sweep solves one polynomial per k and filters the
-roots of a whole k sweep in one array pass; mode_residuals checks all modes in
-another. Eigenfunctions are the explicit two-sided exponentials with decay
-rates mu_pm = sqrt(k^2 - W_pm), Re mu_pm > 0.
+the search is exact. eigen_sweep solves the polynomials of a whole k sweep
+as one family and filters their roots in one array pass; mode_residuals checks
+all modes in another. Eigenfunctions are the explicit two-sided exponentials
+with decay rates mu_pm = sqrt(k^2 - W_pm), Re mu_pm > 0.
 
 Weyl-sequence residual norms are evaluated from closed-form integrands on
 quadrature grids, never by numerically differentiating samples: the decay
@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .complex_numerics import (DEFAULT_TOL, Tolerances, cabs, cmul, hypot_array, in_ray,
-                               poly_roots, principal_sqrt, trim_leading)
+                               poly_roots_family, principal_sqrt)
 from .classify1d import IN_N, _n_identity_holds, _near_any, _reduced_codes
 from .dielectric import (
     DielectricModel,
@@ -35,7 +35,8 @@ from .dielectric import (
     wtilde,
     wtilde_array,
 )
-from .errors import DegenerateDispersionError, PreconditionError, UnsupportedModelError
+from .errors import (DegenerateDispersionError, PencilSpectraError, PreconditionError,
+                     UnsupportedModelError)
 
 
 # ---------------------------------------------------------------------------
@@ -141,18 +142,20 @@ def _polymul(a, b):
     return tuple(np.convolve(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)))
 
 
-def _polyadd(a, b):
+def _polyadd(a, b) -> np.ndarray:
+    """a + b in descending coefficients; a 2D operand holds one polynomial per row."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    n = max(len(a), len(b))
-    out = np.zeros(n, dtype=complex)
-    out[n - len(a):] += a
-    out[n - len(b):] += b
-    return tuple(out)
+    n = max(a.shape[-1], b.shape[-1])
+    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (n,), dtype=complex)
+    out[..., n - a.shape[-1]:] += a
+    out[..., n - b.shape[-1]:] += b
+    return out
 
 
-def eigenvalue_polynomial(k: float, problem: InterfaceProblem) -> tuple:
-    """Cleared-denominator polynomial whose roots contain N^(k).
+def eigenvalue_polynomial(k, problem: InterfaceProblem):
+    """Cleared-denominator polynomial whose roots contain N^(k), as a tuple; for
+    an array of k, an array with one polynomial per row.
 
     With Wt_pm = s n_pm/d_pm, the eigenvalue condition
     k^2 (W_+ + W_-) = W_+ W_- becomes (after dropping the omega^2 s/(d_+ d_-)
@@ -165,21 +168,26 @@ def eigenvalue_polynomial(k: float, problem: InterfaceProblem) -> tuple:
     nm, dm = problem.minus.numerator, problem.minus.denominator
     s = problem.plus.scale
     cross = _polyadd(_polymul(np_, dm), _polymul(nm, dp))
-    qa = tuple(k * k * c for c in cross)
     qb = _polymul((s, 0.0, 0.0), _polymul(np_, nm))
-    return _polyadd(qa, tuple(-c for c in qb))
+    k = np.asarray(k, dtype=float)
+    # k^2 times each coefficient, one row per k, rounded as k * k * c of scalars
+    q = _polyadd(cmul((k * k)[..., None], cross), np.negative(qb))
+    return q if k.ndim else tuple(q)
 
 
-def ray_polynomial(model: DielectricModel, t: float) -> tuple:
-    """Cleared-denominator polynomial s omega^2 n(omega) - t d(omega).
+def ray_polynomial(model: DielectricModel, t):
+    """Cleared-denominator polynomial s omega^2 n(omega) - t d(omega), as a
+    tuple; for an array of t, an array with one polynomial per row.
 
     With W = omega^2 s n/d, its roots off the poles of d are the omega with
     W(omega) = t; a t >= k^2 gives points of the ray set M^(k).
     """
     if not model.is_rational:
         raise UnsupportedModelError("ray preimages need a rational model")
-    return _polyadd(_polymul((model.scale, 0.0, 0.0), model.numerator),
-                    tuple(-t * c for c in model.denominator))
+    t = np.asarray(t, dtype=float)
+    q = _polyadd(_polymul((model.scale, 0.0, 0.0), model.numerator),
+                 cmul(-t[..., None], model.denominator))   # rounded as -t * c of scalars
+    return q if t.ndim else tuple(q)
 
 
 def _make_mode(omega, k, w_p, w_m):
@@ -195,31 +203,34 @@ def eigen_sweep(ks, problem: InterfaceProblem, tol: Tolerances = DEFAULT_TOL) ->
     """The plasmon eigenvalues in N^(k) of each k of a sweep: per k, a list of
     PlasmonMode records sorted by (Re, Im) omega.
 
-    Each k's eigenvalue_polynomial is solved on its own; the roots of all k
-    then pass one array filter chain. A root is kept off the pole reach (wider
-    than classify's, since it is about root accuracy) and Omega_0, with the
-    reduced branch code IN_N: off the essential rays, and satisfying the
-    unsquared matching identity (squaring made the polynomial's spurious roots).
+    The eigenvalue polynomials of all k are solved as one poly_roots_family,
+    and their roots pass one array filter chain. A root is kept off the pole
+    reach (wider than classify's, since it is about root accuracy) and Omega_0,
+    with the reduced branch code IN_N: off the essential rays, and satisfying
+    the unsquared matching identity (squaring made the polynomial's spurious
+    roots). A member error of the family (a polynomial that overflows) is raised.
     """
     if not problem.is_rational:
         raise UnsupportedModelError("eigen_omegas needs rational models on both sides")
-    roots, owner = [], []
     reach = max(tol.ray_imag_tol, 1e-9)
-    with np.errstate(all="ignore"):   # a polynomial that overflows raises in poly_roots
-        for i, k in enumerate(ks):
-            q = trim_leading(eigenvalue_polynomial(k, problem))
-            # N^(0) is empty (0 = W_+ W_- cannot hold off Omega_0); so is the
-            # N^(k) of a nonzero constant polynomial
-            if k != 0.0 and len(q) > 1:
-                roots += [z for z, _ in poly_roots(q, tol)]
-                owner += [i] * (len(roots) - len(owner))
+    with np.errstate(all="ignore"):
+        ka = np.asarray(ks, dtype=float)
+        q = eigenvalue_polynomial(ka, problem)
+        # N^(0) is empty (0 = W_+ W_- cannot hold off Omega_0); so is the
+        # N^(k) of a constant polynomial
+        solved = np.flatnonzero((ka != 0.0) & (q[:, :-1] != 0).any(axis=1))
+        roots, owner = [], []
+        for i, found in zip(solved.tolist(), poly_roots_family(q[solved], tol)):
+            if isinstance(found, PencilSpectraError):
+                raise found
+            roots += [z for z, _ in found]
+            owner += [i] * len(found)
         z = np.array(roots, dtype=complex)
         keep = ~_near_any(z, [p.omega for p in omega0_set(problem, tol)], tol.ray_imag_tol)
         for p in singular_points(problem, tol):
             keep &= ~(cabs(z - p) <= reach * (1.0 + abs(p)))
         wt_p, wt_m, w_p, w_m = w_values(problem, z, tol)
-        k_of_root = np.asarray(ks, dtype=float)[owner]
-        keep &= _reduced_codes(wt_p, wt_m, w_p, w_m, k_of_root, tol) == IN_N
+        keep &= _reduced_codes(wt_p, wt_m, w_p, w_m, ka[owner], tol) == IN_N
     sweep = [[] for _ in ks]   # each k's modes in poly_roots' (Re, Im) order
     for i, root, wp, wm in zip(np.array(owner, dtype=int)[keep].tolist(), z[keep].tolist(),
                                w_p[keep].tolist(), w_m[keep].tolist()):

@@ -25,7 +25,7 @@ import numpy as np
 from .classify1d import (IN_N, M_MINUS, M_PLUS, ArrayClassification, SpectrumClass, classify,
                          classify_array)
 from .classify2d import classify2, in_N2
-from .complex_numerics import DEFAULT_TOL, Tolerances, poly_roots
+from .complex_numerics import DEFAULT_TOL, Tolerances, poly_roots_family
 from .config import load_problem
 from .dielectric import InterfaceProblem, omega0_set, singular_points
 from .errors import PencilSpectraError, PreconditionError
@@ -129,14 +129,16 @@ _RAY_OFFSETS = np.concatenate(([0.0], np.geomspace(1e-3, 1e3, 200)))
 
 def _preimage_points(family, params, k, bit: int, problem: InterfaceProblem,
                      tol: Tolerances) -> list:
-    """The roots of family(p), p over params, whose classify_array code has bit
-    (k=None is the 2D pencil); a member raising PencilSpectraError is skipped."""
-    roots = []
-    for p in params:
-        try:
-            roots.extend(z for z, _ in poly_roots(family(p), tol))
-        except PencilSpectraError:
-            continue
+    """The roots of the polynomials family(params), one per row, whose
+    classify_array code has bit (k=None is the 2D pencil); a member raising
+    PencilSpectraError is skipped, and a family raising it (a black-box
+    medium has no polynomials) has no points."""
+    try:
+        polys = family(np.asarray(params, dtype=float))
+    except PencilSpectraError:
+        return []
+    roots = [z for found in poly_roots_family(polys, tol)
+             if not isinstance(found, PencilSpectraError) for z, _ in found]
     codes = classify_array(np.array(roots, dtype=complex), k, problem, tol).codes
     # points decided one at a time (code POINTWISE) lie on S or Omega_0, in no set
     return [z for z, c in zip(roots, codes.tolist()) if c >= 0 and c & bit]
@@ -160,18 +162,22 @@ def _m_minus_boundary(problem: InterfaceProblem, k, tol: Tolerances = DEFAULT_TO
 
 def _n_points_2d(problem: InterfaceProblem, tol: Tolerances) -> list:
     """Sampled 2D interface set N: eigenvalue-polynomial roots over the witnesses a."""
-    return _preimage_points(lambda a: eigenvalue_polynomial(math.sqrt(a), problem),
+    return _preimage_points(lambda a: eigenvalue_polynomial(np.sqrt(a), problem),
                             _N2_WITNESSES, None, IN_N, problem, tol)
 
 
 def write_portrait_csv(path, pg: PortraitGrid) -> None:
+    """One line per cell, row by row; each axis value is formatted once."""
     nx = pg.re_axis.size
     notes = pg.cells.branch_notes()
+    res = [f"{re:.12g}" for re in pg.re_axis.tolist()]
     with open(path, "w", newline="") as fh:
         fh.write("re,im,class,branch_note\n")
-        for j, im in enumerate(pg.im_axis):
-            for i, re in enumerate(pg.re_axis):
-                fh.write(f"{re:.12g},{im:.12g},{pg.classes[j * nx + i]},{notes[j * nx + i]}\n")
+        for j, im in enumerate(pg.im_axis.tolist()):
+            row = slice(j * nx, (j + 1) * nx)
+            im = f"{im:.12g}"
+            fh.write("".join([f"{re},{im},{cls},{note}\n"
+                              for re, cls, note in zip(res, pg.classes[row], notes[row])]))
 
 
 def write_portrait_svg(path, pg: PortraitGrid) -> None:
@@ -193,19 +199,16 @@ def write_portrait_svg(path, pg: PortraitGrid) -> None:
         f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
     ]
     for j in range(ny):
-        i = 0
-        while i < nx:
-            cls = pg.classes[j * nx + i]
-            i2 = i
-            while i2 + 1 < nx and pg.classes[j * nx + i2 + 1] == cls:
-                i2 += 1
+        row = np.array(pg.classes[j * nx:(j + 1) * nx], dtype=object)
+        cuts = (np.flatnonzero(row[1:] != row[:-1]) + 1).tolist()   # where a run of one class starts
+        for i, end in zip([0] + cuts, cuts + [nx]):
+            cls = row[i]
             if cls != "resolvent":
                 x0 = i * cw
                 y0 = (ny - 1 - j) * ch
                 parts.append(
-                    f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{(i2 - i + 1) * cw:.2f}" '
+                    f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{(end - i) * cw:.2f}" '
                     f'height="{ch:.2f}" fill="{_COLORS.get(cls, "#888888")}"/>')
-            i = i2 + 1
     for name, mark in _MARKERS:
         for z in pg.overlays.get(name, []):
             x, y = px(z)

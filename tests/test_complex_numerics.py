@@ -3,21 +3,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pencil_spectra.complex_numerics import (
     Tolerances,
     cabs,
     cdiv,
+    cdiv_numpy,
     cmul,
     complex_array,
     in_open_positive_ray,
     in_ray,
+    poly_eval_scale,
     poly_roots,
+    poly_roots_family,
     polyval,
     polyval_array,
     principal_sqrt,
+    trim_leading,
 )
 from pencil_spectra.errors import DegenerateInputError
+from pencil_spectra.modes import eigenvalue_polynomial, ray_polynomial
+from pencil_spectra.trace_cli import _N2_WITNESSES, _RAY_OFFSETS
+from tests.test_classify_array import MEDIA
 
 
 def test_sqrt_examples():
@@ -216,6 +225,15 @@ def test_array_arithmetic_is_cpythons_bit_for_bit():
         _assert_bitwise(polyval_array(coeffs, a), lambda x: polyval(coeffs, x), a)
 
 
+def test_cdiv_numpy_is_numpys_scalar_quotient_bit_for_bit():
+    a = _awkward_values()
+    b = np.roll(a, 7919)
+    a, b = a[b != 0], b[b != 0]
+    with np.errstate(all="ignore"):
+        _assert_bitwise(cdiv_numpy(a, b), lambda x, y: x / np.complex128(y), a, b)
+        assert np.isnan(cdiv_numpy(np.array([1 + 2j, 0j]), np.array([0j, -0.0 + 0j]))).all()
+
+
 def test_array_arithmetic_scalars_and_zero_division():
     assert cmul(1 + 2j, 3 - 1j) == (1 + 2j) * (3 - 1j)
     assert cdiv(1 + 2j, 3 - 1j) == (1 + 2j) / (3 - 1j)
@@ -259,3 +277,205 @@ def test_poly_roots_double_root_centre_stays_in_its_cluster():
     assert sorted(m for _, m in found) == [1, 1, 2]
     ((z, _),) = [(z, m) for z, m in found if m == 2]
     assert abs(z - (2.5 + 2j)) < 1e-8
+
+
+# -- poly_roots_family against the one-polynomial loop it replaced ------------
+
+
+def _poly_roots_scalar(coeffs, tol=Tolerances()):
+    """The per-polynomial poly_roots the family routine replaced: np.roots, then
+    a Newton polish loop per root, then the cluster step."""
+    cs = trim_leading(coeffs)
+    if not cs:
+        raise DegenerateInputError("zero polynomial has no well-defined roots")
+    if len(cs) == 1:
+        raise DegenerateInputError("constant polynomial (degree 0) has no roots")
+    if not all(cmath.isfinite(c) for c in cs):
+        raise DegenerateInputError("polynomial has a coefficient that is not finite")
+
+    arr = np.asarray(cs, dtype=complex)
+    raw = np.roots(arr)
+    der = np.polyder(arr)
+
+    polished = []
+    for z in raw:
+        z = complex(z)
+        for _ in range(20):
+            p = polyval(cs, z)
+            if abs(p) <= 1e-3 * tol.root_residual_tol * poly_eval_scale(cs, z):
+                break
+            dp = polyval(der, z)
+            if dp == 0:
+                break
+            step = p / dp
+            if not (math.isfinite(step.real) and math.isfinite(step.imag)):
+                break
+            z = z - step
+            if abs(step) <= 1e-16 * (1.0 + abs(z)):
+                break
+        polished.append(z)
+
+    zeros = polished.count(0)
+    s = max((abs(c) / abs(cs[0])) ** (1.0 / i) for i, c in enumerate(cs) if i)
+
+    def radius(c):
+        return 1e-5 * min(1.0 + abs(c), s + abs(c))
+
+    polished.sort(key=lambda w: (w.real, w.imag))
+    clusters = []
+    for z in polished:
+        if z == 0:
+            continue
+        for cl in clusters:
+            c = sum(cl) / len(cl)
+            if abs(z - c) <= radius(c):
+                cl.append(z)
+                break
+        else:
+            clusters.append([z])
+
+    out = [(0j, zeros)] if zeros else []
+    for cl in clusters:
+        m = len(cl)
+        z = sum(cl) / m
+        if m > 1:
+            for _ in range(5):
+                p = polyval(cs, z)
+                dp = polyval(der, z)
+                if not m * abs(p) < radius(z) * abs(dp):
+                    break
+                z = z - m * p / dp
+        out.append((z, m))
+    out.sort(key=lambda t: (t[0].real, t[0].imag))
+    return out
+
+
+def _bits(found):
+    """A result as comparable bits: each root's type, float.hex parts and
+    multiplicity, or the error's type and message."""
+    if isinstance(found, Exception):
+        return type(found).__name__, str(found)
+    return [(type(z), z.real.hex(), z.imag.hex(), m) for z, m in found]
+
+
+def _assert_family_matches_scalar(polys):
+    expect = []
+    for coeffs in polys:
+        try:
+            expect.append(_poly_roots_scalar(coeffs))
+        except DegenerateInputError as exc:
+            expect.append(exc)
+    got = poly_roots_family(polys)
+    assert [_bits(f) for f in got] == [_bits(f) for f in expect]
+    return expect
+
+
+_PARTS = st.floats(-3.0, 3.0, allow_nan=False).map(lambda x: round(x, 3))
+
+
+@st.composite
+def _polynomial(draw):
+    """Descending coefficients with simple, double and triple roots, the exact
+    root 0 (trailing zeros) and leading zeros. Roots far apart in modulus leave
+    the small ones to the Newton polish."""
+    roots = []
+    for _ in range(draw(st.integers(1, 4))):
+        scale = 10.0 ** draw(st.integers(-14, 6))
+        roots += [complex(draw(_PARTS), draw(_PARTS)) * scale] * draw(st.integers(1, 3))
+    roots += [0j] * draw(st.integers(0, 2))
+    lead = complex(draw(st.floats(0.25, 4.0)), draw(st.floats(-1.0, 1.0)))
+    return [0j] * draw(st.integers(0, 2)) + (lead * np.poly(roots)).tolist()
+
+
+@st.composite
+def _family(draw):
+    members = draw(st.lists(_polynomial(), min_size=3, max_size=10))
+    members.append(draw(st.sampled_from([[2.5], [0j, -1j], [0j, 0j], []])))   # degree 0
+    broken = draw(_polynomial())
+    broken[draw(st.integers(0, len(broken) - 1))] = draw(st.sampled_from(
+        [complex(math.inf, 0.0), complex(-math.inf, 1.0), complex(math.nan, 0.0),
+         complex(0.0, math.nan)]))
+    members.append(broken)
+    return draw(st.permutations(members))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(polys=_family())
+def test_poly_roots_family_is_the_scalar_loop_bit_for_bit(polys):
+    expect = _assert_family_matches_scalar(polys)
+    assert sum(isinstance(f, DegenerateInputError) for f in expect) >= 2
+    for coeffs, found in zip(polys, expect):   # poly_roots is the one-member call
+        if isinstance(found, DegenerateInputError):
+            with pytest.raises(DegenerateInputError) as err:
+                poly_roots(coeffs)
+            assert str(err.value) == str(found)
+        else:
+            assert _bits(poly_roots(coeffs)) == _bits(found)
+
+
+def test_poly_roots_family_meets_every_member_kind():
+    """Multiple roots, the exact root 0, a root the Newton polish moves (it
+    becomes a numpy scalar, as the loop's z - p/p' made it), degree 0 and a
+    coefficient that is not finite, in one family."""
+    fam = [list(np.poly([1 + 1j] * 3 + [0j, 0j, -2.0])), list(np.poly([0.5, 0.5, -1j])),
+           list(np.poly([92000 + 47000j, 1560000 + 2860000j, 2.8e-06 + 5.7e-06j])),
+           [0j, 1.0, -2.0], [4.0], [1.0, math.nan]]
+    expect = _assert_family_matches_scalar(fam)
+    assert (0j, 2) in expect[0] and [m for _, m in expect[1]] == [1, 2]
+    assert type(expect[2][0][0]) is np.complex128 and abs(expect[2][0][0] - 2.8e-06 - 5.7e-06j) < 1e-20
+    assert poly_roots_family([]) == []
+
+
+def _ray_polynomial_scalar(model, t):
+    """modes.ray_polynomial for one t, as the per-member loop built it."""
+    lead = np.convolve([model.scale, 0.0, 0.0], np.asarray(model.numerator, dtype=complex))
+    tail = np.asarray([-t * c for c in model.denominator], dtype=complex)
+    n = max(len(lead), len(tail))
+    out = np.zeros(n, dtype=complex)
+    out[n - len(lead):] += lead
+    out[n - len(tail):] += tail
+    return out
+
+
+def _eigenvalue_polynomial_scalar(k, problem):
+    """modes.eigenvalue_polynomial for one k, as the per-member loop built it."""
+    p, m = problem.plus, problem.minus
+    cross = np.polyadd(np.convolve(p.numerator, m.denominator),
+                       np.convolve(m.numerator, p.denominator))
+    qb = np.convolve([p.scale, 0.0, 0.0], np.convolve(p.numerator, m.numerator))
+    out = np.zeros(max(len(cross), len(qb)), dtype=complex)
+    out[len(out) - len(cross):] += np.array([k * k * c for c in cross])
+    out[len(out) - len(qb):] += np.array([-c for c in qb])
+    return out
+
+
+def _same_rows(rows, expect):
+    assert [[(c.real.hex(), c.imag.hex()) for c in row] for row in np.asarray(rows).tolist()] \
+        == [[(c.real.hex(), c.imag.hex()) for c in row] for row in np.asarray(expect).tolist()]
+
+
+@pytest.mark.parametrize("name, k", [("drude", 3.0), ("guided", None), ("lorentz", 2.87)])
+def test_overlay_families_match_the_scalar_loop(name, k):
+    """The M+ and M- ray families and the 2D N family of the three portrait media,
+    as trace builds them: the same coefficients and the same roots, bit for bit."""
+    problem = MEDIA[name]
+    k2 = 0.0 if k is None else k * k
+    ts = k2 + max(k2, 1.0) * _RAY_OFFSETS
+    for model in (problem.plus, problem.minus):
+        rows = ray_polynomial(model, ts)
+        _same_rows(rows, [_ray_polynomial_scalar(model, t) for t in ts])
+        _assert_family_matches_scalar(rows)
+    if k is None:
+        rows = eigenvalue_polynomial(np.sqrt(_N2_WITNESSES), problem)
+        _same_rows(rows, [_eigenvalue_polynomial_scalar(math.sqrt(a), problem)
+                          for a in _N2_WITNESSES])
+        _assert_family_matches_scalar(rows)
+
+
+def test_eigen_sweep_family_matches_the_scalar_loop():
+    problem = MEDIA["lorentz"]
+    ks = np.linspace(0.613, 6.07, 400)
+    rows = eigenvalue_polynomial(ks, problem)
+    _same_rows(rows, [_eigenvalue_polynomial_scalar(k, problem) for k in ks.tolist()])
+    expect = _assert_family_matches_scalar(rows)
+    assert all(sum(m for _, m in f) == rows.shape[1] - 1 for f in expect)

@@ -1,14 +1,18 @@
 """The output writers: resolvent.csv keeps csv.writer's bytes and reloads part by
-part, portrait.svg draws only markers that fall on the picture, and portrait.csv
+part, portrait.csv and the portrait.svg raster keep the per-cell writers' bytes,
+portrait.svg draws only markers that fall on the picture, and portrait.csv
 stamps a marker only in the cell that holds its point."""
 import csv
 import re
 
 import numpy as np
 
+from pencil_spectra.classify1d import REDUCED, ArrayClassification
 from pencil_spectra.complex_numerics import DEFAULT_TOL
+from pencil_spectra.dielectric import omega0_set
 from pencil_spectra.resolvent import load_field_csv, save_field_csv
-from pencil_spectra.trace_cli import _MARKERS, trace_portrait, write_portrait_svg
+from pencil_spectra.trace_cli import (_COLORS, _MARKERS, _SVG_WIDTH, PortraitGrid, trace_portrait,
+                                      write_portrait_csv, write_portrait_svg)
 from tests.conftest import OMEGA0_RE
 
 
@@ -22,6 +26,70 @@ def _csv_writer_reference(path, x, u):
             for c in range(3):
                 row += [f"{u[c, j].real:.17g}", f"{u[c, j].imag:.17g}"]
             wr.writerow(row)
+
+
+def _portrait_csv_reference(path, pg):
+    """The per-cell form of write_portrait_csv: both floats formatted in every cell."""
+    nx = pg.re_axis.size
+    notes = pg.cells.branch_notes()
+    with open(path, "w", newline="") as fh:
+        fh.write("re,im,class,branch_note\n")
+        for j, im in enumerate(pg.im_axis):
+            for i, re in enumerate(pg.re_axis):
+                fh.write(f"{re:.12g},{im:.12g},{pg.classes[j * nx + i]},{notes[j * nx + i]}\n")
+
+
+def _svg_rects_reference(pg, height):
+    """The raster rects of write_portrait_svg, each row's runs found cell by cell."""
+    nx, ny = pg.re_axis.size, pg.im_axis.size
+    cw, ch = _SVG_WIDTH / nx, height / ny
+    rects = []
+    for j in range(ny):
+        i = 0
+        while i < nx:
+            cls = pg.classes[j * nx + i]
+            i2 = i
+            while i2 + 1 < nx and pg.classes[j * nx + i2 + 1] == cls:
+                i2 += 1
+            if cls != "resolvent":
+                rects.append(f'<rect x="{i * cw:.2f}" y="{(ny - 1 - j) * ch:.2f}" '
+                             f'width="{(i2 - i + 1) * cw:.2f}" height="{ch:.2f}" '
+                             f'fill="{_COLORS.get(cls, "#888888")}"/>')
+            i = i2 + 1
+    return rects
+
+
+def test_portrait_writers_match_the_per_cell_writers(drude_problem, guided_2d_problem, tmp_path):
+    z2 = omega0_set(guided_2d_problem)[0].omega
+    pgs = [trace_portrait(problem, spec, k, dim, DEFAULT_TOL) for problem, spec, k, dim in [
+        # imaginary axes ending at -0.0; S at 0 and -i gamma, stamped N and Omega_0 markers
+        (drude_problem, ((-4.0, 4.0, 81), (-1.0, -0.0, 11)), 3.0, 1),
+        (guided_2d_problem, ((-3.0, 3.0, 61), (-2.0, -0.0, 21)), None, 2),
+        # axis values of twelve significant digits
+        (drude_problem, ((-4.1 + 1 / 3, 4.0, 61), (-1.2 + 1 / 7, 0.4, 23)), 3.0, 1),
+        # one-node axes through an Omega_0 point
+        (drude_problem, ((OMEGA0_RE, OMEGA0_RE, 1), (-1.0, -0.0, 11)), 3.0, 1),
+        (guided_2d_problem, ((z2.real, z2.real, 1), (z2.imag, z2.imag, 1)), None, 2),
+    ]]
+    for dim in (1, 2):   # a row with every reduced branch code of the pencil
+        cells = ArrayClassification(np.arange(len(REDUCED[dim])), {}, dim)
+        pgs.append(PortraitGrid(np.linspace(-1.0, 1.0, cells.codes.size), np.array([-0.0]), cells,
+                                cells.raster_classes(), {}, None, dim))
+    for n, pg in enumerate(pgs):
+        write_portrait_csv(tmp_path / f"fast{n}.csv", pg)
+        _portrait_csv_reference(tmp_path / f"ref{n}.csv", pg)
+        assert (tmp_path / f"fast{n}.csv").read_bytes() == (tmp_path / f"ref{n}.csv").read_bytes()
+        write_portrait_svg(tmp_path / f"{n}.svg", pg)
+        text = (tmp_path / f"{n}.svg").read_text()
+        height = float(re.search(r'viewBox="0 0 \S+ (\S+)"', text).group(1))
+        rects = [line for line in text.splitlines() if line.startswith("<rect x=")]
+        assert rects == _svg_rects_reference(pg, height)
+    assert ",-0," in (tmp_path / "fast0.csv").read_text()
+    assert set().union(*(pg.classes for pg in pgs)) == {"S", "Omega0", "N", "M+", "M-", "resolvent"}
+    notes = set().union(*(pg.cells.branch_notes() for pg in pgs))
+    assert {rec.branch_note for dim in (1, 2) for rec in REDUCED[dim]} <= notes
+    for kind in ("S/", "2D-S/", "exceptional/", "2D-exceptional/"):
+        assert any(note.startswith(kind) for note in notes), kind
 
 
 def test_save_field_csv_matches_csv_writer(tmp_path):

@@ -1,0 +1,95 @@
+"""Check that the working tree writes what a parent commit writes, on every benchmark invocation.
+
+Usage (from the repository root):
+
+    python3 tools/same_outputs.py --parent c608c1e
+
+The parent and the working tree are exported as ``tools/bench_pairs.py``
+exports them. Every invocation of every workload in ``perfbench/workloads.py``,
+for seeds 1 and 2, runs once in each copy, as ``python -m
+pencil_spectra.trace_cli ...`` with that copy's ``src`` on PYTHONPATH. The exit
+codes and standard output are compared, with the timings stripped from
+``check`` lines, and so is every output file, byte for byte. Each difference is
+named; the exit status is 1 if there is any, else 0. Temporary copies go under
+$TMPDIR.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+from bench_pairs import export_parent, export_worktree  # noqa: E402
+import workloads  # noqa: E402
+
+SEEDS = (1, 2)
+CHECK_TIMING = re.compile(r"^((?:PASS|FAIL) \S+) \(\d+(?:\.\d+)?s\)", re.MULTILINE)
+
+
+def run_all(copy: Path, work: Path) -> dict:
+    """Run every invocation with copy's program, each workload and seed in its own
+    directory under work; returns {label: (exit code, stdout without timings)}."""
+    env = {**os.environ, "PYTHONPATH": str(copy / "src")}
+    results = {}
+    for name, make in workloads.WORKLOADS.items():
+        for seed in SEEDS:
+            wl = make(seed)
+            cwd = work / f"{name}-seed{seed}"
+            cwd.mkdir(parents=True)
+            for cfg, text in wl.configs.items():
+                (cwd / cfg).write_text(text)
+            for inv in wl.invocations:
+                proc = subprocess.run([sys.executable, "-m", "pencil_spectra.trace_cli",
+                                       *inv.argv], cwd=cwd, env=env, capture_output=True,
+                                      text=True, stdin=subprocess.DEVNULL)
+                results[f"{name} seed {seed} {inv.name}"] = (
+                    proc.returncode, CHECK_TIMING.sub(r"\1", proc.stdout))
+    return results
+
+
+def differences(parent: Path, change: Path, runs: dict) -> list:
+    """Each stdout, exit code or output file that is not the same on both sides."""
+    out = [f"{label}: exit code {runs['parent'][label][0]} -> {runs['change'][label][0]}"
+           for label in runs["parent"] if runs["parent"][label][0] != runs["change"][label][0]]
+    out += [f"{label}: stdout" for label in runs["parent"]
+            if runs["parent"][label][1] != runs["change"][label][1]]
+    files = {side: {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+             for side, root in (("parent", parent), ("change", change))}
+    for rel in sorted(files["parent"] ^ files["change"]):
+        out.append(f"{rel}: written only by the {'parent' if rel in files['parent'] else 'change'}")
+    for rel in sorted(files["parent"] & files["change"]):
+        if (parent / rel).read_bytes() != (change / rel).read_bytes():
+            out.append(f"{rel}: bytes")
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="git revision of the parent commit")
+    args = ap.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
+        tmp = Path(tmp)
+        copies = {"parent": tmp / "parent", "change": tmp / "change"}
+        for copy in copies.values():
+            copy.mkdir()
+        export_parent(args.parent, copies["parent"])
+        export_worktree(copies["change"])
+        runs = {side: run_all(copy, tmp / f"out-{side}") for side, copy in copies.items()}
+        diffs = differences(tmp / "out-parent", tmp / "out-change", runs)
+    for line in diffs:
+        print(f"differs: {line}")
+    print(f"{len(runs['parent'])} invocations (seeds {', '.join(map(str, SEEDS))}): "
+          + (f"{len(diffs)} difference(s)" if diffs else "no difference"))
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
