@@ -244,8 +244,8 @@ def poly_roots(coeffs, tol: Tolerances = DEFAULT_TOL):
     coeffs are descending-power complex coefficients. Returns [(root,
     multiplicity), ...] sorted by (Re, Im); the multiplicities sum to the degree.
 
-    Raises DegenerateInputError for the zero polynomial, degree 0 or a
-    coefficient that is not finite.
+    Raises DegenerateInputError for the zero polynomial, degree 0, a
+    coefficient that is not finite or a companion matrix that overflows.
     """
     (roots,) = poly_roots_family([coeffs], tol)
     if isinstance(roots, DegenerateInputError):
@@ -284,18 +284,22 @@ def poly_roots_family(polys, tol: Tolerances = DEFAULT_TOL) -> list:
     for (n, zeros), members in groups.items():
         c = np.array([cs for _, cs in members])
         d = n - zeros - 1   # the companion order; the zero roots are appended
+        with np.errstate(all="ignore"):
+            row = -c[:, 1:d + 1] / c[:, :1]
+            der = c[:, :-1] * np.arange(n - 1, 0, -1)   # np.polyder's product
+        finite = np.isfinite(row).all(axis=1)   # else a member error: the companion overflows
         raw = np.zeros((len(members), n - 1), dtype=complex)
         if d:
             companion = np.zeros((len(members), d, d), dtype=complex)
-            companion[:, 0, :] = -c[:, 1:d + 1] / c[:, :1]
+            companion[:, 0, :] = np.where(finite[:, None], row, 0.0)   # eigvals takes no inf
             companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
             raw[:, :d] = np.linalg.eigvals(companion)
-        der = c[:, :-1] * np.arange(n - 1, 0, -1)   # np.polyder's product
         z, moved = _newton_polish(c, der, raw, tol)
-        for (i, cs), zs, mv, dr in zip(members, z.tolist(), moved.tolist(), der):
+        for (i, cs), zs, mv, dr, ok in zip(members, z.tolist(), moved.tolist(), der, finite):
             # a root Newton moved is a numpy scalar, as z - p/dp makes it; the
             # cluster centres divide by the cluster size in that type's arithmetic
-            out[i] = _clusters(cs, dr, [np.complex128(w) if m else w for w, m in zip(zs, mv)])
+            out[i] = (_clusters(cs, dr, [np.complex128(w) if m else w for w, m in zip(zs, mv)])
+                      if ok else DegenerateInputError("the companion matrix overflows"))
     return out
 
 

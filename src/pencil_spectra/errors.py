@@ -12,12 +12,10 @@ class DegenerateInputError(PencilSpectraError):
 class SingularityError(PencilSpectraError):
     """Evaluation of a dielectric model at (or too close to) one of its poles."""
 
-    def __init__(self, omega, pole, side=None):
+    def __init__(self, omega, pole):
         self.omega = omega
         self.pole = pole
-        self.side = side
-        where = f" of the {side} side" if side else ""
-        super().__init__(f"omega={omega} hits the pole {pole}{where} of the dielectric model")
+        super().__init__(f"omega={omega} hits the pole {pole} of the dielectric model")
 
 
 class UnsupportedModelError(PencilSpectraError):

@@ -47,6 +47,7 @@ DEFAULT_H = 1.0 / 200.0
 _SECANT_STEPS, _SECANT_TARGET = 60, 1e-12   # shoot_refine: step limit, |det| to stop at
 _LANCZOS_NCV, _LANCZOS_TOL, _LANCZOS_STEPS = 4, 1e-10, 300   # smallest_singular_value
 PROBE_RADII = (0.05, 0.1, 0.2)   # the lambda probe's rings around lambda = 1
+PROBE_ANGLES = 8                 # points on each ring
 
 
 @dataclass(frozen=True)
@@ -321,7 +322,6 @@ def ring_meets_essential(omega: complex, k: float, problem: InterfaceProblem, to
 
 
 def lambda_isolation_probe(omega: complex, k: float, problem: InterfaceProblem,
-                           radius_grid=PROBE_RADII, n_angles: int = 8,
                            grid: Grid | None = None,
                            tol: Tolerances = DEFAULT_TOL) -> LambdaProbeReport:
     """sigma_min map of the lambda-pencil near lambda = 1 at fixed omega."""
@@ -338,17 +338,12 @@ def lambda_isolation_probe(omega: complex, k: float, problem: InterfaceProblem,
         return min(s2, s3)
 
     s1 = sigma(1.0)
-    minima = []
-    for rad in radius_grid:
-        vals = []
-        for j in range(n_angles):
-            lam = 1.0 + rad * np.exp(2j * math.pi * j / n_angles)
-            vals.append(sigma(lam))
-        minima.append(min(vals))
+    minima = [min(sigma(1.0 + rad * np.exp(2j * math.pi * j / PROBE_ANGLES))
+                  for j in range(PROBE_ANGLES)) for rad in PROBE_RADII]
     ring_min = min(minima)
     factor = ring_min / s1 if s1 > 0 else math.inf
     return LambdaProbeReport(
         omega=omega, k=k, sigma_at_one=s1,
-        ring_radii=tuple(radius_grid), ring_minima=tuple(minima),
+        ring_radii=PROBE_RADII, ring_minima=tuple(minima),
         separation_factor=factor,
     )

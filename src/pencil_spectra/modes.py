@@ -92,8 +92,9 @@ def _bump_fourier_table():
     phi = bump(y)
     kap_max = 240.0
     kappa = np.linspace(0.0, kap_max, 4801)
-    table = math.sqrt(2.0 / math.pi) * (np.cos(np.outer(kappa, y)) @ (wy * phi))
-    return kappa, table
+    arg = np.outer(kappa, y)
+    np.cos(arg, out=arg)   # in place: one 7.7 MB array, not two
+    return kappa, math.sqrt(2.0 / math.pi) * (arg @ (wy * phi))
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +452,7 @@ def weyl_2d_interface_report(omega: complex, a: float, n: int,
 
     kappa, phat = _bump_fourier_table()
     kap = np.concatenate([-kappa[:0:-1], kappa])
-    ph2 = np.interp(np.abs(kap), kappa, phat) ** 2
+    ph2 = np.concatenate([phat[:0:-1], phat]) ** 2   # hat-phi is even
     dk = kap[1] - kap[0]
 
     kk = k0 + kap / n

@@ -86,9 +86,9 @@ def suggest_half_length(omega: complex, k: float, problem: InterfaceProblem,
     return math.ceil(L / h) * h
 
 
-@lru_cache(maxsize=8)
-def _gl_cell(n=_CELL_GL):
-    xi, wq = np.polynomial.legendre.leggauss(n)
+@lru_cache(maxsize=1)
+def _gl_cell():
+    xi, wq = np.polynomial.legendre.leggauss(_CELL_GL)
     return 0.5 * (xi + 1.0), 0.5 * wq  # nodes/weights on [0, 1]
 
 

@@ -230,6 +230,20 @@ def test_trace_no_overlays_and_k0(cfg, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("k", ["6.6e153", "6.8e153"])
+def test_trace_at_k_whose_eigenvalue_polynomial_overflows(cfg, tmp_path, capsys, k):
+    """k^2 is finite but k^2 times a coefficient is not (near 6.8e153): the N
+    overlay skips that polynomial, as every sampled overlay skips its members
+    that overflow, and the run writes its portrait without a warning."""
+    out = tmp_path / "big"
+    assert main(["trace", "--config", cfg(DRUDE_CFG), "--grid=-1:1:3,-1:1:3",
+                 "--k", k, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = list(csv.DictReader((out / "portrait.csv").open()))
+    assert len(rows) == 9 and not any(r["class"] == "N" for r in rows)
+    assert 'fill="#000000"' not in (out / "portrait.svg").read_text()
+
+
 def test_rational_config_via_cli(cfg, capsys):
     rational = cfg(
         "[plus]\nkind = \"rational\"\nnumerator = [1, -1]\ndenominator = [1]\n"

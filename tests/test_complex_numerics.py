@@ -426,6 +426,27 @@ def test_poly_roots_family_meets_every_member_kind():
     assert poly_roots_family([]) == []
 
 
+@pytest.mark.parametrize("wide", [[1e-300, 1e300], [1e-200, 1.0, 1e200]])
+def test_poly_roots_family_member_with_overflowing_companion(wide):
+    """Finite coefficients whose companion row overflows make that member's own
+    DegenerateInputError, without a warning; [1, -3, 2] beside it (in its
+    eigvals group for the second) keeps its roots, bitwise those it has alone."""
+    found = poly_roots_family([wide, [1.0, -3.0, 2.0]])
+    assert isinstance(found[0], DegenerateInputError)
+    assert "companion" in str(found[0])
+    assert [m for _, m in found[1]] == [1, 1]
+    assert [abs(z - r) <= 1e-14 for (z, _), r in zip(found[1], (1.0, 2.0))] == [True, True]
+    assert _bits(found[1]) == _bits(poly_roots([1.0, -3.0, 2.0]))
+    with pytest.raises(DegenerateInputError):
+        poly_roots(wide)
+
+
+def test_poly_roots_derivative_overflow_is_quiet():
+    """np.polyder's product 2 * 1e308 overflows; the roots come without a warning."""
+    roots = poly_roots([1e308, 1.0, 1.0])
+    assert sum(m for _, m in roots) == 2
+
+
 def _ray_polynomial_scalar(model, t):
     """modes.ray_polynomial for one t, as the per-member loop built it."""
     lead = np.convolve([model.scale, 0.0, 0.0], np.asarray(model.numerator, dtype=complex))

@@ -142,6 +142,25 @@ def test_weyl_suite_finds_a_1d_point_at_large_k(drude_problem, k):
     assert ok, detail
 
 
+@pytest.mark.parametrize("name", sorted(MEDIA))
+@pytest.mark.parametrize("k", [1.0, 3.0, 1000.0])
+def test_weyl_suite_runs_the_2d_slope_on_every_rational_medium(name, k):
+    """The 2D point is the last of _n_points_2d, which every medium of MEDIA
+    has (lossy Drude, with no guided point on the negative imaginary axis, too)."""
+    ok, detail = _suite_weyl(MEDIA[name], k, DEFAULT_TOL)
+    found = re.search(r"2D slope = (-?\d+\.\d+)", detail)
+    assert found, detail
+    assert -1.15 <= float(found.group(1)) <= -0.85
+    assert ok, detail
+
+
+def test_weyl_suite_skips_the_2d_slope_without_a_2d_n_point():
+    problem = InterfaceProblem(DielectricModel.constant(2.0), DielectricModel.constant(3.0))
+    assert _n_points_2d(problem, DEFAULT_TOL) == []
+    ok, detail = _suite_weyl(problem, 3.0, DEFAULT_TOL)
+    assert ok and detail.endswith("no interface-guided 2D point; skipped"), detail
+
+
 def test_weyl_suite_fails_without_a_1d_point():
     # a black-box plus side has no ray polynomial, so no M+ point is sampled
     problem = InterfaceProblem(DielectricModel.from_callable(lambda z: 2.0),

@@ -10,13 +10,15 @@ for seeds 1 and 2, runs once in each copy, as ``python -m
 pencil_spectra.trace_cli ...`` with that copy's ``src`` on PYTHONPATH. The exit
 codes and standard output are compared, with the timings stripped from
 ``check`` lines, and so is every output file, byte for byte. Each difference is
-named; the exit status is 1 if there is any, else 0. Temporary copies go under
+named, a differing stdout with its first differing line on each side; the exit
+status is 1 if there is any, else 0. Temporary copies go under
 $TMPDIR.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import re
 import subprocess
@@ -55,12 +57,19 @@ def run_all(copy: Path, work: Path) -> dict:
     return results
 
 
+def _first_difference(parent: str, change: str) -> str:
+    """The first line that differs, as 'parent line' -> 'change line' (<none> past the end)."""
+    pairs = itertools.zip_longest(parent.splitlines(), change.splitlines(), fillvalue="<none>")
+    return next((f"{a!r} -> {b!r}" for a, b in pairs if a != b), "line endings")
+
+
 def differences(parent: Path, change: Path, runs: dict) -> list:
     """Each stdout, exit code or output file that is not the same on both sides."""
-    out = [f"{label}: exit code {runs['parent'][label][0]} -> {runs['change'][label][0]}"
-           for label in runs["parent"] if runs["parent"][label][0] != runs["change"][label][0]]
-    out += [f"{label}: stdout" for label in runs["parent"]
-            if runs["parent"][label][1] != runs["change"][label][1]]
+    old, new = runs["parent"], runs["change"]
+    out = [f"{label}: exit code {old[label][0]} -> {new[label][0]}"
+           for label in old if old[label][0] != new[label][0]]
+    out += [f"{label}: stdout: {_first_difference(old[label][1], new[label][1])}"
+            for label in old if old[label][1] != new[label][1]]
     files = {side: {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
              for side, root in (("parent", parent), ("change", change))}
     for rel in sorted(files["parent"] ^ files["change"]):
