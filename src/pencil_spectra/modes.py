@@ -43,13 +43,7 @@ from .errors import (DegenerateDispersionError, PencilSpectraError, Precondition
 # the fixed C-infinity cutoff bump, exp(1/(x^2-1)) normalized on [-1, 1]
 # ---------------------------------------------------------------------------
 
-_GL_N = 400
-
-
-@lru_cache(maxsize=1)
-def _gl_nodes():
-    x, w = np.polynomial.legendre.leggauss(_GL_N)
-    return x, w
+_GL_N = 400   # Gauss-Legendre nodes on [-1, 1] for the bump's integrals
 
 
 def _bump_raw(y):
@@ -61,19 +55,13 @@ def _bump_raw(y):
     return out
 
 
-@lru_cache(maxsize=1)
 def _bump_constants():
-    """(c, ||phi'||, ||phi''||) for phi = c*exp(1/(y^2-1)) with ||phi|| = 1."""
-    x, w = _gl_nodes()
-    raw = _bump_raw(x)
-    c = 1.0 / math.sqrt(float(np.sum(w * raw**2)))
-    g = -2.0 * x / (x * x - 1.0) ** 2
-    gp = (6.0 * x * x + 2.0) / (x * x - 1.0) ** 3
-    dphi = c * raw * g
-    d2phi = c * raw * (g * g + gp)
-    n1 = math.sqrt(float(np.sum(w * dphi**2)))
-    n2 = math.sqrt(float(np.sum(w * d2phi**2)))
-    return c, n1, n2
+    """(c, ||phi'||, ||phi''||) for phi = c*exp(1/(y^2-1)) with ||phi|| = 1.
+
+    The values of the _GL_N-point Gauss-Legendre rule, stored so that no
+    process pays for leggauss; tests/test_modes.py recomputes them bitwise.
+    """
+    return 2.7411551457069354, 1.7543115832803977, 9.022635232749735
 
 
 def bump(y):
@@ -85,16 +73,15 @@ def bump(y):
 @lru_cache(maxsize=1)
 def _bump_fourier_table():
     """kappa grid and hat-phi(kappa) = sqrt(2/pi) * int_0^1 phi cos(kappa y) dy."""
-    x, w = _gl_nodes()
+    x, w = np.polynomial.legendre.leggauss(_GL_N)
     half = x > 0  # phi is even; integrate on (0, 1)
     y = x[half]
-    wy = w[half]
-    phi = bump(y)
-    kap_max = 240.0
-    kappa = np.linspace(0.0, kap_max, 4801)
-    arg = np.outer(kappa, y)
-    np.cos(arg, out=arg)   # in place: one 7.7 MB array, not two
-    return kappa, math.sqrt(2.0 / math.pi) * (arg @ (wy * phi))
+    wphi = w[half] * bump(y)
+    kappa = np.linspace(0.0, 240.0, 4801)
+    # 512 kappa at a time: the whole 4801 x 200 cosine table never exists at once
+    phat = np.concatenate([np.cos(np.outer(kappa[i:i + 512], y)) @ wphi
+                           for i in range(0, kappa.size, 512)])
+    return kappa, math.sqrt(2.0 / math.pi) * phat
 
 
 # ---------------------------------------------------------------------------

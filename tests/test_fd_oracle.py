@@ -72,15 +72,13 @@ def test_direct_solve_k0(equal_problem):
 
 
 def test_u3_block_bitwise_consistency(drude_problem):
-    import scipy.sparse.linalg as spla
-
     grid = make_grid(6.0, 1 / 50)
     disc = discretize(0.5j, 3.0, drude_problem, grid=grid)
     r = _bump_rhs(grid, 3.0)
     u_full = direct_solve(0.5j, 3.0, r, disc)
     b3 = np.zeros(grid.x.size, dtype=complex)
     b3[disc.eq_rows_3] = r.r3[disc.rhs_node_3[disc.eq_rows_3]]
-    u3_alone = spla.splu(disc.block3).solve(b3)
+    u3_alone = fd_oracle._lu(disc.block3).solve(b3)
     assert np.array_equal(u3_alone, u_full[2])
 
 
@@ -306,3 +304,17 @@ def test_fd_oracle_stays_independent_of_the_closed_forms():
     assert "resolvent" in imported and "dielectric" in imported   # the scan sees them
     assert not {"modes", "classify1d", "classify2d", "pencil_spectra"} & set(imported)
     assert imported["resolvent"] <= {"Grid", "RhsField", "make_grid"}
+
+
+def test_fd_oracle_factors_in_one_place_in_natural_order():
+    """Every LU of the oracle goes through one splu call, in the natural column order."""
+    import ast
+
+    tree = ast.parse(open(fd_oracle.__file__).read())
+    refs = [n for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and n.attr == "splu"
+            or isinstance(n, ast.Name) and n.id == "splu"]
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and n.func in refs]
+    assert len(refs) == len(calls) == 1
+    options = {kw.arg: ast.literal_eval(kw.value) for kw in calls[0].keywords}
+    assert options["permc_spec"] == "NATURAL"

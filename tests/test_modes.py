@@ -19,6 +19,7 @@ from pencil_spectra.errors import (
     PreconditionError,
     UnsupportedModelError,
 )
+from pencil_spectra import modes
 from pencil_spectra.modes import (
     bump,
     fit_loglog_slope,
@@ -244,3 +245,25 @@ def test_eigen_omegas_are_the_reduced_N_roots(medium, lossless_problem):
         found += len(modes)
         rejected += len(roots) - len(modes)
     assert found > 0 and rejected > 0
+
+
+def test_bump_constants_are_the_gauss_legendre_values():
+    """The stored (c, ||phi'||, ||phi''||) are bitwise what the _GL_N-point rule gives."""
+    x, w = np.polynomial.legendre.leggauss(modes._GL_N)
+    raw = modes._bump_raw(x)
+    c = 1.0 / math.sqrt(float(np.sum(w * raw**2)))
+    g = -2.0 * x / (x * x - 1.0) ** 2
+    gp = (6.0 * x * x + 2.0) / (x * x - 1.0) ** 3
+    n1 = math.sqrt(float(np.sum(w * (c * raw * g) ** 2)))
+    n2 = math.sqrt(float(np.sum(w * (c * raw * (g * g + gp)) ** 2)))
+    assert modes._bump_constants() == (c, n1, n2)
+
+
+def test_bump_fourier_table_matches_the_one_shot_product():
+    """Built in row blocks, the table equals the whole cosine matrix times the weights."""
+    x, w = np.polynomial.legendre.leggauss(modes._GL_N)
+    y, wy = x[x > 0], w[x > 0]
+    kappa, phat = modes._bump_fourier_table()
+    one_shot = math.sqrt(2.0 / math.pi) * (np.cos(np.outer(kappa, y)) @ (wy * bump(y)))
+    assert kappa.size == 4801
+    assert np.max(np.abs(phat - one_shot)) <= 1e-15

@@ -44,6 +44,29 @@ def test_sigma_min_matches_dense_svd(case, k, lams, drude_problem, equal_problem
             assert smallest_singular_value(block) == pytest.approx(dense, rel=1e-8)
 
 
+def _backward_error(A, x, b):
+    return np.linalg.norm(A @ x - b, np.inf) / (
+        spla.norm(A, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(b, np.inf))
+
+
+@pytest.mark.parametrize("k, half_length, h", [(0.5, 10.0, 1 / 25), (3.0, 2.5, 1 / 100),
+                                               (50.0, 2.0, 1 / 200)])
+def test_natural_order_lu_is_accurate(k, half_length, h, drude_problem):
+    """fd_oracle's one LU (natural column order) against SuperLU's defaults at lambda = 1
+    and on the outer ring: its solves stay backward stable, and sigma_min matches dense SVD."""
+    grid = make_grid(half_length, h)   # 500-800 nodes: the iterative branch, a cheap dense SVD
+    omega = _probed_mode(k, drude_problem)
+    b = np.random.default_rng(0).standard_normal((2, grid.x.size)).T @ [1, 1j]
+    for lam in (1.0, RING):
+        disc = discretize(omega, k, drude_problem, grid=grid, lam=lam)
+        for block in (disc.block2, disc.block3):
+            natural = _backward_error(block, fd_oracle._lu(block).solve(b), b)
+            default = _backward_error(block, spla.splu(block).solve(b), b)
+            assert natural <= 10 * default
+            dense = np.linalg.svd(block.toarray(), compute_uv=False)[-1]
+            assert smallest_singular_value(block) == pytest.approx(dense, rel=1e-8)
+
+
 def test_probe_lu_solve_count(drude_problem, monkeypatch):
     """A count, not a timing: the lossy-Drude k = 3 probe on the default grid."""
     solves = []
@@ -57,7 +80,7 @@ def test_probe_lu_solve_count(drude_problem, monkeypatch):
             solves.append(1)
             return self.lu.solve(*args, **kwargs)
 
-    monkeypatch.setattr(spla, "splu", lambda A: CountingLU(splu(A)))
+    monkeypatch.setattr(spla, "splu", lambda A, **kwargs: CountingLU(splu(A, **kwargs)))
     rep = lambda_isolation_probe(_probed_mode(3.0, drude_problem), 3.0, drude_problem)
     assert rep.isolated
     assert 0 < len(solves) <= 1200

@@ -9,9 +9,11 @@ exports them. Every invocation of every workload in ``perfbench/workloads.py``,
 for seeds 1 and 2, runs once in each copy, as ``python -m
 pencil_spectra.trace_cli ...`` with that copy's ``src`` on PYTHONPATH. The exit
 codes and standard output are compared, with the timings stripped from
-``check`` lines, and so is every output file, byte for byte. Each difference is
-named, a differing stdout with its first differing line on each side; the exit
-status is 1 if there is any, else 0. Temporary copies go under
+``check`` lines, and so is every output file, byte for byte. ``check`` also runs
+at k away from the benchmark's (``EXTRA_CHECKS``, on the ``modes`` workload's
+configs), so that a rounding change in an oracle there shows as well. Each
+difference is named, a differing stdout with its first differing line on each
+side; the exit status is 1 if there is any, else 0. Temporary copies go under
 $TMPDIR.
 """
 
@@ -34,26 +36,37 @@ import workloads  # noqa: E402
 
 SEEDS = (1, 2)
 CHECK_TIMING = re.compile(r"^((?:PASS|FAIL) \S+) \(\d+(?:\.\d+)?s\)", re.MULTILINE)
+EXTRA_CHECKS = (("drude.cfg", 1.0), ("drude.cfg", 10.0), ("drude.cfg", 1000.0),
+                ("rational.cfg", 3.0))   # (config of the modes workload, k)
 
 
 def run_all(copy: Path, work: Path) -> dict:
     """Run every invocation with copy's program, each workload and seed in its own
-    directory under work; returns {label: (exit code, stdout without timings)}."""
+    directory under work, then EXTRA_CHECKS in one more; returns
+    {label: (exit code, stdout without timings)}."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src")}
     results = {}
+
+    def run(label, cwd, configs, argv):
+        if not cwd.exists():
+            cwd.mkdir(parents=True)
+            for cfg, text in configs.items():
+                (cwd / cfg).write_text(text)
+        proc = subprocess.run([sys.executable, "-m", "pencil_spectra.trace_cli", *argv],
+                              cwd=cwd, env=env, capture_output=True, text=True,
+                              stdin=subprocess.DEVNULL)
+        results[label] = (proc.returncode, CHECK_TIMING.sub(r"\1", proc.stdout))
+
     for name, make in workloads.WORKLOADS.items():
         for seed in SEEDS:
             wl = make(seed)
-            cwd = work / f"{name}-seed{seed}"
-            cwd.mkdir(parents=True)
-            for cfg, text in wl.configs.items():
-                (cwd / cfg).write_text(text)
             for inv in wl.invocations:
-                proc = subprocess.run([sys.executable, "-m", "pencil_spectra.trace_cli",
-                                       *inv.argv], cwd=cwd, env=env, capture_output=True,
-                                      text=True, stdin=subprocess.DEVNULL)
-                results[f"{name} seed {seed} {inv.name}"] = (
-                    proc.returncode, CHECK_TIMING.sub(r"\1", proc.stdout))
+                run(f"{name} seed {seed} {inv.name}", work / f"{name}-seed{seed}",
+                    wl.configs, inv.argv)
+    configs = workloads.modes(SEEDS[0]).configs
+    for cfg, k in EXTRA_CHECKS:
+        run(f"check {cfg} k = {k!r}", work / "extra-checks", configs,
+            ["check", "--config", cfg, "--k", repr(k)])
     return results
 
 
@@ -95,7 +108,8 @@ def main(argv=None) -> int:
         diffs = differences(tmp / "out-parent", tmp / "out-change", runs)
     for line in diffs:
         print(f"differs: {line}")
-    print(f"{len(runs['parent'])} invocations (seeds {', '.join(map(str, SEEDS))}): "
+    print(f"{len(runs['parent'])} invocations (seeds {', '.join(map(str, SEEDS))}, "
+          f"{len(EXTRA_CHECKS)} extra checks): "
           + (f"{len(diffs)} difference(s)" if diffs else "no difference"))
     return 1 if diffs else 0
 
