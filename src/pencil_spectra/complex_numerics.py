@@ -122,9 +122,8 @@ def polyval(coeffs, z: complex) -> complex:
 # quotient, other hypot and sqrt algorithms). The functions below rebuild
 # CPython's formulas from real-array operations, so an array kernel decides
 # every point bit-for-bit as scalar code does. Given Python scalars they use
-# CPython's own arithmetic. cdiv_numpy rebuilds the quotient of numpy complex
-# scalars the same way, for scalar code that mixes them in. Array callers wrap
-# them in np.errstate: infinities and NaNs propagate, nothing raises.
+# CPython's own arithmetic. Array callers wrap them in np.errstate: infinities
+# and NaNs propagate, nothing raises.
 
 def _scalars(*xs) -> bool:
     return not any(isinstance(x, np.ndarray) for x in xs)
@@ -161,19 +160,6 @@ def cdiv(a, b):
     re = np.where(wide, a.real + a.imag * ratio, a.real * ratio + a.imag)
     im = np.where(wide, a.imag - a.real * ratio, a.imag * ratio - a.real)
     return complex_array(re / denom, im / denom)
-
-
-def cdiv_numpy(a, b) -> np.ndarray:
-    """a/b as a numpy complex scalar divides: the scaled numerator times the
-    reciprocal of the scaled divisor, elementwise on arrays; NaN where b == 0."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    wide = np.abs(b.real) >= np.abs(b.imag)
-    ratio = np.where(wide, b.imag / b.real, b.real / b.imag)
-    scale = 1.0 / np.where(wide, b.real + b.imag * ratio, b.imag + b.real * ratio)
-    re = np.where(wide, a.real + a.imag * ratio, a.real * ratio + a.imag)
-    im = np.where(wide, a.imag - a.real * ratio, a.imag * ratio - a.real)
-    return complex_array(re * scale, im * scale)
 
 
 def cabs(z):
@@ -325,7 +311,7 @@ def _newton_polish(c, der, raw, tol: Tolerances):
                 scale = scale * az + a
             go = ~(cabs(p) <= bound * np.maximum(scale, 1e-300))
             live, rows, zl, p = live[go], rows[go], zl[go], p[go]
-            step = cdiv_numpy(p, polyval_array(der[rows].T, zl))   # NaN where p' == 0
+            step = p / polyval_array(der[rows].T, zl)   # not finite where p' == 0
             go = np.isfinite(step.real) & np.isfinite(step.imag)
             live, zl, step = live[go], zl[go] - step[go], step[go]
             z[live] = zl

@@ -58,36 +58,28 @@ class DiscretizedPencil:
     """Sparse FD assembly of T_k - lambda W on a Grid with interface rows.
 
     block2 is the Schur-reduced (u1, u2) block acting on u2 alone; block3
-    acts on u3. Equation rows are marked so right-hand sides can be injected;
-    constraint rows (boundary, interface) carry the residual data in
-    rhs_affine (scaled by r1(0) for the [Wt u1] row). One solve at a time
-    per instance.
+    acts on u3. Both share one row layout: eq_rows marks the equation rows and
+    rhs_node the node whose right-hand side each takes. Constraint rows
+    (boundary, interface) take zero, except block2's [Wt u1] row.
     """
 
     grid: Grid
-    omega: complex
-    k: float
-    lam: complex
     block2: sp.csc_matrix
     block3: sp.csc_matrix
-    eq_rows_2: np.ndarray
-    rhs_node_2: np.ndarray
+    eq_rows: np.ndarray
+    rhs_node: np.ndarray
     wu1_row: int               # index of the [Wt u1] constraint row (-1 if k = 0)
     wu1_rhs_factor: complex    # rhs of that row = factor * r1(0)
-    eq_rows_3: np.ndarray
-    rhs_node_3: np.ndarray
     denom_plus: complex        # k^2 - lam W_+
     denom_minus: complex
 
 
 def discretize(omega: complex, k: float, problem: InterfaceProblem,
-               grid: Grid | None = None, lam: complex = 1.0,
+               grid: Grid, lam: complex = 1.0,
                tol: Tolerances = DEFAULT_TOL) -> DiscretizedPencil:
     """Assemble the FD pencil with the five interface conditions as constraint rows."""
     omega = complex(omega)
     lam = complex(lam)
-    if grid is None:
-        grid = default_grid(omega, k, problem, tol=tol)
     N = grid.x.size
     h = grid.h
     im, ip = grid.i_zero_minus, grid.i_zero_plus
@@ -134,11 +126,8 @@ def discretize(omega: complex, k: float, problem: InterfaceProblem,
         block2, factor, wu1_row = block3, 0.0, -1
 
     return DiscretizedPencil(
-        grid=grid, omega=omega, k=k, lam=lam,
-        block2=block2, block3=block3,
-        eq_rows_2=eq, rhs_node_2=node,
+        grid=grid, block2=block2, block3=block3, eq_rows=eq, rhs_node=node,
         wu1_row=wu1_row, wu1_rhs_factor=complex(factor),
-        eq_rows_3=eq, rhs_node_3=node,
         denom_plus=complex(den_p), denom_minus=complex(den_m),
     )
 
@@ -190,12 +179,13 @@ def direct_solve(omega: complex, k: float, r: RhsField,
     N = disc.grid.x.size
     ip = disc.grid.i_zero_plus
 
+    eq, nodes = disc.eq_rows, disc.rhs_node[disc.eq_rows]
     b2 = np.zeros(N, dtype=complex)
-    b2[disc.eq_rows_2] = r.r2[disc.rhs_node_2[disc.eq_rows_2]]
+    b2[eq] = r.r2[nodes]
     if disc.wu1_row >= 0:
         b2[disc.wu1_row] = disc.wu1_rhs_factor * r.r1[ip]
     b3 = np.zeros(N, dtype=complex)
-    b3[disc.eq_rows_3] = r.r3[disc.rhs_node_3[disc.eq_rows_3]]
+    b3[eq] = r.r3[nodes]
 
     # the pencil is block diagonal: solving the blocks separately IS the
     # full solve, and keeps the u3 block bitwise identical either way
@@ -206,10 +196,7 @@ def direct_solve(omega: complex, k: float, r: RhsField,
     u[1] = u2
     u[2] = u3
     denom = np.where(np.arange(N) >= ip, disc.denom_plus, disc.denom_minus)
-    if k != 0.0:
-        u[0] = (r.r1 - 1j * k * _d1_grid(u2, disc.grid)) / denom
-    else:
-        u[0] = r.r1 / denom
+    u[0] = (r.r1 - 1j * k * _d1_grid(u2, disc.grid)) / denom   # at k = 0: r1 / denom, bitwise
     return u
 
 

@@ -19,11 +19,10 @@ callables; a solve is linear in r by construction.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -109,15 +108,13 @@ class RhsField:
     r2: np.ndarray
     r3: np.ndarray
     support: tuple
-    r2_fn: Optional[Callable] = None
-    r3_fn: Optional[Callable] = None
+    r2_fn: Callable
+    r3_fn: Callable
 
     def norm(self) -> float:
-        h = self.grid.h
-        total = 0.0
-        for comp in (self.r1, self.r2, self.r3):
-            total += float(np.trapezoid(np.abs(comp) ** 2, dx=h))
-        return math.sqrt(total)
+        """L2 norm by the trapezoid rule on the grid nodes; the pair (0-, 0+) has zero width."""
+        return math.sqrt(sum(float(np.trapezoid(np.abs(comp) ** 2, x=self.grid.x))
+                             for comp in (self.r1, self.r2, self.r3)))
 
     @staticmethod
     def from_callables(grid: Grid, k: float, r2_fn=None, r3_fn=None,
@@ -254,61 +251,37 @@ def solve(omega: complex, k: float, r: RhsField, problem: InterfaceProblem,
         raise PreconditionError("non-decaying branch: Re mu_pm <= 0 (unreachable in rho)")
 
     grid = r.grid
-    xl = grid.left()
-    xr = grid.right()
+    xl, xr = grid.left(), grid.right()
     nl = xl.size
-
-    f2 = r.r2_fn
-    f3 = r.r3_fn
-    if f2 is None or f3 is None:
-        raise PreconditionError("RhsField must carry generating callables (use from_callables)")
-
-    (S2r, T2r), (S2l, T2l), (S3r, T3r), (S3l, T3l) = (
-        _exp_kernels(xs, fn, mu) for fn in (f2, f3) for xs, mu in ((xr, mu_p), (xl, mu_m)))
-
-    # exponential moments entering the constants, read at the interface node
-    I_p2 = S2r[0]     # int_0^inf e^(-mu+ t) r2
-    I_m2 = T2l[-1]    # int_-inf^0 e^(mu- t) r2
-    I_p3 = S3r[0]
-    I_m3 = T3l[-1]
-
     r1_at_0 = complex(r.r1[grid.i_zero_plus])
-
-    if k != 0.0:
-        denom = mu_p * mu_m * (wt_p * mu_m + wt_m * mu_p)
-        C2 = (1j * k * (wt_p - wt_m) * r1_at_0
-              + wt_p * mu_m**2 * I_p2 + wt_m * mu_p**2 * I_m2) / denom
-    else:
-        C2 = (I_p2 + I_m2) / (mu_p + mu_m)
-    C3 = (I_p3 + I_m3) / (mu_p + mu_m)
-
-    # u2, u3 on both sides
-    a2_p = C2 - I_p2 / (2.0 * mu_p)
-    a2_m = C2 - I_m2 / (2.0 * mu_m)
-    a3_p = C3 - I_p3 / (2.0 * mu_p)
-    a3_m = C3 - I_m3 / (2.0 * mu_m)
-
-    u2r, du2r = _half_line_solution(xr, S2r, T2r, mu_p, a2_p, +1)
-    u2l, du2l = _half_line_solution(xl, S2l, T2l, mu_m, a2_m, -1)
-    u3r, du3r = _half_line_solution(xr, S3r, T3r, mu_p, a3_p, +1)
-    u3l, du3l = _half_line_solution(xl, S3l, T3l, mu_m, a3_m, -1)
 
     N = grid.x.size
     u = np.zeros((3, N), dtype=complex)
     du2 = np.zeros(N, dtype=complex)
     du3 = np.zeros(N, dtype=complex)
-    u[1, :nl] = u2l; u[1, nl:] = u2r
-    u[2, :nl] = u3l; u[2, nl:] = u3r
-    du2[:nl] = du2l; du2[nl:] = du2r
-    du3[:nl] = du3l; du3[nl:] = du3r
+    consts = []
+    for row, fn, du in ((1, r.r2_fn, du2), (2, r.r3_fn, du3)):
+        (S_p, T_p), (S_m, T_m) = _exp_kernels(xr, fn, mu_p), _exp_kernels(xl, fn, mu_m)
+        # exponential moments entering the constant, read at the interface node:
+        # I_p = int_0^inf e^(-mu+ t) r, I_m = int_-inf^0 e^(mu- t) r
+        I_p, I_m = S_p[0], T_m[-1]
+        if row == 1 and k != 0.0:
+            denom = mu_p * mu_m * (wt_p * mu_m + wt_m * mu_p)
+            C = (1j * k * (wt_p - wt_m) * r1_at_0
+                 + wt_p * mu_m**2 * I_p + wt_m * mu_p**2 * I_m) / denom
+        else:
+            C = (I_p + I_m) / (mu_p + mu_m)
+        consts.append(complex(C))
+        u[row, nl:], du[nl:] = _half_line_solution(xr, S_p, T_p, mu_p, C - I_p / (2.0 * mu_p), +1)
+        u[row, :nl], du[:nl] = _half_line_solution(xl, S_m, T_m, mu_m, C - I_m / (2.0 * mu_m), -1)
 
     # u1 slaved to u2' (first equation of the system)
-    u[0, :nl] = (r.r1[:nl] - 1j * k * du2l) / (k * k - w_m)
-    u[0, nl:] = (r.r1[nl:] - 1j * k * du2r) / (k * k - w_p)
+    u[0, :nl] = (r.r1[:nl] - 1j * k * du2[:nl]) / (k * k - w_m)
+    u[0, nl:] = (r.r1[nl:] - 1j * k * du2[nl:]) / (k * k - w_p)
 
     rep = _verify_fields(grid, u, du2, du3, r, omega, k, problem, tol)
     return ResolventSolution(grid=grid, omega=omega, k=k, u=u, u2_prime=du2, u3_prime=du3,
-                             C2=complex(C2), C3=complex(C3), report=rep)
+                             C2=consts[0], C3=consts[1], report=rep)
 
 
 def _fd_first(y: np.ndarray, h: float) -> np.ndarray:
@@ -379,7 +352,7 @@ def _verify_fields(grid: Grid, u: np.ndarray, u2_prime: np.ndarray, u3_prime: np
     jump_comb = abs(comb_p - comb_m)
     jump_du3 = abs(u3_prime[ip] - u3_prime[im])
 
-    u_norm = math.sqrt(sum(float(np.trapezoid(np.abs(u[j]) ** 2, dx=h))
+    u_norm = math.sqrt(sum(float(np.trapezoid(np.abs(u[j]) ** 2, x=grid.x))
                            for j in range(3)))
     return VerifyReport(
         ode_residuals=tuple(x / scale for x in res),
@@ -405,9 +378,7 @@ def save_field_csv(path, x: np.ndarray, u: np.ndarray) -> None:
 
 def load_field_csv(path):
     """Inverse of save_field_csv; returns (x, u)."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    data = np.array([[float(v) for v in row] for row in rows[1:]])
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     x = data[:, 0]
     u = np.empty((3, x.size), dtype=complex)
     # part by part: re + 1j * im would turn 1 + inf i into nan + inf i

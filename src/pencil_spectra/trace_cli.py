@@ -455,7 +455,7 @@ def _suite_lambda(problem, k, tol):
         return False, (f"the {hit[0]} side's essential spectrum lies {hit[1]:.3f} from lambda"
                        f" = 1, inside the innermost ring ({hit[2]}); probe not run")
     rep = lambda_isolation_probe(mode.omega, k, problem, tol=tol)
-    ok = rep.separation_factor >= 100.0
+    ok = rep.isolated
     return ok, (f"sigma(lambda=1) = {rep.sigma_at_one:.3e}, ring min = "
                 f"{min(rep.ring_minima):.3e}, factor = {rep.separation_factor:.1f}")
 

@@ -10,7 +10,6 @@ from pencil_spectra.complex_numerics import (
     Tolerances,
     cabs,
     cdiv,
-    cdiv_numpy,
     cmul,
     complex_array,
     in_open_positive_ray,
@@ -223,15 +222,6 @@ def test_array_arithmetic_is_cpythons_bit_for_bit():
         _assert_bitwise(principal_sqrt(a), principal_sqrt, a)
         coeffs = (2 + 1j, -3j, 0.5, 1e-3 + 0j)
         _assert_bitwise(polyval_array(coeffs, a), lambda x: polyval(coeffs, x), a)
-
-
-def test_cdiv_numpy_is_numpys_scalar_quotient_bit_for_bit():
-    a = _awkward_values()
-    b = np.roll(a, 7919)
-    a, b = a[b != 0], b[b != 0]
-    with np.errstate(all="ignore"):
-        _assert_bitwise(cdiv_numpy(a, b), lambda x, y: x / np.complex128(y), a, b)
-        assert np.isnan(cdiv_numpy(np.array([1 + 2j, 0j]), np.array([0j, -0.0 + 0j]))).all()
 
 
 def test_array_arithmetic_scalars_and_zero_division():

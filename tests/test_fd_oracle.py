@@ -71,13 +71,25 @@ def test_direct_solve_k0(equal_problem):
     assert np.abs(sol.u[2] - u_fd[2]).max() <= 2e-4 * den
 
 
+def test_direct_solve_k0_u1_is_r1_over_denom(drude_problem):
+    """At k = 0 the general u1 = (r1 - i k u2') / denom is r1 / denom bit for bit."""
+    grid = make_grid(6.0, 1 / 50)
+    disc = discretize(0.5j, 0.0, drude_problem, grid=grid)
+    r = _bump_rhs(grid, 0.0)
+    u = direct_solve(0.5j, 0.0, r, disc)
+    assert disc.denom_plus != disc.denom_minus
+    denom = np.where(np.arange(grid.x.size) >= grid.i_zero_plus,
+                     disc.denom_plus, disc.denom_minus)
+    assert u[0].tobytes() == (r.r1 / denom).tobytes()
+
+
 def test_u3_block_bitwise_consistency(drude_problem):
     grid = make_grid(6.0, 1 / 50)
     disc = discretize(0.5j, 3.0, drude_problem, grid=grid)
     r = _bump_rhs(grid, 3.0)
     u_full = direct_solve(0.5j, 3.0, r, disc)
     b3 = np.zeros(grid.x.size, dtype=complex)
-    b3[disc.eq_rows_3] = r.r3[disc.rhs_node_3[disc.eq_rows_3]]
+    b3[disc.eq_rows] = r.r3[disc.rhs_node[disc.eq_rows]]
     u3_alone = fd_oracle._lu(disc.block3).solve(b3)
     assert np.array_equal(u3_alone, u_full[2])
 
@@ -226,8 +238,8 @@ def test_discretize_matches_loop_assembly(k, lam, medium, request):
         for name in ("indptr", "indices", "data"):
             a, b = getattr(got, name), getattr(ref, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
-    for got, ref in ((disc.eq_rows_2, eq2), (disc.rhs_node_2, node2),
-                     (disc.eq_rows_3, eq3), (disc.rhs_node_3, node3)):
+    for got, ref in ((disc.eq_rows, eq2), (disc.rhs_node, node2),
+                     (disc.eq_rows, eq3), (disc.rhs_node, node3)):
         assert np.array_equal(got, ref)
     assert disc.wu1_row == (grid.x.size - 1 if k != 0.0 else -1)
 

@@ -35,6 +35,16 @@ def test_zero_rhs_gives_zero(drude_problem):
     assert sol.C2 == 0 and sol.C3 == 0
 
 
+def test_norm_ratio_is_second_order_for_an_rhs_across_the_interface(drude_problem):
+    """The norms give the zero-width pair (0-, 0+) no weight, so norm_ratio converges
+    at the trapezoid rule's O(h^2) even when r is nonzero at x1 = 0."""
+    ratios = [solve(0.5j, 3.0, _bump_rhs(make_grid(8.0, h), 3.0, center=0.25,
+                                         support=(-0.25, 0.75)), drude_problem).norm_ratio
+              for h in (1 / 50, 1 / 100, 1 / 200)]
+    d1, d2 = abs(ratios[1] - ratios[0]), abs(ratios[2] - ratios[1])
+    assert d1 >= 3.5 * d2
+
+
 def test_solve_spectral_point_rejected(drude_problem):
     grid = make_grid(8.0, 1 / 100)
     r = _bump_rhs(grid, 3.0)

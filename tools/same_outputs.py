@@ -11,10 +11,10 @@ pencil_spectra.trace_cli ...`` with that copy's ``src`` on PYTHONPATH. The exit
 codes and standard output are compared, with the timings stripped from
 ``check`` lines, and so is every output file, byte for byte. ``check`` also runs
 at k away from the benchmark's (``EXTRA_CHECKS``, on the ``modes`` workload's
-configs), so that a rounding change in an oracle there shows as well. Each
-difference is named, a differing stdout with its first differing line on each
-side; the exit status is 1 if there is any, else 0. Temporary copies go under
-$TMPDIR.
+configs; k = 0 runs the k = 0 paths of the resolvent and the FD solve), so that
+a rounding change in an oracle there shows as well. Each difference is named, a
+differing stdout with its first differing line on each side; the exit status is
+1 if there is any, else 0. Temporary copies go under $TMPDIR.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ import workloads  # noqa: E402
 
 SEEDS = (1, 2)
 CHECK_TIMING = re.compile(r"^((?:PASS|FAIL) \S+) \(\d+(?:\.\d+)?s\)", re.MULTILINE)
-EXTRA_CHECKS = (("drude.cfg", 1.0), ("drude.cfg", 10.0), ("drude.cfg", 1000.0),
-                ("rational.cfg", 3.0))   # (config of the modes workload, k)
+EXTRA_CHECKS = (("drude.cfg", 0.0), ("drude.cfg", 1.0), ("drude.cfg", 10.0),
+                ("drude.cfg", 1000.0), ("rational.cfg", 3.0))   # (config of the modes workload, k)
 
 
 def run_all(copy: Path, work: Path) -> dict:
