@@ -15,6 +15,10 @@ the interface node, so each (side, component) pair is integrated once.
 The interface x1 = 0 is stored as a double node (0-, 0+), so jumps are
 first-class data. r components live on the grid together with generating
 callables; a solve is linear in r by construction.
+
+save_field_csv writes a solution as Python's '%.17g' text of every value, with
+the 17 digits computed in array passes (a double-double scaling by a power of
+ten) rather than formatted one float at a time.
 """
 
 from __future__ import annotations
@@ -87,8 +91,19 @@ def suggest_half_length(omega: complex, k: float, problem: InterfaceProblem,
 
 @lru_cache(maxsize=1)
 def _gl_cell():
-    xi, wq = np.polynomial.legendre.leggauss(_CELL_GL)
-    return 0.5 * (xi + 1.0), 0.5 * wq  # nodes/weights on [0, 1]
+    """Nodes and weights of the _CELL_GL-point Gauss-Legendre rule on [0, 1].
+
+    The values of 0.5 * (xi + 1) and 0.5 * w for (xi, w) = leggauss(_CELL_GL),
+    stored so that no process imports numpy.polynomial for them;
+    tests/test_resolvent.py recomputes them bitwise.
+    """
+    nodes = (0.019855071751231912, 0.10166676129318664, 0.2372337950418355,
+             0.4082826787521751, 0.5917173212478248, 0.7627662049581645,
+             0.8983332387068134, 0.9801449282487681)
+    weights = (0.05061426814518853, 0.11119051722668721, 0.15685332293894344,
+               0.18134189168918083, 0.18134189168918083, 0.15685332293894344,
+               0.11119051722668721, 0.05061426814518853)
+    return np.array(nodes), np.array(weights)
 
 
 @dataclass(frozen=True)
@@ -365,15 +380,190 @@ def _verify_fields(grid: Grid, u: np.ndarray, u2_prime: np.ndarray, u3_prime: np
     )
 
 
+# ---------------------------------------------------------------------------
+# the field CSV: Python's '%.17g' bytes from array passes
+# ---------------------------------------------------------------------------
+
+_CSV_CHUNK_ROWS = 1024
+_VELTKAMP = 134217729.0            # 2^27 + 1: splits a double into two 26-bit halves
+_SCALED_RANGE = (1e-270, 1e270)    # |v| whose scaling never overflows or goes subnormal
+_HALF_MARGIN = 1e-9                # scaled-value error bound is about 5e-15
+_SLOT = 26                         # the longest '%.17g' text (24 bytes) and '\r\n'
+_ALPHABET = b"0123456789.e+-,\r\n"  # the literal bytes of a slot, after the 17 digits
+_SOURCE = 40                       # 3 NULs, 17 digits, _ALPHABET; a multiple of 4 bytes
+_X_OFFSET = 300                    # keeps the layout key of every exponent positive
+
+
+def _veltkamp_hi(a):
+    """The high half of Veltkamp's split; a - _veltkamp_hi(a) is the low half."""
+    t = a * _VELTKAMP
+    return t - (t - a)
+
+
+@lru_cache(maxsize=None)
+def _pow10(q: int) -> tuple:
+    """(hi, lo, hi's Veltkamp halves): hi + lo is 10^q to about 2^-106 relative."""
+    if q >= 0:
+        p = 10 ** q
+        hi = float(p)
+        lo = float(p - int(hi))
+    else:
+        p = 10 ** -q
+        hi = 1 / p                        # int / int is correctly rounded
+        m, e = hi.as_integer_ratio()      # hi = m / e
+        lo = (e - m * p) / (e * p)
+    hi_hi = _veltkamp_hi(hi)
+    return hi, lo, hi_hi, hi - hi_hi
+
+
+def _scaled(a: np.ndarray, q: np.ndarray):
+    """a * 10^q as the double-double (yh, yl), yh = fl(yh + yl), by Dekker's product
+    against hi + lo of 10^q. The error is below 5e-32 * |a * 10^q| for a in
+    _SCALED_RANGE and a * 10^q below 10^18."""
+    q0 = int(q.min())
+    present = np.flatnonzero(np.bincount(q - q0))
+    table = np.array([_pow10(q0 + int(j)) for j in present]).T
+    rank = np.zeros(present[-1] + 1, dtype=np.intp)
+    rank[present] = np.arange(present.size)
+    hi, lo, hi_hi, hi_lo = table.take(rank.take(q - q0), axis=1)
+    p = a * hi
+    a_hi = _veltkamp_hi(a)
+    a_lo = a - a_hi
+    err = ((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo   # a * hi - p
+    t = err + a * lo
+    yh = p + t
+    return yh, t - (yh - p)
+
+
+def _decimal17(a: np.ndarray):
+    """(D, X, exact) with a rounded to 17 digits, D * 10^(X - 16), 10^16 <= D < 10^17,
+    for positive a in _SCALED_RANGE. exact is False where the scaled value lies too
+    near a half (or a rare log10 miss went unsettled) to round with certainty."""
+    D = np.zeros(a.size, dtype=np.int64)
+    X = np.zeros(a.size, dtype=np.int64)
+    exact = np.zeros(a.size, dtype=bool)
+    todo = np.arange(a.size)
+    d = np.floor(np.log10(a)).astype(np.int64)
+    for _ in range(3):    # log10 is off by at most one, so a second pass settles it
+        if not todo.size:
+            break
+        yh, yl = _scaled(a[todo], 16 - d)
+        low = (yh < 1e16) | ((yh == 1e16) & (yl < 0))
+        high = (yh > 1e17) | ((yh == 1e17) & (yl >= 0))
+        whole = np.floor(yl)
+        frac = yl - whole
+        done = ~(low | high) & (np.abs(frac - 0.5) >= _HALF_MARGIN)
+        i = todo[done]
+        Di = yh[done].astype(np.int64) + whole[done].astype(np.int64) + (frac[done] > 0.5)
+        up = Di == 10 ** 17        # rounded up to the next power of ten
+        D[i] = np.where(up, 10 ** 16, Di)
+        X[i] = d[done] + up
+        exact[i] = True
+        todo, d = todo[low | high], (d - low + high)[low | high]
+    return D, X, exact
+
+
+@lru_cache(maxsize=1)
+def _digit_groups():
+    """For g in 0..9999: its four ASCII digits as a little-endian uint32, and its
+    count of trailing zeros (4 for 0)."""
+    g = np.arange(10000)
+    text = np.empty((10000, 4), dtype=np.uint8)
+    for j in range(4):
+        text[:, j] = ord("0") + g // 10 ** (3 - j) % 10
+    zeros = sum((g % 10 ** j == 0).astype(np.int64) for j in (1, 2, 3, 4))
+    return text.view("<u4").ravel(), zeros
+
+
+def _digit_rows(D: np.ndarray):
+    """(source, nsig): per value of D (0 <= D < 10^17), a _SOURCE-byte row of 3 NULs,
+    D's 17 ASCII digits and _ALPHABET, and D's count of significant digits (1 for 0)."""
+    hi9, lo8 = np.divmod(D, 10 ** 8)      # D = d0 g1 g2 g3 g4: a digit, four groups of four
+    d0, g12 = np.divmod(hi9.astype(np.int32), 10 ** 8)
+    g1, g2 = np.divmod(g12, 10 ** 4)
+    g3, g4 = np.divmod(lo8.astype(np.int32), 10 ** 4)
+    four, zeros = _digit_groups()
+    source = np.empty((D.size, _SOURCE), dtype=np.uint8)
+    words = source.view("<u4")
+    words[:, 0] = (ord("0") + d0).astype(np.uint32) << 24
+    for j, g in enumerate((g1, g2, g3, g4), start=1):
+        words[:, j] = four.take(g)
+    source[:, 20:20 + len(_ALPHABET)] = np.frombuffer(_ALPHABET, dtype=np.uint8)
+    tz = zeros.take(g4)
+    for g, z in ((g3, 4), (g2, 8), (g1, 12)):
+        tz = np.where(tz == z, z + zeros.take(g), tz)
+    return source, 17 - tz
+
+
+@lru_cache(maxsize=None)
+def _layout(X: int, nsig: int, neg: bool, last: bool) -> np.ndarray:
+    """Where each byte of a value's slot comes from in its source row, by C's %g rules
+    at precision 17: digit j at 3 + j, a literal at 20 + its place in _ALPHABET, NUL
+    padding at 0. Fixed for -4 <= X < 17, else d.ddd...e+-XX; trailing zeros and a
+    bare point dropped."""
+    digit = list(range(3, 20))
+    lit = lambda text: [20 + _ALPHABET.index(c) for c in text.encode()]
+    if 0 <= X < 17:
+        body = digit[:X + 1] + (lit(".") + digit[X + 1:nsig] if nsig > X + 1 else [])
+    elif -4 <= X < 0:
+        body = lit("0." + "0" * (-X - 1)) + digit[:nsig]
+    else:
+        body = digit[:1] + (lit(".") + digit[1:nsig] if nsig > 1 else []) + lit("e%+03d" % X)
+    slot = lit("-" if neg else "") + body + lit("\r\n" if last else ",")
+    row = np.array(slot + [0] * (_SLOT - len(slot)), dtype=np.intp)
+    row.flags.writeable = False      # shared by every later call
+    return row
+
+
+def _csv_rows(values: np.ndarray) -> bytes:
+    """The rows of a (rows, columns) float array as '%.17g' texts joined by ',', each
+    row ending in '\r\n': the bytes Python's '%.17g' % v gives, value by value.
+
+    Each value gets a NUL-padded slot of _SLOT bytes, gathered from its source
+    row by the layout of its (exponent, significant digits, sign, last column).
+    The 17-digit integer comes from _decimal17; zeros print as '0' and '-0'.
+    Values outside _SCALED_RANGE, non-finite ones and those _decimal17 cannot
+    round with certainty go through Python's own '%.17g'.
+    """
+    v = values.ravel()
+    a = np.abs(v)
+    ready = a == 0
+    fast = np.flatnonzero((a >= _SCALED_RANGE[0]) & (a < _SCALED_RANGE[1]))
+    D = np.zeros(v.size, dtype=np.int64)
+    X = np.zeros(v.size, dtype=np.int64)
+    D[fast], X[fast], exact = _decimal17(a[fast])
+    ready[fast[exact]] = True
+    source, nsig = _digit_rows(D)
+    key = ((X + _X_OFFSET) * 18 + nsig) * 4 + 2 * np.signbit(v)
+    key.reshape(values.shape)[:, -1] += 1
+    present = np.flatnonzero(np.bincount(key))
+    layouts = np.array([_layout(int(k) // 72 - _X_OFFSET, int(k) // 4 % 18, bool(k & 2),
+                                bool(k & 1)) for k in present])
+    rank = np.zeros(present[-1] + 1, dtype=np.intp)
+    rank[present] = np.arange(present.size)
+    index = layouts.take(rank.take(key), axis=0)
+    index += np.arange(0, v.size * _SOURCE, _SOURCE)[:, None]
+    text = source.ravel().take(index)
+    ncols = values.shape[1]
+    for i in np.flatnonzero(~ready):
+        s = ("%.17g" % v[i]).encode() + (b"\r\n" if i % ncols == ncols - 1 else b",")
+        text[i] = np.frombuffer(s.ljust(_SLOT, b"\0"), dtype=np.uint8)
+    return text.tobytes().translate(None, b"\0")
+
+
 def save_field_csv(path, x: np.ndarray, u: np.ndarray) -> None:
-    """CSV columns: x1, re_u1, im_u1, re_u2, im_u2, re_u3, im_u3 (csv.writer's dialect)."""
+    """CSV columns: x1, re_u1, im_u1, re_u2, im_u2, re_u3, im_u3 (csv.writer's dialect).
+
+    The bytes are Python's '%.17g' % v for every value, joined by ',' and ending
+    each row in '\r\n'. _csv_rows computes them in array passes over chunks of
+    rows; only non-finite values, |v| outside [1e-270, 1e270) and values whose
+    17-digit rounding lies within 1e-9 of a half take Python's own '%.17g'.
+    """
     cols = np.column_stack([x] + [part for c in u for part in (c.real, c.imag)])
-    row = ",".join(["%.17g"] * 7) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write("x1,re_u1,im_u1,re_u2,im_u2,re_u3,im_u3\r\n")
-        for lo in range(0, x.size, 4096):   # chunks bound the memory of the text
-            chunk = cols[lo:lo + 4096]
-            fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
+    with open(path, "wb") as fh:
+        fh.write(b"x1,re_u1,im_u1,re_u2,im_u2,re_u3,im_u3\r\n")
+        for lo in range(0, x.size, _CSV_CHUNK_ROWS):   # chunks bound the memory of the text
+            fh.write(_csv_rows(cols[lo:lo + _CSV_CHUNK_ROWS]))
 
 
 def load_field_csv(path):

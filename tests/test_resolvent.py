@@ -14,6 +14,7 @@ from pencil_spectra.resolvent import (
     RhsField,
     _cumulative_integral,
     _exp_kernels,
+    _gl_cell,
     load_field_csv,
     make_grid,
     save_field_csv,
@@ -290,6 +291,34 @@ def test_solve_calls_rhs_a_fixed_number_of_times(drude_problem, h):
     solve(0.5j, 3.0, r, drude_problem)
     # one kernel pass per (side, component), independent of the grid size
     assert len(calls) == 4
+
+
+def test_gl_cell_is_the_gauss_legendre_rule_bit_for_bit():
+    """The stored nodes and weights on [0, 1] are what leggauss(8) gives."""
+    xi, wq = np.polynomial.legendre.leggauss(8)
+    nodes, weights = _gl_cell()
+    assert nodes.tolist() == (0.5 * (xi + 1.0)).tolist()
+    assert weights.tolist() == (0.5 * wq).tolist()
+
+
+def test_cli_import_and_resolve_leave_out_costly_modules(tmp_path):
+    """Importing the CLI loads neither fractions nor decimal (the CSV writer's powers
+    of ten come from int arithmetic), and a resolve run loads no numpy.polynomial."""
+    (tmp_path / "drude.cfg").write_text('[plus]\nkind = "constant"\nvalue = 2.0\n\n'
+                                        '[minus]\nkind = "drude"\nomega_p = 0.8\ngamma = 1.0\n')
+    argv = ["resolve", "--config", "drude.cfg", "--omega", "0,0.5", "--k", "3", "--h", "0.05",
+            "--out", "out"]
+    code = ("import sys\n"
+            "import pencil_spectra.trace_cli as cli\n"
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "print('numpy.polynomial' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(pencil_spectra.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src))
+    lines = out.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "False")
+    assert (tmp_path / "out" / "resolvent.csv").exists()
 
 
 def test_cli_import_does_not_load_scipy_signal():

@@ -1,16 +1,20 @@
-"""The output writers: resolvent.csv keeps csv.writer's bytes and reloads part by
-part, portrait.csv and the portrait.svg raster keep the per-cell writers' bytes,
+"""The output writers: resolvent.csv keeps csv.writer's bytes, which are Python's
+'%.17g' of every value (named edge cases and arbitrary 64-bit patterns), and
+reloads part by part, portrait.csv and the portrait.svg raster keep the per-cell writers' bytes,
 portrait.svg draws only markers that fall on the picture, and portrait.csv
 stamps a marker only in the cell that holds its point."""
 import csv
+import math
 import re
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pencil_spectra.classify1d import REDUCED, ArrayClassification
 from pencil_spectra.complex_numerics import DEFAULT_TOL
 from pencil_spectra.dielectric import omega0_set
-from pencil_spectra.resolvent import load_field_csv, save_field_csv
+from pencil_spectra.resolvent import _CSV_CHUNK_ROWS, _decimal17, load_field_csv, save_field_csv
 from pencil_spectra.trace_cli import (_COLORS, _MARKERS, _SVG_WIDTH, PortraitGrid, trace_portrait,
                                       write_portrait_csv, write_portrait_svg)
 from tests.conftest import OMEGA0_RE
@@ -106,6 +110,77 @@ def test_save_field_csv_matches_csv_writer(tmp_path):
     x2, u2 = load_field_csv(tmp_path / "fast.csv")
     np.testing.assert_array_equal(x2, x)
     np.testing.assert_array_equal(u2, u)
+
+
+def _percent_17g_bytes(x, u):
+    """resolvent.csv by its definition: '%.17g' % v joined by ',' and '\\r\\n'."""
+    cols = [x] + [part for c in u for part in (c.real, c.imag)]
+    lines = ["x1,re_u1,im_u1,re_u2,im_u2,re_u3,im_u3"]
+    lines += [",".join("%.17g" % v for v in row) for row in zip(*cols)]
+    return "".join(line + "\r\n" for line in lines).encode()
+
+
+def _field(rows):
+    """(x, u) holding the columns of a (n, 7) float array."""
+    rows = np.asarray(rows, dtype=float).reshape(-1, 7)
+    u = np.empty((3, rows.shape[0]), dtype=complex)
+    u.real, u.imag = rows[:, 1::2].T, rows[:, 2::2].T
+    return rows[:, 0].copy(), u
+
+
+def _assert_writes_percent_17g(path, x, u):
+    save_field_csv(path, x, u)
+    assert path.read_bytes() == _percent_17g_bytes(x, u)
+
+
+EDGE_VALUES = [
+    0.0, -0.0, math.inf, -math.inf, math.nan,
+    5e-324, -5e-324, 1e-310, 2.225073858507201e-308, 2.2250738585072014e-308,
+    # the edges of the scaled range [1e-270, 1e270)
+    1e-270, -1e-270, math.nextafter(1e-270, 0.0), 1e270, math.nextafter(1e270, 0.0),
+    -1.7976931348623157e308,
+    # decimal exponents -5, -4 (fixed), 16 (fixed) and 17
+    1.2345678901234567e-5, 1e-5, 0.00012345678901234567, 0.0001, -0.00010000000000000002,
+    1.2345678901234567e16, 1e16, 99999999999999984.0, 1.2345678901234567e17, 1e17,
+    # doubles below a power of ten whose 17 digits round up to it
+    9.9999999999999999e16, 1e-14, 1e-243, 1e129, 1e220,
+    # exact halves at the 18th digit: ties, rounded to even
+    2.0 ** -25, 1 + 2.0 ** -17, -(1 + 2.0 ** -17),
+    # trailing zeros in the integer part, short and negative values
+    100.0, 20.0, 1e15, 123456789012345680.0, 1.0, -2.5, 0.5, 0.1, -41.173999999999999,
+]
+
+
+def test_save_field_csv_is_percent_17g_on_edge_values(tmp_path):
+    n = len(EDGE_VALUES)
+    rows = [[EDGE_VALUES[(i + j) % n] for j in range(7)] for i in range(n)]   # every column
+    _assert_writes_percent_17g(tmp_path / "edges.csv", *_field(rows))
+
+
+def test_exact_halves_take_python_formatting():
+    _, _, exact = _decimal17(np.array([2.0 ** -25, 1 + 2.0 ** -17, 0.1, 1e-14]))
+    assert exact.tolist() == [False, False, True, True]
+
+
+def test_save_field_csv_one_row_and_many_chunks(tmp_path):
+    _assert_writes_percent_17g(tmp_path / "one.csv", *_field(np.linspace(-1.0, 1.0, 7)))
+    rng = np.random.default_rng(3)
+    n = 2 * _CSV_CHUNK_ROWS + 3
+    rows = rng.standard_normal((n, 7)) * 10.0 ** rng.integers(-25, 25, (n, 7))
+    rows[::5, 1:3] = 0.0                      # the all-zero u1 columns of k = 0, in part
+    _assert_writes_percent_17g(tmp_path / "chunks.csv", *_field(rows))
+
+
+_ANY_DOUBLE = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(lambda b: float(np.uint64(b).view(np.float64))),
+    st.floats())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(_ANY_DOUBLE, min_size=1, max_size=140))
+def test_save_field_csv_is_percent_17g_for_any_double(values, tmp_path_factory):
+    values += [0.5] * (-len(values) % 7)
+    _assert_writes_percent_17g(tmp_path_factory.getbasetemp() / "any.csv", *_field(values))
 
 
 def test_svg_draws_only_markers_on_the_picture(drude_problem, tmp_path):

@@ -12,7 +12,10 @@ codes and standard output are compared, with the timings stripped from
 ``check`` lines, and so is every output file, byte for byte. ``check`` also runs
 at k away from the benchmark's (``EXTRA_CHECKS``, on the ``modes`` workload's
 configs; k = 0 runs the k = 0 paths of the resolvent and the FD solve), so that
-a rounding change in an oracle there shows as well. Each difference is named, a
+a rounding change in an oracle there shows as well. ``resolve`` also runs beyond
+the drawn cases (``EXTRA_RESOLVES``): at k = 0, where the u1 columns of
+resolvent.csv are all zero, on the rational medium, and at h = 1e-4 (about 200k
+nodes, many chunks of the CSV writer). Each difference is named, a
 differing stdout with its first differing line on each side; the exit status is
 1 if there is any, else 0. Temporary copies go under $TMPDIR.
 """
@@ -38,11 +41,14 @@ SEEDS = (1, 2)
 CHECK_TIMING = re.compile(r"^((?:PASS|FAIL) \S+) \(\d+(?:\.\d+)?s\)", re.MULTILINE)
 EXTRA_CHECKS = (("drude.cfg", 0.0), ("drude.cfg", 1.0), ("drude.cfg", 10.0),
                 ("drude.cfg", 1000.0), ("rational.cfg", 3.0))   # (config of the modes workload, k)
+EXTRA_RESOLVES = (("drude.cfg", "0.2,0.7", 0.0, "1.0:2.0", 1e-3),
+                  ("rational.cfg", "0.3,0.6", 3.0, "1.0:2.0", 1e-3),
+                  ("drude.cfg", "0.0,0.75", 2.9, "-1.6:-0.8", 1e-4))   # (config, omega, k, support, h)
 
 
 def run_all(copy: Path, work: Path) -> dict:
     """Run every invocation with copy's program, each workload and seed in its own
-    directory under work, then EXTRA_CHECKS in one more; returns
+    directory under work, then EXTRA_CHECKS and EXTRA_RESOLVES in one more; returns
     {label: (exit code, stdout without timings)}."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src")}
     results = {}
@@ -67,6 +73,10 @@ def run_all(copy: Path, work: Path) -> dict:
     for cfg, k in EXTRA_CHECKS:
         run(f"check {cfg} k = {k!r}", work / "extra-checks", configs,
             ["check", "--config", cfg, "--k", repr(k)])
+    for n, (cfg, omega, k, support, h) in enumerate(EXTRA_RESOLVES):
+        run(f"resolve {cfg} omega = {omega} k = {k!r} h = {h!r}", work / "extra-checks",
+            configs, ["resolve", "--config", cfg, f"--omega={omega}", "--k", repr(k),
+                      f"--support={support}", "--h", repr(h), "--out", f"resolve_{n}"])
     return results
 
 
@@ -109,7 +119,7 @@ def main(argv=None) -> int:
     for line in diffs:
         print(f"differs: {line}")
     print(f"{len(runs['parent'])} invocations (seeds {', '.join(map(str, SEEDS))}, "
-          f"{len(EXTRA_CHECKS)} extra checks): "
+          f"{len(EXTRA_CHECKS)} extra checks, {len(EXTRA_RESOLVES)} extra resolves): "
           + (f"{len(diffs)} difference(s)" if diffs else "no difference"))
     return 1 if diffs else 0
 
