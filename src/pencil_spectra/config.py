@@ -15,33 +15,30 @@ Example::
     gamma = 1.0
     background = 1.0       # optional (default 1.0)
 
-Values are Python literals (floats, complex like ``1+2j``, lists for the
-rational kind). Recognized kinds and their keys:
+Values are finite Python literals (floats, complex like ``1+2j``, coefficient
+lists in descending powers for the rational kind). The table _KINDS names each
+kind's keys and constructor.
 
-* ``constant``: value
-* ``drude``: omega_p, gamma, background (optional)
-* ``rational``: numerator, denominator (coefficient lists, descending powers)
-
-Unknown keys, missing keys, and bad literals raise ConfigError naming the
-offending key and line.
+Every fault raises ConfigError: unknown keys, missing keys and bad literals name
+the offending key and line, and a value the constructor rejects (a non-finite
+one, say) names the section. The CLI prints it as an ``error:`` line and exits
+with 2. A rational medium's common roots are cancelled under the run's
+Tolerances, so PENCIL_SPECTRA_TOL applies there too.
 """
 
 from __future__ import annotations
 
 import ast
 
+from .complex_numerics import DEFAULT_TOL, Tolerances
 from .dielectric import DielectricModel, InterfaceProblem
 from .errors import ConfigError
 
-_SIDE_KEYS = {
-    "constant": {"kind", "value"},
-    "drude": {"kind", "omega_p", "gamma", "background"},
-    "rational": {"kind", "numerator", "denominator"},
-}
-_REQUIRED = {
-    "constant": {"value"},
-    "drude": {"omega_p", "gamma"},
-    "rational": {"numerator", "denominator"},
+# kind -> (constructor, required keys, optional keys, whether it takes the run's tol)
+_KINDS = {
+    "constant": (DielectricModel.constant, ("value",), (), False),
+    "drude": (DielectricModel.drude, ("omega_p", "gamma"), ("background",), False),
+    "rational": (DielectricModel.rational, ("numerator", "denominator"), (), True),
 }
 
 
@@ -53,7 +50,9 @@ def _parse_literal(value, key, lineno, source):
             f"{source}:{lineno}: invalid value for key {key!r}: {value!r}") from exc
 
 
-def parse_problem_config(text: str, source: str = "<config>") -> InterfaceProblem:
+def parse_problem_config(text: str, source: str = "<config>",
+                         tol: Tolerances = DEFAULT_TOL) -> InterfaceProblem:
+    """The problem a config text describes, its rational media reduced under tol."""
     sections: dict = {"": {}}
     current = ""
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -77,47 +76,43 @@ def parse_problem_config(text: str, source: str = "<config>") -> InterfaceProble
         if key != "scale":
             raise ConfigError(f"{source}: unknown top-level key {key!r} "
                               f"(line {top[key][1]}); only 'scale' is allowed")
-    scale = float(top.get("scale", (1.0, 0))[0])
+    scale, scale_line = top.get("scale", (1.0, 0))
+    try:
+        scale = float(scale)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{source}:{scale_line}: invalid value for key 'scale': {exc}") from exc
 
     models = {}
     for side in ("plus", "minus"):
         if side not in sections:
             raise ConfigError(f"{source}: missing [{side}] section")
-        body = sections[side]
+        body = dict(sections[side])
         if "kind" not in body:
             raise ConfigError(f"{source}: section [{side}] is missing key 'kind'")
-        kind, kind_line = body["kind"]
-        if not isinstance(kind, str) or kind not in _SIDE_KEYS:
+        kind, kind_line = body.pop("kind")
+        if not isinstance(kind, str) or kind not in _KINDS:
             raise ConfigError(
                 f"{source}:{kind_line}: key 'kind' must be one of "
-                f"{sorted(_SIDE_KEYS)}, got {kind!r}")
-        allowed = _SIDE_KEYS[kind]
+                f"{sorted(_KINDS)}, got {kind!r}")
+        constructor, required, optional, takes_tol = _KINDS[kind]
         for key, (_, lineno) in body.items():
-            if key not in allowed:
+            if key not in required + optional:
                 raise ConfigError(
                     f"{source}:{lineno}: key {key!r} is not valid for kind {kind!r} "
-                    f"(allowed: {sorted(allowed - {'kind'})})")
-        for key in _REQUIRED[kind]:
+                    f"(allowed: {sorted(required + optional)})")
+        for key in required:
             if key not in body:
                 raise ConfigError(
                     f"{source}: section [{side}] with kind {kind!r} is missing key {key!r}")
-        vals = {key: v for key, (v, _) in body.items()}
+        keys = {key: v for key, (v, _) in body.items()}
         try:
-            if kind == "constant":
-                models[side] = DielectricModel.constant(vals["value"], scale=scale)
-            elif kind == "drude":
-                models[side] = DielectricModel.drude(
-                    vals["omega_p"], vals["gamma"],
-                    background=vals.get("background", 1.0), scale=scale)
-            else:
-                models[side] = DielectricModel.rational(
-                    vals["numerator"], vals["denominator"], scale=scale)
-        except (TypeError, ValueError) as exc:
+            models[side] = constructor(**keys, scale=scale, **({"tol": tol} if takes_tol else {}))
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{source}: section [{side}]: {exc}") from exc
 
     return InterfaceProblem(plus=models["plus"], minus=models["minus"])
 
 
-def load_problem(path) -> InterfaceProblem:
+def load_problem(path, tol: Tolerances = DEFAULT_TOL) -> InterfaceProblem:
     with open(path, encoding="utf-8") as fh:
-        return parse_problem_config(fh.read(), source=str(path))
+        return parse_problem_config(fh.read(), source=str(path), tol=tol)

@@ -12,7 +12,8 @@ everything here may be shared freely between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -62,6 +63,7 @@ class DielectricModel:
     declared_poles: tuple = ()
 
     def __post_init__(self):
+        """The one definition of what a stored medium satisfies."""
         if not (np.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be a positive real, got {self.scale!r}")
         if self.kind != "callable":
@@ -69,6 +71,9 @@ class DielectricModel:
                 raise ValueError("rational model needs a nonzero denominator")
             if not self.numerator:
                 raise ValueError("numerator must not be identically zero")
+            if not np.isfinite(self.numerator + self.denominator).all():
+                raise ValueError(f"coefficients must be finite, got numerator {self.numerator}"
+                                 f" and denominator {self.denominator}")
 
     # -- constructors ------------------------------------------------------
 
@@ -93,7 +98,11 @@ class DielectricModel:
         if gamma < 0:
             raise ValueError("gamma must be >= 0")
         b = float(background)
-        num = (b + 0j, 1j * gamma * b, complex(-TWO_PI * omega_p**2))
+        try:
+            wp2 = omega_p**2
+        except OverflowError:   # inf, which __post_init__ rejects
+            wp2 = math.inf
+        num = (b + 0j, 1j * gamma * b, complex(-TWO_PI * wp2))
         den = (1 + 0j, 1j * gamma, 0j)
         return DielectricModel(
             kind="drude", numerator=trim_leading(num), denominator=den,
@@ -104,23 +113,18 @@ class DielectricModel:
     def rational(numerator, denominator, scale: float = 1.0,
                  tol: Tolerances = DEFAULT_TOL) -> "DielectricModel":
         """W-tilde = scale*num/den; common roots (within equality_tol) are cancelled."""
-        num = trim_leading(numerator)
-        den = trim_leading(denominator)
-        if not den:
-            raise ValueError("denominator is identically zero")
-        if not num:
-            raise ValueError("numerator is identically zero")
-        # cancel removable singularities up front so S never contains them
-        changed = True
-        while changed and len(den) > 1 and len(num) > 1:
-            changed = False
-            for r, _ in poly_roots(den, tol):
-                if abs(polyval(num, r)) <= tol.equality_tol * poly_eval_scale(num, r):
-                    num = _deflate_once(num, r)
-                    den = _deflate_once(den, r)
-                    changed = True
-                    break
-        return DielectricModel(kind="rational", numerator=num, denominator=den, scale=scale)
+        model = DielectricModel(kind="rational", numerator=trim_leading(numerator),
+                                denominator=trim_leading(denominator), scale=scale)
+        num, den = model.numerator, model.denominator
+        # cancel removable singularities up front so S never contains them: the first
+        # denominator root where the numerator vanishes, until there is none
+        while len(den) > 1 and len(num) > 1:
+            r = next((r for r, _ in poly_roots(den, tol)
+                      if abs(polyval(num, r)) <= tol.equality_tol * poly_eval_scale(num, r)), None)
+            if r is None:
+                break
+            num, den = _deflate_once(num, r), _deflate_once(den, r)
+        return replace(model, numerator=num, denominator=den)
 
     @staticmethod
     def from_callable(func: Callable, poles=(), scale: float = 1.0) -> "DielectricModel":

@@ -331,13 +331,14 @@ def lambda_isolation_probe(omega: complex, k: float, problem: InterfaceProblem,
         disc = discretize(omega, k, problem, grid=grid, lam=lam, tol=tol)
         s2 = smallest_singular_value(disc.block2)
         s3 = smallest_singular_value(disc.block3)
-        return min(s2, s3)
+        return float(np.minimum(s2, s3))
 
+    # np.min, not min: a NaN sigma makes the ring minimum and the factor NaN, which fails
     s1 = sigma(1.0)
-    minima = [min(sigma(1.0 + rad * np.exp(2j * math.pi * j / PROBE_ANGLES))
-                  for j in range(PROBE_ANGLES)) for rad in PROBE_RADII]
-    ring_min = min(minima)
-    factor = ring_min / s1 if s1 > 0 else math.inf
+    minima = [float(np.min([sigma(1.0 + rad * np.exp(2j * math.pi * j / PROBE_ANGLES))
+                            for j in range(PROBE_ANGLES)])) for rad in PROBE_RADII]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factor = float(np.divide(np.min(minima), s1))
     return LambdaProbeReport(
         omega=omega, k=k, sigma_at_one=s1,
         ring_radii=PROBE_RADII, ring_minima=tuple(minima),

@@ -186,12 +186,20 @@ def write_portrait_svg(path, pg: PortraitGrid) -> None:
     width, nx, ny = _SVG_WIDTH, pg.re_axis.size, pg.im_axis.size
     re0, re1 = float(pg.re_axis[0]), float(pg.re_axis[-1])
     im0, im1 = float(pg.im_axis[0]), float(pg.im_axis[-1])
-    sx = width / max(re1 - re0, 1e-12)
-    height = int(round((im1 - im0) * sx)) or 1
-    sy = height / max(im1 - im0, 1e-12)
+    # a one-node axis takes the other axis's cell size and pixels per unit (a 1x1 grid
+    # is one square, one unit wide), and its node lies on the middle of the picture
+    if nx > 1:
+        sx = width / max(re1 - re0, 1e-12)
+        height = int(round((im1 - im0) * sx if ny > 1 else width / nx)) or 1
+        sy = height / max(im1 - im0, 1e-12) if ny > 1 else sx
+    else:
+        height = width * ny
+        sx = sy = height / max(im1 - im0, 1e-12) if ny > 1 else width
+    left = re0 if nx > 1 else re0 - 0.5 * width / sx
+    top = im1 if ny > 1 else im1 + 0.5 * height / sy
 
     def px(z):
-        return ((z.real - re0) * sx, (im1 - z.imag) * sy)
+        return ((z.real - left) * sx, (top - z.imag) * sy)
 
     cw = width / nx
     ch = height / ny
@@ -294,7 +302,7 @@ def _describe(record: SpectrumClass) -> str:
 
 
 def cmd_classify(args, tol) -> int:
-    problem = load_problem(args.config)
+    problem = load_problem(args.config, tol)
     omega = _parse_omega(args.omega)
     if args.dim == 2:
         rec = classify2(omega, problem, tol)
@@ -309,7 +317,7 @@ def cmd_classify(args, tol) -> int:
 
 
 def cmd_trace(args, tol) -> int:
-    problem = load_problem(args.config)
+    problem = load_problem(args.config, tol)
     grid_spec = _parse_grid(args.grid)
     k = _parse_k(args.k) if args.k is not None else None
     dim = 2 if args.dim == 2 else 1
@@ -347,7 +355,7 @@ def eigen_table(problem: InterfaceProblem, ks, tol):
 
 
 def cmd_eigen(args, tol) -> int:
-    problem = load_problem(args.config)
+    problem = load_problem(args.config, tol)
     ks = _parse_k(args.k, sweep=True)
     rows = eigen_table(problem, ks, tol)
     header = ("k,branch,re_omega,im_omega,re_mu_plus,im_mu_plus,"
@@ -379,7 +387,7 @@ def cmd_eigen(args, tol) -> int:
 
 
 def cmd_resolve(args, tol) -> int:
-    problem = load_problem(args.config)
+    problem = load_problem(args.config, tol)
     omega = _parse_omega(args.omega)
     k = _parse_k(args.k)
     lo, hi = _parse_fields(args.support, "--support", "lo:hi", (2,))
@@ -431,15 +439,14 @@ def _suite_shoot(problem, k, tol):
                 dets.append(abs(shoot_determinant(complex(om), k, problem, tol)))
             except PreconditionError:
                 continue
-        if dets and min(dets) < 1e-6:
-            return False, f"no modes expected but |det| dips to {min(dets):.2e}"
-        if dets:
-            return True, f"no modes; determinant stays >= {min(dets):.2e}"
-        return True, "no modes; no admissible shooting points on the sample"
-    worst = 0.0
-    for m in modes:
-        root = shoot_refine(m.omega * (1 + 1e-5) + 1e-7, k, problem, tol)
-        worst = max(worst, abs(root - m.omega))
+        if not dets:
+            return True, "no modes; no admissible shooting points on the sample"
+        low = float(np.min(dets))   # NaN if any |det| is NaN, which fails
+        if not low >= 1e-6:
+            return False, f"no modes expected but |det| dips to {low:.2e}"
+        return True, f"no modes; determinant stays >= {low:.2e}"
+    worst = float(np.max([abs(shoot_refine(m.omega * (1 + 1e-5) + 1e-7, k, problem, tol)
+                                  - m.omega) for m in modes]))
     ok = worst <= 1e-6
     return ok, f"{len(modes)} mode(s); max |shoot_root - polynomial_root| = {worst:.2e}"
 
@@ -457,7 +464,7 @@ def _suite_lambda(problem, k, tol):
     rep = lambda_isolation_probe(mode.omega, k, problem, tol=tol)
     ok = rep.isolated
     return ok, (f"sigma(lambda=1) = {rep.sigma_at_one:.3e}, ring min = "
-                f"{min(rep.ring_minima):.3e}, factor = {rep.separation_factor:.1f}")
+                f"{np.min(rep.ring_minima):.3e}, factor = {rep.separation_factor:.1f}")
 
 
 def _fd_rel_error(omega, k, h, problem, tol) -> float:
@@ -512,7 +519,7 @@ def _suite_weyl(problem, k, tol):
 
 
 def cmd_check(args, tol) -> int:
-    problem = load_problem(args.config)
+    problem = load_problem(args.config, tol)
     k = _parse_k(args.k)
     suites = [
         ("shoot-vs-polynomial", _suite_shoot),

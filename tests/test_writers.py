@@ -98,7 +98,7 @@ def test_portrait_writers_match_the_per_cell_writers(drude_problem, guided_2d_pr
 
 def test_save_field_csv_matches_csv_writer(tmp_path):
     rng = np.random.default_rng(7)
-    n = 5000                                   # more than one 4096-row chunk
+    n = 5000                                   # more than one 1024-row chunk
     x = np.linspace(-3.0, 3.0, n)
     u = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
     u[0, :4] = [-0.0, 1e-310, 1e300 - 2e299j, complex(5e-324, -0.0)]

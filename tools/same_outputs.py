@@ -15,7 +15,10 @@ configs; k = 0 runs the k = 0 paths of the resolvent and the FD solve), so that
 a rounding change in an oracle there shows as well. ``resolve`` also runs beyond
 the drawn cases (``EXTRA_RESOLVES``): at k = 0, where the u1 columns of
 resolvent.csv are all zero, on the rational medium, and at h = 1e-4 (about 200k
-nodes, many chunks of the CSV writer). Each difference is named, a
+nodes, many chunks of the CSV writer). ``classify``, a small ``trace``, a short
+``eigen`` sweep and ``resolve`` also run on ``EXTRA_CONFIG``, whose top-level
+``scale`` and Drude ``background`` beside a rational side no benchmark config
+uses. Each difference is named, a
 differing stdout with its first differing line on each side; the exit status is
 1 if there is any, else 0. Temporary copies go under $TMPDIR.
 """
@@ -44,12 +47,32 @@ EXTRA_CHECKS = (("drude.cfg", 0.0), ("drude.cfg", 1.0), ("drude.cfg", 10.0),
 EXTRA_RESOLVES = (("drude.cfg", "0.2,0.7", 0.0, "1.0:2.0", 1e-3),
                   ("rational.cfg", "0.3,0.6", 3.0, "1.0:2.0", 1e-3),
                   ("drude.cfg", "0.0,0.75", 2.9, "-1.6:-0.8", 1e-4))   # (config, omega, k, support, h)
+EXTRA_CONFIG = """\
+# a lossy Lorentz-type rational side against a Drude side with a background, both scaled
+scale = 2.0
+
+[plus]
+kind = "rational"
+numerator = [1, 0.3j, -4.0]
+denominator = [1, 0.3j, -1.0]
+
+[minus]
+kind = "drude"
+omega_p = 0.8
+gamma = 1.0
+background = 1.5
+"""
+EXTRA_CONFIG_RUNS = (["classify", "--omega=0.3,0.6", "--k", "2.0"],
+                     ["trace", "--grid=-3:3:61,-1.5:0.5:21", "--k", "2.0", "--out", "trace"],
+                     ["eigen", "--k", "0.5:4:8"],
+                     ["resolve", "--omega=0.3,0.6", "--k", "2.0", "--support=1:2", "--h", "0.002",
+                      "--out", "resolve"])
 
 
 def run_all(copy: Path, work: Path) -> dict:
     """Run every invocation with copy's program, each workload and seed in its own
-    directory under work, then EXTRA_CHECKS and EXTRA_RESOLVES in one more; returns
-    {label: (exit code, stdout without timings)}."""
+    directory under work, then EXTRA_CHECKS and EXTRA_RESOLVES in one more and
+    EXTRA_CONFIG_RUNS in a last one; returns {label: (exit code, stdout without timings)}."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src")}
     results = {}
 
@@ -77,6 +100,9 @@ def run_all(copy: Path, work: Path) -> dict:
         run(f"resolve {cfg} omega = {omega} k = {k!r} h = {h!r}", work / "extra-checks",
             configs, ["resolve", "--config", cfg, f"--omega={omega}", "--k", repr(k),
                       f"--support={support}", "--h", repr(h), "--out", f"resolve_{n}"])
+    for argv in EXTRA_CONFIG_RUNS:
+        run(f"extra config {argv[0]}", work / "extra-config", {"extra.cfg": EXTRA_CONFIG},
+            [argv[0], "--config", "extra.cfg", *argv[1:]])
     return results
 
 
@@ -119,7 +145,8 @@ def main(argv=None) -> int:
     for line in diffs:
         print(f"differs: {line}")
     print(f"{len(runs['parent'])} invocations (seeds {', '.join(map(str, SEEDS))}, "
-          f"{len(EXTRA_CHECKS)} extra checks, {len(EXTRA_RESOLVES)} extra resolves): "
+          f"{len(EXTRA_CHECKS)} extra checks, {len(EXTRA_RESOLVES)} extra resolves, "
+          f"{len(EXTRA_CONFIG_RUNS)} runs on the extra config): "
           + (f"{len(diffs)} difference(s)" if diffs else "no difference"))
     return 1 if diffs else 0
 
