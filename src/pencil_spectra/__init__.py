@@ -7,6 +7,11 @@ resolvent solutions and Weyl sequences from closed-form representations, and
 cross-checks everything against an independent finite-difference oracle.
 """
 
+import os
+
+# set before the imports below load numpy, whose OpenBLAS reads it: README, "BLAS threads"
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .complex_numerics import (
     Tolerances,
     in_open_positive_ray,
