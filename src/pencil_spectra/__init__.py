@@ -8,6 +8,7 @@ cross-checks everything against an independent finite-difference oracle.
 """
 
 import os
+from importlib import import_module
 
 # set before the imports below load numpy, whose OpenBLAS reads it: README, "BLAS threads"
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -31,29 +32,22 @@ from .dielectric import (
 )
 from .classify1d import SpectrumClass, classify, in_M, in_N
 from .classify2d import classify2, in_M2, in_N2
-from .modes import (
-    PlasmonMode,
-    WeylSample,
-    dispersion_k2,
-    eigen_omegas,
-    eigenfunction_eval,
-    mode_residual,
-    weyl_residual_2d_interface,
-    weyl_sequence_1d,
-)
-from .resolvent import Grid, ResolventSolution, RhsField, solve, verify
-
-# fd_oracle imports scipy, most of the package's import time: load it on
-# first use of one of its names
-_FD_ORACLE_NAMES = ("DiscretizedPencil", "direct_solve", "lambda_isolation_probe",
-                    "shoot_determinant")
+# modes, resolvent and fd_oracle (with scipy) load on first use: a command loads what it runs
+_LAZY = {
+    **dict.fromkeys(("PlasmonMode", "WeylSample", "dispersion_k2", "eigen_omegas",
+                     "eigenfunction_eval", "mode_residual", "weyl_residual_2d_interface",
+                     "weyl_sequence_1d"), "modes"),
+    **dict.fromkeys(("Grid", "ResolventSolution", "RhsField", "solve", "verify"), "resolvent"),
+    **dict.fromkeys(("DiscretizedPencil", "direct_solve", "lambda_isolation_probe",
+                     "shoot_determinant"), "fd_oracle"),
+}
 
 
 def __getattr__(name):
-    if name in _FD_ORACLE_NAMES:
-        from . import fd_oracle
-        return getattr(fd_oracle, name)
+    if name in _LAZY:
+        return getattr(import_module(f".{_LAZY[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Tolerances", "principal_sqrt", "poly_roots", "in_ray", "in_open_positive_ray",

@@ -19,16 +19,18 @@ Values are finite Python literals (floats, complex like ``1+2j``, coefficient
 lists in descending powers for the rational kind). The table _KINDS names each
 kind's keys and constructor.
 
-Every fault raises ConfigError: unknown keys, missing keys and bad literals name
-the offending key and line, and a value the constructor rejects (a non-finite
-one, say) names the section. The CLI prints it as an ``error:`` line and exits
-with 2. A rational medium's common roots are cancelled under the run's
-Tolerances, so PENCIL_SPECTRA_TOL applies there too.
+Every fault raises ConfigError: unknown keys, missing keys, bad literals and a
+scale that is not finite and positive name the offending key and line, and a
+value the constructor rejects (a non-finite one, say) names the section. The
+CLI prints it as an ``error:`` line and exits with 2. A rational medium's
+common roots are cancelled under the run's Tolerances, so PENCIL_SPECTRA_TOL
+applies there too.
 """
 
 from __future__ import annotations
 
 import ast
+import math
 
 from .complex_numerics import DEFAULT_TOL, Tolerances
 from .dielectric import DielectricModel, InterfaceProblem
@@ -79,6 +81,8 @@ def parse_problem_config(text: str, source: str = "<config>",
     scale, scale_line = top.get("scale", (1.0, 0))
     try:
         scale = float(scale)
+        if not (math.isfinite(scale) and scale > 0):
+            raise ValueError(f"must be a finite positive real, got {scale!r}")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{source}:{scale_line}: invalid value for key 'scale': {exc}") from exc
 

@@ -8,11 +8,14 @@ are sampled preimages (_preimage_points) of one set definition for every
 rational medium and both pencils, kept where classify_array puts them in the
 set. The environment variable PENCIL_SPECTRA_TOL ("name=value,name=value")
 overrides default tolerances, for the raster and the overlays alike.
+Each subcommand imports only the modules it runs, and run() skips the final
+garbage collection (README, "Import and exit cost").
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -29,18 +32,6 @@ from .complex_numerics import DEFAULT_TOL, Tolerances, poly_roots_family
 from .config import load_problem
 from .dielectric import InterfaceProblem, omega0_set, singular_points
 from .errors import PencilSpectraError, PreconditionError
-from .modes import (
-    bump,
-    eigen_omegas,
-    eigen_sweep,
-    eigenvalue_polynomial,
-    fit_loglog_slope,
-    mode_residuals,
-    ray_polynomial,
-    weyl_2d_interface_report,
-    weyl_sequence_1d,
-)
-from .resolvent import RhsField, make_grid, save_field_csv, solve, suggest_half_length
 
 _SVG_WIDTH = 720   # pixels; the height follows the grid's aspect ratio
 # overlay point markers, in drawing order; (x, y) is the point, x0..y1 its 8 px box
@@ -91,6 +82,7 @@ def trace_portrait(problem: InterfaceProblem, grid_spec, k: float | None,
 
     ov: dict = {}
     if overlays and problem.is_rational:
+        from .modes import eigenvalue_polynomial
         ov["S"] = list(singular_points(problem, tol))
         ov["Omega0"] = [p.omega for p in omega0_set(problem, tol)]
         ov["N"] = (_n_points_2d(problem, tol) if k is None else _preimage_points(
@@ -150,6 +142,7 @@ def _ray_points(problem: InterfaceProblem, side: str, k, tol: Tolerances,
                 offsets=_RAY_OFFSETS) -> list:
     """Sampled ray set M_side^(k) of a rational medium: the omega with W_side = t,
     t = k0^2 + max(k0^2, 1) * offsets, k0 = k (k = None: the 2D pencil, k0 = 0)."""
+    from .modes import ray_polynomial
     k2 = 0.0 if k is None else k * k
     model, bit = (problem.plus, M_PLUS) if side == "+" else (problem.minus, M_MINUS)
     return _preimage_points(lambda o: ray_polynomial(model, k2 + max(k2, 1.0) * o),
@@ -164,6 +157,7 @@ def _m_minus_boundary(problem: InterfaceProblem, k, tol: Tolerances = DEFAULT_TO
 
 def _n_points_2d(problem: InterfaceProblem, tol: Tolerances) -> list:
     """Sampled 2D interface set N: eigenvalue-polynomial roots over the witnesses a."""
+    from .modes import eigenvalue_polynomial
     return _preimage_points(lambda a: eigenvalue_polynomial(np.sqrt(a), problem),
                             _N2_WITNESSES, None, IN_N, problem, tol)
 
@@ -263,10 +257,15 @@ def _parse_fields(text: str, flag: str, form: str, counts) -> list:
 
 
 def _parse_grid(text: str):
-    """((re0, re1, nx), (im0, im1, ny)) from re0:re1:nx,im0:im1:ny."""
+    """((re0, re1, nx), (im0, im1, ny)) from re0:re1:nx,im0:im1:ny; an axis of
+    more than one node runs from lo up to hi > lo."""
     re_part, _, im_part = text.partition(",")
-    return tuple(tuple(_parse_fields(part, "--grid axis", "lo:hi:count", (3,)))
+    axes = tuple(tuple(_parse_fields(part, "--grid axis", "lo:hi:count", (3,)))
                  for part in (re_part, im_part))
+    for (lo, hi, n), part in zip(axes, (re_part, im_part)):
+        if n > 1 and not lo < hi:
+            raise PencilSpectraError(f"--grid axis with count > 1 needs lo < hi, got {part!r}")
+    return axes
 
 
 def _parse_k(text: str, sweep: bool = False):
@@ -337,6 +336,7 @@ def cmd_trace(args, tol) -> int:
 
 def eigen_table(problem: InterfaceProblem, ks, tol):
     """Mode rows over a k sweep with greedy branch-continuity tracking."""
+    from .modes import eigen_sweep
     rows = []
     last: dict = {}
     next_id = 0
@@ -355,6 +355,7 @@ def eigen_table(problem: InterfaceProblem, ks, tol):
 
 
 def cmd_eigen(args, tol) -> int:
+    from .modes import mode_residuals
     problem = load_problem(args.config, tol)
     ks = _parse_k(args.k, sweep=True)
     rows = eigen_table(problem, ks, tol)
@@ -387,6 +388,8 @@ def cmd_eigen(args, tol) -> int:
 
 
 def cmd_resolve(args, tol) -> int:
+    from .modes import bump
+    from .resolvent import RhsField, make_grid, save_field_csv, solve, suggest_half_length
     problem = load_problem(args.config, tol)
     omega = _parse_omega(args.omega)
     k = _parse_k(args.k)
@@ -431,6 +434,7 @@ def _find_resolvent_point(problem, k, tol):
 
 def _suite_shoot(problem, k, tol):
     from .fd_oracle import shoot_determinant, shoot_refine
+    from .modes import eigen_omegas
     modes = eigen_omegas(k, problem, tol)
     if not modes:
         dets = []
@@ -453,6 +457,7 @@ def _suite_shoot(problem, k, tol):
 
 def _suite_lambda(problem, k, tol):
     from .fd_oracle import lambda_isolation_probe, ring_meets_essential
+    from .modes import eigen_omegas
     modes = eigen_omegas(k, problem, tol)
     if not modes:
         return True, "no modes; isolation probe skipped"
@@ -470,6 +475,8 @@ def _suite_lambda(problem, k, tol):
 def _fd_rel_error(omega, k, h, problem, tol) -> float:
     """Relative l2 gap of resolvent and FD solves; a frame per grid frees it before the next."""
     from .fd_oracle import default_grid, direct_solve, discretize
+    from .modes import bump
+    from .resolvent import RhsField, solve
     grid = default_grid(omega, k, problem, h=h, tol=tol)
     r2 = lambda x: bump((np.asarray(x) - 1.5) / 0.5)
     r = RhsField.from_callables(grid, k, r2_fn=r2, r3_fn=r2, support=(1.0, 2.0))
@@ -495,6 +502,7 @@ def _suite_weyl(problem, k, tol):
     of the largest witness a that has one (skipped when there is none): the 2D
     residual shows its n^-1 rate only once n is large against 1/sqrt(a) (lossy
     Drude, n = 8..64: slope -2.15 at a = 1e-3, -1.02 to -1.000 for a >= 8)."""
+    from .modes import fit_loglog_slope, weyl_2d_interface_report, weyl_sequence_1d
     ns = [8, 16, 32, 64]
     plane = _ray_points(problem, "+", k, tol, offsets=[1.0])
     if not plane:
@@ -625,5 +633,19 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> None:
+    """Console entry point: exit with main()'s code, skipping the final collections.
+
+    gc.freeze() leaves every object alive at exit to the normal shutdown but out
+    of the garbage collector's last passes over what numpy, scipy and the run
+    allocated. This relies on one condition: every file a command writes is
+    closed before main returns (each writer uses a with block), so no output
+    waits on a collection to be flushed.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

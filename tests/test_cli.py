@@ -1,4 +1,6 @@
 import csv
+import gc
+import importlib
 import os
 import subprocess
 import sys
@@ -413,32 +415,93 @@ def test_grid_count_one_is_accepted(cfg, tmp_path, capsys):
     assert len(rows) == 1 and rows[0]["branch_note"] == "reduced/resolvent"
 
 
+@pytest.mark.parametrize("grid", ["4:-4:161,-1.2:0.4:65", "0.5:0.5:3,-1:1:11",
+                                  "-2:2:21,0.4:-1:8"])
+def test_grid_axis_running_backwards_or_without_span_is_rejected(grid, cfg, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["trace", "--config", cfg(DRUDE_CFG), f"--grid={grid}", "--k", "3",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --grid axis with count > 1 needs lo < hi, got ")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def _python(*args: str, check: bool = True) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with args, this checkout's src on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(pencil_spectra.__file__))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          check=check, env=dict(os.environ, PYTHONPATH=src))
+
+
 def test_cli_commands_do_not_load_scipy(cfg, tmp_path):
-    """classify, trace, resolve and eigen run without scipy; only check needs it."""
+    """Each command, in a fresh interpreter, loads only the modules it runs: classify none
+    of modes, resolvent and fd_oracle, trace and eigen modes, resolve modes and resolvent;
+    none of them loads scipy, which only check needs."""
     path = cfg(DRUDE_CFG)
     out = str(tmp_path)
     runs = [
-        ["classify", "--config", path, "--omega", "0,0.5", "--k", "3"],
-        ["classify", "--config", path, "--omega", "0,-1.2", "--dim", "2"],
-        ["trace", "--config", path, "--grid=-2:2:21,-1:0.4:8", "--k", "3", "--out", out],
-        ["trace", "--config", path, "--grid=-2:2:21,-1:0.4:8", "--dim", "2", "--out", out],
-        ["resolve", "--config", path, "--omega", "0,0.5", "--k", "3", "--h", "0.05",
-         "--out", out],
-        ["eigen", "--config", path, "--k", "1:3:3", "--out", out],
+        (["classify", "--config", path, "--omega", "0,0.5", "--k", "3"], []),
+        (["classify", "--config", path, "--omega", "0,-1.2", "--dim", "2"], []),
+        (["trace", "--config", path, "--grid=-2:2:21,-1:0.4:8", "--k", "3", "--out", out],
+         ["modes"]),
+        (["trace", "--config", path, "--grid=-2:2:21,-1:0.4:8", "--dim", "2", "--out", out],
+         ["modes"]),
+        (["resolve", "--config", path, "--omega", "0,0.5", "--k", "3", "--h", "0.05",
+          "--out", out], ["modes", "resolvent"]),
+        (["eigen", "--config", path, "--k", "1:3:3", "--out", out], ["modes"]),
     ]
     code = (
         "import sys\n"
         "from pencil_spectra.trace_cli import main\n"
-        f"for argv in {runs!r}:\n"
-        "    assert main(argv) == 0, argv\n"
+        "assert main(sys.argv[1:]) == 0, sys.argv\n"
+        "print([m for m in ('modes', 'resolvent', 'fd_oracle')\n"
+        "       if 'pencil_spectra.' + m in sys.modules])\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        "from pencil_spectra import shoot_determinant\n"
-        "print(shoot_determinant.__module__)\n"
     )
-    src = os.path.dirname(os.path.dirname(pencil_spectra.__file__))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True, env=dict(os.environ, PYTHONPATH=src))
-    assert proc.stdout.splitlines()[-2:] == ["[]", "pencil_spectra.fd_oracle"]
+    for argv, loaded in runs:
+        assert _python("-c", code, *argv).stdout.splitlines()[-2:] == [repr(loaded), "[]"], argv
+    proc = _python("-c", "from pencil_spectra import shoot_determinant\n"
+                         "print(shoot_determinant.__module__)")
+    assert proc.stdout == "pencil_spectra.fd_oracle\n"
+
+
+def test_every_public_name_resolves():
+    """__all__ and the table of names loaded on first use agree, and each name resolves."""
+    assert set(pencil_spectra._LAZY) <= set(pencil_spectra.__all__)
+    for name in pencil_spectra.__all__:
+        value = getattr(pencil_spectra, name)
+        module = pencil_spectra._LAZY.get(name)
+        if module is not None:
+            assert value is getattr(importlib.import_module(f"pencil_spectra.{module}"), name)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        pencil_spectra.no_such_name
+
+
+def test_in_process_main_leaves_the_collector_unfrozen(cfg, tmp_path, capsys):
+    frozen = gc.get_freeze_count()
+    path = cfg(DRUDE_CFG)
+    assert main(["classify", "--config", path, "--omega", "0,0.5", "--k", "3"]) == 0
+    assert main(["resolve", "--config", path, "--omega", "0,0.5", "--k", "3",
+                 "--support", "2:1", "--out", str(tmp_path / "r")]) == 2
+    capsys.readouterr()
+    assert gc.get_freeze_count() == frozen
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["classify", "--omega", "0,0.5", "--k", "3"], 0),
+    (["resolve", "--omega", "0,0.5", "--k", "3", "--support", "2:1"], 2),
+])
+def test_module_entry_point_matches_in_process_main(argv, code, cfg, tmp_path, capsys):
+    """python -m pencil_spectra.trace_cli exits through run(): same output and exit code."""
+    argv = [argv[0], "--config", cfg(DRUDE_CFG), *argv[1:]]
+    if argv[0] == "resolve":
+        argv += ["--out", str(tmp_path / "r")]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    proc = _python("-m", "pencil_spectra.trace_cli", *argv, check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+    assert captured.out if code == 0 else captured.err.startswith("error: ")
 
 
 INVERSE_SQUARE_CFG = """\

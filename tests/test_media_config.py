@@ -84,6 +84,24 @@ def test_bad_scale_names_its_key_and_line(literal, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {path}:2: invalid value for key 'scale'")
 
 
+@pytest.mark.parametrize("literal", ["1e400", "-1e400", "0", "-0.0", "-2.0"])
+def test_a_scale_not_finite_and_positive_names_its_key_and_line(literal, tmp_path, capsys):
+    text = (f"# a comment\nscale = {literal}\n" + PLUS
+            + '[minus]\nkind = "constant"\nvalue = 3.0\n')
+    message = r"<config>:2: invalid value for key 'scale': must be a finite positive real"
+    with pytest.raises(ConfigError, match=message):
+        parse_problem_config(text)
+    path = tmp_path / "m.cfg"
+    path.write_text(text)
+    assert main(["classify", "--config", str(path), "--omega", "0,0.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:2: invalid value for key 'scale'")
+    assert "section" not in err
+    # a library caller meets the medium's own check
+    with pytest.raises(ValueError, match="scale must be a positive real"):
+        DielectricModel.constant(3.0, scale=float(literal))
+
+
 def test_each_kind_lists_its_keys():
     with pytest.raises(ConfigError, match=r"allowed: \['background', 'gamma', 'omega_p'\]"):
         parse_problem_config(PLUS + '[minus]\nkind = "drude"\nomega_p = 0.8\ngamma = 1\n'

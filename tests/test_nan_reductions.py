@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from pencil_spectra import fd_oracle, trace_cli
+from pencil_spectra import fd_oracle, modes, trace_cli
 from pencil_spectra.fd_oracle import PROBE_RADII, lambda_isolation_probe
 from pencil_spectra.modes import bump
 from pencil_spectra.resolvent import RhsField, make_grid, solve, verify
@@ -44,7 +44,7 @@ def test_shoot_suite_fails_on_nan_roots(drude_problem, monkeypatch):
 
 
 def test_shoot_suite_without_modes_fails_on_a_nan_determinant(drude_problem, monkeypatch):
-    monkeypatch.setattr(trace_cli, "eigen_omegas", lambda *args: [])
+    monkeypatch.setattr(modes, "eigen_omegas", lambda *args: [])
     monkeypatch.setattr(fd_oracle, "shoot_determinant",
                         lambda om, *args: math.nan if om.real > 2 else 1.0)
     ok, detail = trace_cli._suite_shoot(drude_problem, 3.0, fd_oracle.DEFAULT_TOL)

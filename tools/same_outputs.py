@@ -8,19 +8,20 @@ The parent and the working tree are exported as ``tools/bench_pairs.py``
 exports them. Every invocation of every workload in ``perfbench/workloads.py``,
 for seeds 1 and 2, runs once in each copy, as ``python -m
 pencil_spectra.trace_cli ...`` with that copy's ``src`` on PYTHONPATH. The exit
-codes and standard output are compared, with the timings stripped from
-``check`` lines, and so is every output file, byte for byte. ``check`` also runs
-at k away from the benchmark's (``EXTRA_CHECKS``, on the ``modes`` workload's
-configs; k = 0 runs the k = 0 paths of the resolvent and the FD solve), so that
-a rounding change in an oracle there shows as well. ``resolve`` also runs beyond
-the drawn cases (``EXTRA_RESOLVES``): at k = 0, where the u1 columns of
-resolvent.csv are all zero, on the rational medium, and at h = 1e-4 (about 200k
-nodes, many chunks of the CSV writer). ``classify``, a small ``trace``, a short
-``eigen`` sweep and ``resolve`` also run on ``EXTRA_CONFIG``, whose top-level
-``scale`` and Drude ``background`` beside a rational side no benchmark config
-uses. Each difference is named, a
-differing stdout with its first differing line on each side; the exit status is
-1 if there is any, else 0. Temporary copies go under $TMPDIR.
+codes, standard output and standard error are compared, with the timings
+stripped from ``check`` lines, and so is every output file, byte for byte.
+``check`` also runs at k away from the benchmark's (``EXTRA_CHECKS``, on the
+``modes`` workload's configs; k = 0 runs the k = 0 paths of the resolvent and
+the FD solve), so that a rounding change in an oracle there shows as well.
+``resolve`` also runs beyond the drawn cases (``EXTRA_RESOLVES``): at k = 0,
+where the u1 columns of resolvent.csv are all zero, on the rational medium, at
+h = 1e-4 (about 200k nodes, many chunks of the CSV writer), and with
+``--support 2:1``, which ends in an ``error:`` line and exit 2. ``classify``,
+a small ``trace``, a short ``eigen`` sweep and ``resolve`` also run on
+``EXTRA_CONFIG``, whose top-level ``scale`` and Drude ``background`` beside a
+rational side no benchmark config uses. Each difference is named, a differing
+stdout or stderr with its first differing line on each side; the exit status
+is 1 if there is any, else 0. Temporary copies go under $TMPDIR.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ EXTRA_CHECKS = (("drude.cfg", 0.0), ("drude.cfg", 1.0), ("drude.cfg", 10.0),
                 ("drude.cfg", 1000.0), ("rational.cfg", 3.0))   # (config of the modes workload, k)
 EXTRA_RESOLVES = (("drude.cfg", "0.2,0.7", 0.0, "1.0:2.0", 1e-3),
                   ("rational.cfg", "0.3,0.6", 3.0, "1.0:2.0", 1e-3),
-                  ("drude.cfg", "0.0,0.75", 2.9, "-1.6:-0.8", 1e-4))   # (config, omega, k, support, h)
+                  ("drude.cfg", "0.0,0.75", 2.9, "-1.6:-0.8", 1e-4),
+                  ("drude.cfg", "0.2,0.7", 3.0, "2:1", 1e-3))   # (config, omega, k, support, h)
 EXTRA_CONFIG = """\
 # a lossy Lorentz-type rational side against a Drude side with a background, both scaled
 scale = 2.0
@@ -72,7 +74,8 @@ EXTRA_CONFIG_RUNS = (["classify", "--omega=0.3,0.6", "--k", "2.0"],
 def run_all(copy: Path, work: Path) -> dict:
     """Run every invocation with copy's program, each workload and seed in its own
     directory under work, then EXTRA_CHECKS and EXTRA_RESOLVES in one more and
-    EXTRA_CONFIG_RUNS in a last one; returns {label: (exit code, stdout without timings)}."""
+    EXTRA_CONFIG_RUNS in a last one; returns {label: (exit code, stdout without timings,
+    stderr)}."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src")}
     results = {}
 
@@ -84,7 +87,7 @@ def run_all(copy: Path, work: Path) -> dict:
         proc = subprocess.run([sys.executable, "-m", "pencil_spectra.trace_cli", *argv],
                               cwd=cwd, env=env, capture_output=True, text=True,
                               stdin=subprocess.DEVNULL)
-        results[label] = (proc.returncode, CHECK_TIMING.sub(r"\1", proc.stdout))
+        results[label] = (proc.returncode, CHECK_TIMING.sub(r"\1", proc.stdout), proc.stderr)
 
     for name, make in workloads.WORKLOADS.items():
         for seed in SEEDS:
@@ -113,12 +116,13 @@ def _first_difference(parent: str, change: str) -> str:
 
 
 def differences(parent: Path, change: Path, runs: dict) -> list:
-    """Each stdout, exit code or output file that is not the same on both sides."""
+    """Each exit code, stdout, stderr or output file that is not the same on both sides."""
     old, new = runs["parent"], runs["change"]
     out = [f"{label}: exit code {old[label][0]} -> {new[label][0]}"
            for label in old if old[label][0] != new[label][0]]
-    out += [f"{label}: stdout: {_first_difference(old[label][1], new[label][1])}"
-            for label in old if old[label][1] != new[label][1]]
+    for i, stream in ((1, "stdout"), (2, "stderr")):
+        out += [f"{label}: {stream}: {_first_difference(old[label][i], new[label][i])}"
+                for label in old if old[label][i] != new[label][i]]
     files = {side: {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
              for side, root in (("parent", parent), ("change", change))}
     for rel in sorted(files["parent"] ^ files["change"]):
