@@ -37,7 +37,6 @@ from .complex_numerics import (
     cabs,
     cdiv,
     cmul,
-    in_open_positive_ray,
     in_ray,
     principal_sqrt,
 )
@@ -304,16 +303,15 @@ def _classify_omega0(problem, omega, k, pt: Omega0Point, tol, exact_hit: bool) -
 def _reduced_codes(wt_p, wt_m, w_p, w_m, k, tol):
     """Branch codes off S and Omega_0; k=None is the 2D pencil. Elementwise on
     arrays, k included (one wavenumber per point)."""
+    kr = 0.0 if k is None else k   # the 2D rays M_pm are the 1D ones at k = 0
+    ray_p = in_ray(w_p, kr * kr, tol)
+    ray_m = in_ray(w_m, kr * kr, tol)
+    # M_pm is the closed ray [k^2, inf), or the open ray (0, inf) where k = 0
+    mp = ray_p & ((kr != 0.0) | (w_p.real > tol.ray_real_tol))
+    mm = ray_m & ((kr != 0.0) | (w_m.real > tol.ray_real_tol))
     if k is None:
-        mp = in_open_positive_ray(w_p, tol)
-        mm = in_open_positive_ray(w_m, tol)
         nn = _n2_witness(w_p, w_m, tol)[0]
     else:
-        ray_p = in_ray(w_p, k * k, tol)
-        ray_m = in_ray(w_m, k * k, tol)
-        # M_pm is the closed ray [k^2, inf), or the open ray (0, inf) where k = 0
-        mp = ray_p & ((k != 0.0) | (w_p.real > tol.ray_real_tol))
-        mm = ray_m & ((k != 0.0) | (w_m.real > tol.ray_real_tol))
         nn = (np.logical_not(ray_p | ray_m)
               & _n_identity_holds(wt_p, wt_m, w_p, w_m, k * k, tol))
     return M_PLUS * mp + M_MINUS * mm + IN_N * nn

@@ -19,12 +19,12 @@ Values are finite Python literals (floats, complex like ``1+2j``, coefficient
 lists in descending powers for the rational kind). The table _KINDS names each
 kind's keys and constructor.
 
-Every fault raises ConfigError: unknown keys, missing keys, bad literals and a
-scale that is not finite and positive name the offending key and line, and a
-value the constructor rejects (a non-finite one, say) names the section. The
-CLI prints it as an ``error:`` line and exits with 2. A rational medium's
-common roots are cancelled under the run's Tolerances, so PENCIL_SPECTRA_TOL
-applies there too.
+Every fault raises ConfigError: a file that cannot be read names its path;
+unknown keys, missing keys, bad literals and a scale that is not finite and
+positive name the offending key and line, and a value the constructor rejects
+(a non-finite one, say) names the section. The CLI prints it as an ``error:``
+line and exits with 2. A rational medium's common roots are cancelled under
+the run's Tolerances, so PENCIL_SPECTRA_TOL applies there too.
 """
 
 from __future__ import annotations
@@ -118,5 +118,10 @@ def parse_problem_config(text: str, source: str = "<config>",
 
 
 def load_problem(path, tol: Tolerances = DEFAULT_TOL) -> InterfaceProblem:
-    with open(path, encoding="utf-8") as fh:
-        return parse_problem_config(fh.read(), source=str(path), tol=tol)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:   # missing, a directory, not UTF-8
+        raise ConfigError(f"{path}: cannot read the config file: "
+                          f"{getattr(exc, 'strerror', None) or exc}") from exc
+    return parse_problem_config(text, source=str(path), tol=tol)

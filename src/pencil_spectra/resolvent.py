@@ -291,28 +291,13 @@ def solve(omega: complex, k: float, r: RhsField, problem: InterfaceProblem,
 
 
 def _fd_first(y: np.ndarray, h: float) -> np.ndarray:
-    """4th-order first derivative on a uniform grid, one-sided at the ends."""
-    d = np.empty_like(y)
-    d[2:-2] = (-y[4:] + 8 * y[3:-1] - 8 * y[1:-3] + y[:-4]) / (12 * h)
-    # 4th-order one-sided stencils at the four boundary nodes
-    c = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12 * h)
-    d[0] = np.dot(c, y[:5])
-    d[1] = np.dot(c, y[1:6])
-    d[-1] = -np.dot(c, y[-1:-6:-1])
-    d[-2] = -np.dot(c, y[-2:-7:-1])
-    return d
+    """4th-order central first derivative on a uniform grid, at the nodes y[2:-2]."""
+    return (-y[4:] + 8 * y[3:-1] - 8 * y[1:-3] + y[:-4]) / (12 * h)
 
 
 def _fd_second(y: np.ndarray, h: float) -> np.ndarray:
-    """4th-order second derivative on a uniform grid, one-sided at the ends."""
-    d = np.empty_like(y)
-    d[2:-2] = (-y[4:] + 16 * y[3:-1] - 30 * y[2:-2] + 16 * y[1:-3] - y[:-4]) / (12 * h * h)
-    c = np.array([45.0, -154.0, 214.0, -156.0, 61.0, -10.0]) / (12 * h * h)
-    d[0] = np.dot(c, y[:6])
-    d[1] = np.dot(c, y[1:7])
-    d[-1] = np.dot(c, y[-1:-7:-1])
-    d[-2] = np.dot(c, y[-2:-8:-1])
-    return d
+    """4th-order central second derivative on a uniform grid, at the nodes y[2:-2]."""
+    return (-y[4:] + 16 * y[3:-1] - 30 * y[2:-2] + 16 * y[1:-3] - y[:-4]) / (12 * h * h)
 
 
 def verify(sol: ResolventSolution, r: RhsField, omega: complex, k: float,
@@ -335,17 +320,17 @@ def _verify_fields(grid: Grid, u: np.ndarray, u2_prime: np.ndarray, u3_prime: np
     res = np.zeros((2, 3))
     div = np.zeros(2)
     for n, (sl, wval) in enumerate(((slice(0, nl), w_m), (slice(nl, None), w_p))):
-        u1 = u[0, sl]; u2 = u[1, sl]; u3 = u[2, sl]
-        du1 = _fd_first(u1, h)
-        du2 = _fd_first(u2, h)
-        d2u2 = _fd_second(u2, h)
-        d2u3 = _fd_second(u3, h)
-        interior = slice(2, -2)
-        eq1 = (k * k - wval) * u1 + 1j * k * du2 - r.r1[sl]
-        eq2 = 1j * k * du1 - d2u2 - wval * u2 - r.r2[sl]
-        eq3 = -d2u3 + (k * k - wval) * u3 - r.r3[sl]
-        res[n] = [np.abs(eq[interior]).max() for eq in (eq1, eq2, eq3)]
-        div[n] = np.abs((du1 + 1j * k * u2)[interior]).max()
+        du1 = _fd_first(u[0, sl], h)
+        du2 = _fd_first(u[1, sl], h)
+        d2u2 = _fd_second(u[1, sl], h)
+        d2u3 = _fd_second(u[2, sl], h)
+        u1, u2, u3 = u[:, sl][:, 2:-2]   # the stencils' nodes: two fewer at either end
+        r1, r2, r3 = (rj[sl][2:-2] for rj in (r.r1, r.r2, r.r3))
+        eq1 = (k * k - wval) * u1 + 1j * k * du2 - r1
+        eq2 = 1j * k * du1 - d2u2 - wval * u2 - r2
+        eq3 = -d2u3 + (k * k - wval) * u3 - r3
+        res[n] = [np.abs(eq).max() for eq in (eq1, eq2, eq3)]
+        div[n] = np.abs(du1 + 1j * k * u2).max()
     res = res.max(axis=0).tolist()
 
     im, ip = grid.i_zero_minus, grid.i_zero_plus

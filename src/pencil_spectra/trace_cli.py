@@ -180,11 +180,12 @@ def write_portrait_svg(path, pg: PortraitGrid) -> None:
     width, nx, ny = _SVG_WIDTH, pg.re_axis.size, pg.im_axis.size
     re0, re1 = float(pg.re_axis[0]), float(pg.re_axis[-1])
     im0, im1 = float(pg.im_axis[0]), float(pg.im_axis[-1])
-    # a one-node axis takes the other axis's cell size and pixels per unit (a 1x1 grid
-    # is one square, one unit wide), and its node lies on the middle of the picture
+    # a one-node axis takes the other axis's cell size and pixels per unit (a 1x1 grid is one
+    # square, one unit wide), its node in the middle; the height is at most width * max(nx, ny)
     if nx > 1:
         sx = width / max(re1 - re0, 1e-12)
-        height = int(round((im1 - im0) * sx if ny > 1 else width / nx)) or 1
+        height = int(round(min((im1 - im0) * sx, width * max(nx, ny))
+                           if ny > 1 else width / nx)) or 1
         sy = height / max(im1 - im0, 1e-12) if ny > 1 else sx
     else:
         height = width * ny
@@ -482,8 +483,7 @@ def _fd_rel_error(omega, k, h, problem, tol) -> float:
     r = RhsField.from_callables(grid, k, r2_fn=r2, r3_fn=r2, support=(1.0, 2.0))
     sol = solve(omega, k, r, problem, tol)
     u_fd = direct_solve(omega, k, r, discretize(omega, k, problem, grid=grid, tol=tol))
-    return float(np.sqrt(sum(np.sum(np.abs(sol.u[j] - u_fd[j]) ** 2) for j in range(3)))
-                 / np.sqrt(sum(np.sum(np.abs(sol.u[j]) ** 2) for j in range(3))))
+    return float(np.linalg.norm(sol.u - u_fd) / np.linalg.norm(sol.u))
 
 
 def _suite_resolvent(problem, k, tol):

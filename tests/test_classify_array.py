@@ -26,8 +26,9 @@ from pencil_spectra import (
     omega0_set,
     singular_points,
 )
-from pencil_spectra.classify1d import classify_array
-from pencil_spectra.complex_numerics import DEFAULT_TOL
+from pencil_spectra.classify1d import M_MINUS, M_PLUS, _reduced_codes, classify_array
+from pencil_spectra.complex_numerics import (DEFAULT_TOL, Tolerances, complex_array,
+                                             in_open_positive_ray)
 from pencil_spectra.dielectric import near_omega0, which_pole_side, wtilde
 
 KS = [0.0, 0.7, 3.0, 50.0, 1e3]
@@ -229,3 +230,28 @@ def test_empty_and_shape():
     flat = classify_array(grid, 3.0, MEDIA["drude"])
     assert flat.codes.shape == (15,)
     assert flat.branch_notes() == classify_array(grid.ravel(), 3.0, MEDIA["drude"]).branch_notes()
+
+
+@pytest.mark.parametrize("tol", [TOL, Tolerances(ray_imag_tol=0.0, ray_real_tol=0.0),
+                                 Tolerances(ray_imag_tol=0.5, ray_real_tol=2.0)])
+def test_2d_rays_are_the_open_positive_ray(tol):
+    """The 2D M bits of _reduced_codes are the open ray (0, inf) of in_open_positive_ray,
+    for scalars and arrays, at the tolerance edges, signed zeros, infinities and NaN."""
+    rt, it = tol.ray_real_tol, tol.ray_imag_tol
+    edges = lambda t: [t, -t, np.nextafter(t, math.inf), np.nextafter(t, -math.inf)]
+    re = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan] + edges(rt) + edges(-rt)
+    im = [0.0, -0.0, math.inf, -math.inf, math.nan] + edges(it) + edges(-it)
+    re_g, im_g = np.meshgrid(re, im)
+    rng = np.random.default_rng(7)
+    w_p = np.concatenate([complex_array(re_g.ravel(), im_g.ravel()),
+                          complex_array(rng.normal(0, 3 * rt + 1e-9, 200),
+                                        rng.normal(0, 3 * it + 1e-9, 200))])
+    w_m = w_p[::-1].copy()
+    wt = np.ones_like(w_p)
+    with np.errstate(all="ignore"):   # the N witness meets the infinities and NaNs
+        codes = _reduced_codes(wt, wt, w_p, w_m, None, tol)
+    old = M_PLUS * in_open_positive_ray(w_p, tol) + M_MINUS * in_open_positive_ray(w_m, tol)
+    assert ((codes & (M_PLUS | M_MINUS)) == old).all()
+    for a, b, want in zip(w_p.tolist(), w_m.tolist(), old.tolist()):
+        got = _reduced_codes(1 + 0j, 1 + 0j, a, b, None, tol) & (M_PLUS | M_MINUS)
+        assert got == want, (a, b)

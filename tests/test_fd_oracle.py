@@ -330,3 +330,29 @@ def test_fd_oracle_factors_in_one_place_in_natural_order():
     assert len(refs) == len(calls) == 1
     options = {kw.arg: ast.literal_eval(kw.value) for kw in calls[0].keywords}
     assert options["permc_spec"] == "NATURAL"
+
+
+def test_d1_grid_is_exact_for_a_quadratic_on_each_half_line():
+    """Second order on each half-line, end nodes included, and never across x1 = 0:
+    a different quadratic on each side gives its own derivative at every node."""
+    grid = make_grid(2.0, 1 / 50)
+    x = grid.x
+    left = x <= 0.0
+    left[grid.i_zero_plus] = False   # the doubled interface node belongs to the right side
+    u = np.where(left, (1.0 + 1j) + 2.0 * x - 3.0 * x**2, -4.0 + (5.0 - 2j) * x + 7.0 * x**2)
+    exact = np.where(left, 2.0 - 6.0 * x, (5.0 - 2j) + 14.0 * x)
+    du = fd_oracle._d1_grid(u, grid)
+    assert np.abs(du - exact).max() <= 1e-9 * np.abs(exact).max()
+
+
+@pytest.mark.parametrize("half_length, h", [(1.0, 1 / 10), (2.0, 1 / 100)])   # 22, 402 nodes
+@pytest.mark.parametrize("k", [0.5, 3.0, 10.0])
+def test_sigma_min_matches_dense_svd_on_small_blocks(half_length, h, k, drude_problem):
+    grid = make_grid(half_length, h)
+    assert grid.x.size in (22, 402)
+    omega = 0.5j
+    for lam in (1.0, 1.0 + 0.05j, 1.0 + 0.2 * np.exp(0.75j * math.pi)):
+        disc = discretize(omega, k, drude_problem, grid=grid, lam=lam)
+        for block in (disc.block2, disc.block3):
+            dense = np.linalg.svd(block.toarray(), compute_uv=False)[-1]
+            assert smallest_singular_value(block) == pytest.approx(dense, rel=1e-8)

@@ -9,7 +9,7 @@ import pytest
 
 from pencil_spectra import DielectricModel, InterfaceProblem, classify
 from pencil_spectra.complex_numerics import Tolerances
-from pencil_spectra.config import parse_problem_config
+from pencil_spectra.config import load_problem, parse_problem_config
 from pencil_spectra.errors import ConfigError
 from pencil_spectra.trace_cli import main
 
@@ -149,3 +149,27 @@ def test_pencil_spectra_tol_reaches_the_rational_cancellation(tmp_path, capsys, 
     out = capsys.readouterr().out
     assert out.splitlines()[0].endswith("->  resolvent")
     assert f",{record.raster_class()},{record.branch_note}," in out
+
+
+@pytest.mark.parametrize("make, reason", [
+    (lambda p: None, "No such file or directory"),
+    (lambda p: p.mkdir(), "Is a directory"),
+    (lambda p: p.write_bytes(b"\xff\xfe" + PLUS.encode()), "can't decode byte 0xff"),
+])
+@pytest.mark.parametrize("command", [
+    ["classify", "--omega", "0,0.5"],
+    ["trace", "--grid=0:1:3,-1:1:3", "--k", "3"],
+])
+def test_an_unreadable_config_is_an_error_line(make, reason, command, tmp_path, capsys):
+    path = tmp_path / "nope.cfg"
+    make(path)
+    out = tmp_path / "out"
+    argv = [command[0], "--config", str(path), *command[1:]]
+    assert main(argv + ["--out", str(out)] if command[0] == "trace" else argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: cannot read the config file: ")
+    assert reason in captured.err and captured.err.count("\n") == 1
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="cannot read the config file"):
+        load_problem(path)

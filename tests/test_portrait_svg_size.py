@@ -8,6 +8,9 @@ import pytest
 from pencil_spectra.complex_numerics import DEFAULT_TOL
 from pencil_spectra.trace_cli import _SVG_WIDTH, main, trace_portrait, write_portrait_svg
 
+DRUDE_CFG = ('[plus]\nkind = "constant"\nvalue = 2.0\n'
+             '[minus]\nkind = "drude"\nomega_p = 0.8\ngamma = 1.0\n')
+
 
 def _size_and_circles(path):
     text = path.read_text()
@@ -29,6 +32,19 @@ def test_one_node_axes_give_square_cells(grid, height, drude_problem, tmp_path):
     assert width == _SVG_WIDTH and 1 <= got <= _SVG_WIDTH * max(nx, ny)
     assert got == height
     assert abs(width / nx - got / ny) <= 0.5   # square cells, up to the rounded height
+
+
+@pytest.mark.parametrize("re_axis", ["0:1e-6:3", "0:1e-13:3"])
+def test_a_tiny_re_span_caps_the_height(re_axis, tmp_path, capsys):
+    # the aspect ratio asks for a height of 1.44e9 or 1.44e15 px; the cap is 720 * 3
+    path = tmp_path / "m.cfg"
+    path.write_text(DRUDE_CFG)
+    assert main(["trace", "--config", str(path), f"--grid={re_axis},-1:1:3", "--k", "3",
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    _, height, circles = _size_and_circles(tmp_path / "portrait.svg")
+    assert height == _SVG_WIDTH * 3 == 2160
+    assert all(-4 <= y <= height + 4 for _, y in circles)
 
 
 def test_cli_trace_with_a_one_node_axis(tmp_path, capsys):

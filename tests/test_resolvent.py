@@ -117,11 +117,12 @@ def test_combination_identity(drude_problem):
     for sl, model in ((slice(0, nl), drude_problem.minus),
                       (slice(nl, None), drude_problem.plus)):
         wv = w_eval(model, omega)
-        du2 = _fd_first(sol.u[1, sl], grid.h)
-        lhs = du2 - 1j * k * sol.u[0, sl]
-        rhs = (wv * sol.u[0, sl] + r.r1[sl]) / (1j * k)
+        du2 = _fd_first(sol.u[1, sl], grid.h)   # at the nodes [2:-2]
+        u1, r1 = sol.u[0, sl][2:-2], r.r1[sl][2:-2]
+        lhs = du2 - 1j * k * u1
+        rhs = (wv * u1 + r1) / (1j * k)
         norm = np.abs(lhs).max()
-        assert np.abs(lhs - rhs)[3:-3].max() <= 1e-6 * max(norm, 1.0)
+        assert np.abs(lhs - rhs)[1:-1].max() <= 1e-6 * max(norm, 1.0)
 
 
 def test_linearity(drude_problem):
@@ -327,3 +328,92 @@ def test_cli_import_does_not_load_scipy_signal():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "False"
+
+
+# -- a reference verify: full-length stencils, one-sided at the ends, read at [2:-2] --
+
+def _ref_fd_first(y, h):
+    d = np.empty_like(y)
+    d[2:-2] = (-y[4:] + 8 * y[3:-1] - 8 * y[1:-3] + y[:-4]) / (12 * h)
+    c = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12 * h)
+    d[0] = np.dot(c, y[:5])
+    d[1] = np.dot(c, y[1:6])
+    d[-1] = -np.dot(c, y[-1:-6:-1])
+    d[-2] = -np.dot(c, y[-2:-7:-1])
+    return d
+
+
+def _ref_fd_second(y, h):
+    d = np.empty_like(y)
+    d[2:-2] = (-y[4:] + 16 * y[3:-1] - 30 * y[2:-2] + 16 * y[1:-3] - y[:-4]) / (12 * h * h)
+    c = np.array([45.0, -154.0, 214.0, -156.0, 61.0, -10.0]) / (12 * h * h)
+    d[0] = np.dot(c, y[:6])
+    d[1] = np.dot(c, y[1:7])
+    d[-1] = np.dot(c, y[-1:-7:-1])
+    d[-2] = np.dot(c, y[-2:-8:-1])
+    return d
+
+
+def _ref_verify_fields(grid, u, u2_prime, u3_prime, r, omega, k, problem, tol):
+    from pencil_spectra.dielectric import w_values
+    from pencil_spectra.resolvent import VerifyReport
+
+    h = grid.h
+    nl = grid.i_zero_minus + 1
+    wt_p, wt_m, w_p, w_m = w_values(problem, omega, tol)
+    r_norm = r.norm()
+    scale = max(r_norm, 1e-300)
+
+    res = np.zeros((2, 3))
+    div = np.zeros(2)
+    for n, (sl, wval) in enumerate(((slice(0, nl), w_m), (slice(nl, None), w_p))):
+        u1 = u[0, sl]; u2 = u[1, sl]; u3 = u[2, sl]
+        du1 = _ref_fd_first(u1, h)
+        du2 = _ref_fd_first(u2, h)
+        d2u2 = _ref_fd_second(u2, h)
+        d2u3 = _ref_fd_second(u3, h)
+        interior = slice(2, -2)
+        eq1 = (k * k - wval) * u1 + 1j * k * du2 - r.r1[sl]
+        eq2 = 1j * k * du1 - d2u2 - wval * u2 - r.r2[sl]
+        eq3 = -d2u3 + (k * k - wval) * u3 - r.r3[sl]
+        res[n] = [np.abs(eq[interior]).max() for eq in (eq1, eq2, eq3)]
+        div[n] = np.abs((du1 + 1j * k * u2)[interior]).max()
+    res = res.max(axis=0).tolist()
+
+    im, ip = grid.i_zero_minus, grid.i_zero_plus
+    jump_wu1 = abs(wt_p * u[0, ip] - wt_m * u[0, im])
+    jump_u2 = abs(u[1, ip] - u[1, im])
+    jump_u3 = abs(u[2, ip] - u[2, im])
+    comb_p = u2_prime[ip] - 1j * k * u[0, ip]
+    comb_m = u2_prime[im] - 1j * k * u[0, im]
+    jump_comb = abs(comb_p - comb_m)
+    jump_du3 = abs(u3_prime[ip] - u3_prime[im])
+
+    u_norm = math.sqrt(sum(float(np.trapezoid(np.abs(u[j]) ** 2, x=grid.x))
+                           for j in range(3)))
+    return VerifyReport(
+        ode_residuals=tuple(x / scale for x in res),
+        ode_residual_max=float(np.max(res)) / scale,
+        jumps=(jump_wu1 / scale, jump_u2 / scale, jump_u3 / scale,
+               jump_comb / scale, jump_du3 / scale),
+        divergence_max=float(div.max()) / scale,
+        norm_ratio=u_norm / scale,
+        r_norm=r_norm,
+    )
+
+
+@pytest.mark.parametrize("k, omega", [(3.0, 0.5j), (0.0, 0.2 + 0.7j), (1.0, -0.3 + 0.4j)])
+def test_verify_reads_only_the_interior_stencils(k, omega, drude_problem):
+    """The report from interior-only stencils equals, bit for bit, the one whose
+    stencils also filled the two end nodes of each half-line and then dropped them."""
+    from pencil_spectra.complex_numerics import DEFAULT_TOL
+
+    grid = make_grid(10.0, 1 / 200)
+    r = _bump_rhs(grid, k)
+    sol = solve(omega, k, r, drude_problem)
+    ref = _ref_verify_fields(grid, sol.u, sol.u2_prime, sol.u3_prime, r, omega, k,
+                             drude_problem, DEFAULT_TOL)
+    for name in ("ode_residuals", "ode_residual_max", "jumps", "divergence_max",
+                 "norm_ratio", "r_norm"):
+        got, want = getattr(sol.report, name), getattr(ref, name)
+        assert np.array(got).tobytes() == np.array(want).tobytes(), name

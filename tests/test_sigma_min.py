@@ -30,7 +30,7 @@ def _probed_mode(k, problem):
     ("equal_off_axis", 3.0, (1.0 - 0.1j, RING)),
 ])
 def test_sigma_min_matches_dense_svd(case, k, lams, drude_problem, equal_problem):
-    # 802 nodes: above the dense branch's 400, so the iterative path runs
+    # 802 nodes: a cheap dense SVD to check inverse Lanczos against
     grid = make_grid(4.0, 1 / 100)
     if case == "drude":
         problem, omega = drude_problem, _probed_mode(k, drude_problem)
@@ -54,7 +54,7 @@ def _backward_error(A, x, b):
 def test_natural_order_lu_is_accurate(k, half_length, h, drude_problem):
     """fd_oracle's one LU (natural column order) against SuperLU's defaults at lambda = 1
     and on the outer ring: its solves stay backward stable, and sigma_min matches dense SVD."""
-    grid = make_grid(half_length, h)   # 500-800 nodes: the iterative branch, a cheap dense SVD
+    grid = make_grid(half_length, h)   # 500-800 nodes: a cheap dense SVD
     omega = _probed_mode(k, drude_problem)
     b = np.random.default_rng(0).standard_normal((2, grid.x.size)).T @ [1, 1j]
     for lam in (1.0, RING):
