@@ -193,6 +193,13 @@ def _reduced_point_values(problem, omega, tol, op_name):
     return w_values(problem, omega, tol)
 
 
+def _m_side(side: str, values, k, problem: InterfaceProblem, tol: Tolerances):
+    """(W_side, the M_side bit of the reduced code at k; k=None is 2D) from w_values' values.
+    problem.side rejects a bad label; when one model serves both sides the bits agree."""
+    i = 0 if problem.side(side) is problem.plus else 1
+    return values[2 + i], bool(_reduced_codes(*values, k, tol) & (M_PLUS, M_MINUS)[i])
+
+
 def in_M(side: str, omega: complex, k: float, problem: InterfaceProblem,
          tol: Tolerances = DEFAULT_TOL) -> bool:
     """Membership of omega in the essential ray set M_side^(k).
@@ -201,13 +208,10 @@ def in_M(side: str, omega: complex, k: float, problem: InterfaceProblem,
     (0, inf). The open/closed distinction at the k = 0 endpoint is moot off
     the exceptional set: W_side(omega) = 0 is exactly membership in Omega_0,
     which this operation rejects. Raises PreconditionError on S or Omega_0.
-    The answer is the M_side bit of the reduced branch code (_reduced_codes).
+    The answer is the M_side bit of the reduced branch code (_m_side).
     """
-    omega = complex(omega)
-    values = _reduced_point_values(problem, omega, tol, "in_M")
-    # problem.side rejects a bad label; when one model serves both sides the bits agree
-    bit = M_PLUS if problem.side(side) is problem.plus else M_MINUS
-    return bool(_reduced_codes(*values, k, tol) & bit)
+    values = _reduced_point_values(problem, complex(omega), tol, "in_M")
+    return _m_side(side, values, k, problem, tol)[1]
 
 
 def _n_identity_holds(wt_p, wt_m, w_p, w_m, k2, tol, slack=1.0):
@@ -326,8 +330,7 @@ def _classify_point(omega: complex, k, problem: InterfaceProblem, tol: Tolerance
     pt = near_omega0(problem, omega, tol)
     if pt is not None:
         return _classify_omega0(problem, omega, k, pt, tol, omega == pt.omega)
-    wt_p, wt_m, w_p, w_m = w_values(problem, omega, tol)
-    return REDUCED[2 if k is None else 1][_reduced_codes(wt_p, wt_m, w_p, w_m, k, tol)]
+    return REDUCED[2 if k is None else 1][_reduced_codes(*w_values(problem, omega, tol), k, tol)]
 
 
 def _near_any(omega: np.ndarray, points, dist: float) -> np.ndarray:
@@ -351,7 +354,8 @@ def classify_array(omega, k: float | None, problem: InterfaceProblem,
     4. The points of step 1 are decided one at a time by _classify_point:
        which_pole_side (plus side first), near_omega0 and the exceptional
        case table. So is every point of a black-box model, whose Omega_0
-       test is pointwise.
+       test is pointwise, and every point with a W-tilde that is not finite
+       (a denominator exactly 0 at a pole that poly_roots missed, say).
 
     The array arithmetic rounds as CPython's complex arithmetic, so every
     point gets the record classify (or classify2) gives it. Total: never
@@ -365,7 +369,9 @@ def classify_array(omega, k: float | None, problem: InterfaceProblem,
             special = (singular_set(problem.plus, tol) + singular_set(problem.minus, tol)
                        + tuple(p.omega for p in omega0_set(problem, tol)))
             rest = ~_near_any(omega, special, tol.ray_imag_tol)
-            codes[rest] = _reduced_codes(*w_values(problem, omega[rest], tol), k, tol)
+            wt_p, wt_m, w_p, w_m = w_values(problem, omega[rest], tol)
+            codes[rest] = np.where(np.isfinite(wt_p) & np.isfinite(wt_m),
+                                   _reduced_codes(wt_p, wt_m, w_p, w_m, k, tol), POINTWISE)
     pointwise = {i: _classify_point(complex(omega[i]), k, problem, tol)
                  for i in np.flatnonzero(codes == POINTWISE).tolist()}
     return ArrayClassification(codes, pointwise, 2 if k is None else 1)

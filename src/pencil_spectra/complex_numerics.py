@@ -51,8 +51,6 @@ class Tolerances:
     def from_env(cls, environ=None) -> "Tolerances":
         """Defaults, overridden by PENCIL_SPECTRA_TOL='name=value,name=value'."""
         raw = (environ if environ is not None else os.environ).get(TOL_ENV_VAR, "")
-        if not raw.strip():
-            return cls()
         known = {f.name for f in fields(cls)}
         overrides = {}
         for item in raw.split(","):
@@ -107,14 +105,6 @@ def in_open_positive_ray(z, tol: Tolerances = DEFAULT_TOL):
     return (abs(z.imag) <= tol.ray_imag_tol) & (z.real > tol.ray_real_tol)
 
 
-def polyval(coeffs, z: complex) -> complex:
-    """Horner evaluation of descending coefficients at a complex scalar."""
-    acc = 0j
-    for c in coeffs:
-        acc = acc * z + c
-    return acc
-
-
 # -- complex arithmetic on numpy arrays, rounded as CPython rounds it ----------
 #
 # numpy's complex product, quotient, modulus and square root round
@@ -124,10 +114,6 @@ def polyval(coeffs, z: complex) -> complex:
 # every point bit-for-bit as scalar code does. Given Python scalars they use
 # CPython's own arithmetic. Array callers wrap them in np.errstate: infinities
 # and NaNs propagate, nothing raises.
-
-def _scalars(*xs) -> bool:
-    return not any(isinstance(x, np.ndarray) for x in xs)
-
 
 def complex_array(re, im) -> np.ndarray:
     """re + i*im (same-shape real arrays) by assignment, so infinities and
@@ -140,7 +126,7 @@ def complex_array(re, im) -> np.ndarray:
 
 def cmul(a, b):
     """a*b, elementwise on arrays."""
-    if _scalars(a, b):
+    if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
         return a * b
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -150,7 +136,7 @@ def cmul(a, b):
 
 def cdiv(a, b):
     """a/b (Smith's method), elementwise on arrays; NaN where b == 0."""
-    if _scalars(a, b):
+    if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
         return a / b if b != 0 else complex(math.nan, math.nan)
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -164,7 +150,7 @@ def cdiv(a, b):
 
 def cabs(z):
     """|z| (libm hypot), elementwise on arrays; inf where CPython raises OverflowError."""
-    if _scalars(z):
+    if not isinstance(z, np.ndarray):
         try:
             return abs(z)
         except OverflowError:   # both parts finite, the modulus beyond the float range
@@ -197,21 +183,23 @@ def _principal_sqrt_array(z: np.ndarray) -> np.ndarray:
     return np.where((a.real < 0.0) | ((a.real == 0.0) & (a.imag < 0.0)), -a, a)
 
 
-def polyval_array(coeffs, z: np.ndarray) -> np.ndarray:
-    """polyval at every element: the same Horner steps, rounded as CPython rounds them."""
-    acc = np.zeros(z.shape, dtype=complex)
+def polyval(coeffs, z):
+    """Horner evaluation of descending coefficients at a complex scalar or, elementwise
+    and bitwise as at each scalar (cmul), a numpy array; a coefficient may be an array."""
+    acc = 0j
     for c in coeffs:
         acc = cmul(acc, z) + c
     return acc
 
 
-def poly_eval_scale(coeffs, z: complex) -> float:
-    """Natural magnitude of the evaluation sum_i |c_i| |z|^(n-i); floors residual tests."""
-    az = abs(z)
+def poly_eval_scale(coeffs, z):
+    """Natural magnitude of the evaluation sum_i |c_i| |z|^(n-i); floors residual
+    tests. Elementwise on arrays (z or the coefficients), bitwise as at each scalar."""
+    az = cabs(z)
     acc = 0.0
     for c in coeffs:
-        acc = acc * az + abs(c)
-    return max(acc, 1e-300)
+        acc = acc * az + cabs(c)
+    return np.maximum(acc, 1e-300)
 
 
 def trim_leading(coeffs) -> tuple:
@@ -293,25 +281,21 @@ def _newton_polish(c, der, raw, tol: Tolerances):
     """Newton steps on every root of raw (a row of roots per coefficient row of c,
     der their derivatives) at once: each root stops at its first small residual,
     zero or non-finite step, small step, or after 20 steps. Returns the roots and
-    the mask of those that moved; the arithmetic is the scalar loop's, rounded
-    as CPython rounds p and numpy scalars round p' and p/p'."""
+    the mask of those that moved; the arithmetic is the scalar loop's (polyval and
+    poly_eval_scale at arrays), rounded as CPython rounds p and numpy scalars
+    round p' and p/p'."""
     z = raw.ravel()
     moved = np.zeros(z.size, dtype=bool)
     owner = np.repeat(np.arange(raw.shape[0]), raw.shape[1])
-    mod_c = cabs(c)
     bound = 1e-3 * tol.root_residual_tol
     live = np.arange(z.size)
     with np.errstate(all="ignore"):
         for _ in range(20):
             rows, zl = owner[live], z[live]
-            p = polyval_array(c[rows].T, zl)
-            az = cabs(zl)
-            scale = np.zeros(zl.shape)
-            for a in mod_c[rows].T:   # poly_eval_scale
-                scale = scale * az + a
-            go = ~(cabs(p) <= bound * np.maximum(scale, 1e-300))
+            p = polyval(c[rows].T, zl)
+            go = ~(cabs(p) <= bound * poly_eval_scale(c[rows].T, zl))
             live, rows, zl, p = live[go], rows[go], zl[go], p[go]
-            step = p / polyval_array(der[rows].T, zl)   # not finite where p' == 0
+            step = p / polyval(der[rows].T, zl)   # not finite where p' == 0
             go = np.isfinite(step.real) & np.isfinite(step.imag)
             live, zl, step = live[go], zl[go] - step[go], step[go]
             z[live] = zl

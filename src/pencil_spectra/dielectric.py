@@ -28,7 +28,6 @@ from .complex_numerics import (
     poly_eval_scale,
     poly_roots,
     polyval,
-    polyval_array,
     trim_leading,
 )
 from .errors import DegenerateInputError, SingularityError, UnsupportedModelError
@@ -161,25 +160,28 @@ def _near(z: complex, points, dist: float):
     return None
 
 
-def wtilde(model: DielectricModel, omega: complex, tol: Tolerances = DEFAULT_TOL) -> complex:
-    """W-tilde(omega). Raises SingularityError at (or within ray_imag_tol of) a pole."""
-    omega = complex(omega)
+def _pole_at(model: DielectricModel, omega: complex, tol: Tolerances):
+    """The pole of model within ray_imag_tol of omega, else None; omega itself
+    where a rational denominator is exactly 0 (a root that poly_roots missed)."""
     pole = _near(omega, singular_set(model, tol), tol.ray_imag_tol)
-    if pole is not None:
-        raise SingularityError(omega, pole)
-    if model.kind == "callable":
-        # the callable supplies the full W-tilde, scale included
-        return complex(model.func(omega))
-    return model.scale * polyval(model.numerator, omega) / polyval(model.denominator, omega)
+    exact = pole is None and model.is_rational and polyval(model.denominator, omega) == 0
+    return omega if exact else pole
 
 
-def wtilde_array(model: DielectricModel, omega: np.ndarray) -> np.ndarray:
-    """wtilde of a rational model at every point of an array, rounded as wtilde rounds it.
-
-    The points must lie off the model's poles; this is not checked.
-    """
-    return cdiv(cmul(model.scale, polyval_array(model.numerator, omega)),
-                polyval_array(model.denominator, omega))
+def wtilde(model: DielectricModel, omega, tol: Tolerances = DEFAULT_TOL):
+    """W-tilde(omega). Raises SingularityError at (or within ray_imag_tol of) a pole.
+    At a numpy array (a rational model, points off its poles: not checked) each
+    element is bitwise its scalar value: cmul and cdiv are CPython's operators at scalars."""
+    if not isinstance(omega, np.ndarray):
+        omega = complex(omega)
+        pole = _pole_at(model, omega, tol)
+        if pole is not None:
+            raise SingularityError(omega, pole)
+        if model.kind == "callable":
+            # the callable supplies the full W-tilde, scale included
+            return complex(model.func(omega))
+    return cdiv(cmul(model.scale, polyval(model.numerator, omega)),
+                polyval(model.denominator, omega))
 
 
 def w(model: DielectricModel, omega: complex, tol: Tolerances = DEFAULT_TOL) -> complex:
@@ -188,21 +190,17 @@ def w(model: DielectricModel, omega: complex, tol: Tolerances = DEFAULT_TOL) -> 
     return omega * omega * wtilde(model, omega, tol)
 
 
-def w_values(problem: InterfaceProblem, omega: complex, tol: Tolerances = DEFAULT_TOL):
+def w_values(problem: InterfaceProblem, omega, tol: Tolerances = DEFAULT_TOL):
     """(W-tilde_+, W-tilde_-, W_+, W_-) at omega: both media, W = omega^2 W-tilde.
 
     omega is used as given (a Python complex keeps CPython's arithmetic);
     raises SingularityError on either side's poles, as wtilde does. At a
     numpy array of omega (rational media, off the poles: not checked) the
-    values are elementwise, rounded as the scalar ones by wtilde_array and cmul.
+    values are elementwise, each bitwise its scalar value (wtilde and cmul).
     """
-    if isinstance(omega, np.ndarray):
-        wt_p, wt_m = wtilde_array(problem.plus, omega), wtilde_array(problem.minus, omega)
-        zz = cmul(omega, omega)
-        return wt_p, wt_m, cmul(zz, wt_p), cmul(zz, wt_m)
-    wt_p = wtilde(problem.plus, omega, tol)
-    wt_m = wtilde(problem.minus, omega, tol)
-    return wt_p, wt_m, omega * omega * wt_p, omega * omega * wt_m
+    wt_p, wt_m = wtilde(problem.plus, omega, tol), wtilde(problem.minus, omega, tol)
+    zz = cmul(omega, omega)
+    return wt_p, wt_m, cmul(zz, wt_p), cmul(zz, wt_m)
 
 
 @dataclass(frozen=True)
@@ -240,9 +238,9 @@ def singular_points(problem: InterfaceProblem, tol: Tolerances = DEFAULT_TOL) ->
 
 
 def which_pole_side(problem: InterfaceProblem, omega: complex, tol: Tolerances = DEFAULT_TOL):
-    """(pole, side-label) if omega sits on S, else None."""
+    """(pole, side-label) if omega sits on S (as wtilde decides it), else None."""
     for side, model in (("plus", problem.plus), ("minus", problem.minus)):
-        p = _near(complex(omega), singular_set(model, tol), tol.ray_imag_tol)
+        p = _pole_at(model, complex(omega), tol)
         if p is not None:
             return p, side
     return None

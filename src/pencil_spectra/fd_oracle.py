@@ -41,7 +41,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import expm
 
 from .complex_numerics import DEFAULT_TOL, Tolerances, principal_sqrt
-from .dielectric import InterfaceProblem, w, w_values, wtilde
+from .dielectric import InterfaceProblem, w, w_values
 from .errors import PencilSpectraError, PreconditionError
 from .resolvent import Grid, RhsField, make_grid
 
@@ -233,8 +233,7 @@ def shoot_determinant(omega: complex, k: float, problem: InterfaceProblem,
     omega = complex(omega)
     if k == 0.0:
         raise PreconditionError("the (u1, u2) matching system degenerates at k = 0")
-    wt_p = wtilde(problem.plus, omega, tol)
-    wt_m = wtilde(problem.minus, omega, tol)
+    wt_p, wt_m = w_values(problem, omega, tol)[:2]
     phi_p = _integrate_decaying(omega, k, problem, "+", tol)
     phi_m = _integrate_decaying(omega, k, problem, "-", tol)
     det = wt_p * phi_p[0] * phi_m[1] - wt_m * phi_m[0] * phi_p[1]

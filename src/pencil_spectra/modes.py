@@ -23,7 +23,7 @@ import numpy as np
 
 from .complex_numerics import (DEFAULT_TOL, Tolerances, cabs, cmul, hypot_array, in_ray,
                                poly_roots_family, principal_sqrt)
-from .classify1d import IN_N, _n_identity_holds, _near_any, _reduced_codes
+from .classify1d import IN_N, _m_side, _n_identity_holds, _near_any, _reduced_codes
 from .dielectric import (
     DielectricModel,
     InterfaceProblem,
@@ -33,7 +33,6 @@ from .dielectric import (
     w,
     w_values,
     wtilde,
-    wtilde_array,
 )
 from .errors import (DegenerateDispersionError, PencilSpectraError, PreconditionError,
                      UnsupportedModelError)
@@ -115,15 +114,14 @@ class WeylSample:
 
 def dispersion_k2(omega: complex, problem: InterfaceProblem,
                   tol: Tolerances = DEFAULT_TOL) -> complex:
-    """k^2 = omega^2 Wt_+ Wt_- / (Wt_+ + Wt_-); the caller judges admissibility."""
+    """k^2 = W_+ Wt_- / (Wt_+ + Wt_-) from w_values; the caller judges admissibility."""
     omega = complex(omega)
-    wt_p = wtilde(problem.plus, omega, tol)
-    wt_m = wtilde(problem.minus, omega, tol)
+    wt_p, wt_m, w_p, _ = w_values(problem, omega, tol)
     s = wt_p + wt_m
     if abs(s) <= tol.equality_tol * max(abs(wt_p), abs(wt_m), 1.0):
         raise DegenerateDispersionError(
             f"Wt_+ + Wt_- cancels at omega={omega}; k^2 diverges there")
-    return omega * omega * wt_p * wt_m / s
+    return w_p * wt_m / s
 
 
 def _polymul(a, b):
@@ -251,7 +249,7 @@ def eigenfunction_eval(mode: PlasmonMode, x1):
 def mode_residuals(modes, grid, problem: InterfaceProblem,
                    tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """mode_residual of every mode, in one array pass over modes and grid: cmul,
-    cabs, wtilde_array and hypot_array round as the one-mode formula does in
+    cabs, wtilde and hypot_array round as the one-mode formula does in
     CPython scalars, so each value is bitwise that formula's (a NaN term gives
     NaN). The modes must lie off S, as eigen_sweep's do."""
     x = np.asarray(grid, dtype=float)
@@ -276,8 +274,8 @@ def mode_residuals(modes, grid, problem: InterfaceProblem,
             env = np.abs(np.exp(env, out=env))
             env *= hypot_array(cabs(r1), cabs(r2))[:, None]
             parts.append(env.max(axis=1))
-        parts += [cabs(cmul(wtilde_array(problem.plus, omega), vp0)
-                       - cmul(wtilde_array(problem.minus, omega), vm0)),
+        parts += [cabs(cmul(wtilde(problem.plus, omega), vp0)
+                       - cmul(wtilde(problem.minus, omega), vm0)),
                   cabs(vp1 - vm1),
                   cabs((cmul(-mu_p, vp1) - cmul(ik, vp0)) - (cmul(mu_m, vm1) - cmul(ik, vm0)))]
     return np.max(parts, axis=0)
@@ -304,27 +302,22 @@ def weyl_sequence_1d(omega: complex, k: float, n: int, side: str,
     """One member of a 1D Weyl sequence.
 
     variant == "plane_wave": u^(n) = n^(-1/2) e^(i l x1) phi((x1 -+ n^2)/n) e3
-    with l = sqrt(W_side - k^2) real; needs W_side(omega) in [k^2, inf).
+    with l = sqrt(W_side - k^2) real; needs omega in M_side^(k), the classifier's
+    M_side bit (W_side(omega) in [k^2, inf), in the open ray (0, inf) at k = 0).
     variant == "k0_w0": k = 0 with W_side(omega) = 0, the Omega_0 test of
     dielectric._omega0_point; compactly supported profile in the first
     component, residual |W_side(omega)|.
     """
     omega = complex(omega)
     sgn = 1.0 if side in ("+", "plus") else -1.0
-    w_side = w(problem.side(side), omega, tol)
+    w_side, in_m = _m_side(side, w_values(problem, omega, tol), k, problem, tol)
     center = sgn * n * n
     _, nphi1, nphi2 = _bump_constants()
 
     if variant == "plane_wave":
-        if k != 0.0:
-            ok = in_ray(w_side, k * k, tol)
-            cond = f"W_{side}(omega) in [k^2, inf)"
-        else:
-            ok = in_ray(w_side, 0.0, tol) and abs(w_side) > tol.ray_real_tol
-            cond = f"W_{side}(omega) in (0, inf)"
-        if not ok:
+        if not in_m:
             raise PreconditionError(
-                f"plane-wave Weyl sample needs {cond}; got W={w_side}")
+                f"plane-wave Weyl sample needs omega in M_{side}^(k); got W={w_side}")
         ell = math.sqrt(max(w_side.real - k * k, 0.0))
         resid = (1.0 / n) * math.sqrt(4.0 * ell * ell * nphi1**2 + (nphi2 / n) ** 2)
         return WeylSample(n=n, construction="1D-right" if sgn > 0 else "1D-left",
@@ -367,19 +360,18 @@ def weyl_field_1d(omega: complex, k: float, n: int, side: str, variant: str,
 def weyl_sequence_2d_bulk(omega: complex, side: str, n: int,
                           problem: InterfaceProblem,
                           tol: Tolerances = DEFAULT_TOL) -> WeylSample:
-    """2D plane-wave Weyl member in the third component; W_side(omega) in [0, inf)."""
-    omega = complex(omega)
+    """2D plane-wave Weyl member in the third component; needs omega in M_side,
+    the M_side bit of classify2 (W_side(omega) in the open ray (0, inf))."""
     sgn = 1.0 if side in ("+", "plus") else -1.0
-    w_side = w(problem.side(side), omega, tol)
-    if not in_ray(w_side, 0.0, tol):
+    w_side, in_m = _m_side(side, w_values(problem, complex(omega), tol), None, problem, tol)
+    if not in_m:
         raise PreconditionError(
-            f"2D bulk Weyl sample needs W_{side}(omega) in [0, inf); got {w_side}")
+            f"2D bulk Weyl sample needs W_{side}(omega) in (0, inf); got {w_side}")
     _, nphi1, nphi2 = _bump_constants()
-    wr = max(w_side.real, 0.0)
     # product bump phi(y1) phi(y2): ||beta . grad||^2 = |beta|^2 ||phi'||^2,
     # ||Laplacian||^2 = 2 ||phi''||^2 + 2 ||phi'||^4
     lap2 = 2.0 * nphi2**2 + 2.0 * nphi1**4
-    resid = (1.0 / n) * math.sqrt(4.0 * wr * nphi1**2 + lap2 / (n * n))
+    resid = (1.0 / n) * math.sqrt(4.0 * w_side.real * nphi1**2 + lap2 / (n * n))
     return WeylSample(n=n, construction="2D-bulk", residual_norm=resid,
                       norm=1.0, support_center=sgn * n * n)
 

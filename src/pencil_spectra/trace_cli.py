@@ -259,13 +259,15 @@ def _parse_fields(text: str, flag: str, form: str, counts) -> list:
 
 def _parse_grid(text: str):
     """((re0, re1, nx), (im0, im1, ny)) from re0:re1:nx,im0:im1:ny; an axis of
-    more than one node runs from lo up to hi > lo."""
+    more than one node runs from lo up to hi > lo, with a finite span hi - lo."""
     re_part, _, im_part = text.partition(",")
     axes = tuple(tuple(_parse_fields(part, "--grid axis", "lo:hi:count", (3,)))
                  for part in (re_part, im_part))
     for (lo, hi, n), part in zip(axes, (re_part, im_part)):
         if n > 1 and not lo < hi:
             raise PencilSpectraError(f"--grid axis with count > 1 needs lo < hi, got {part!r}")
+        if n > 1 and not math.isfinite(hi - lo):
+            raise PencilSpectraError(f"--grid axis span hi - lo must be finite, got {part!r}")
     return axes
 
 

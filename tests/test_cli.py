@@ -553,3 +553,12 @@ def test_closed_stdout_ends_quietly(cfg):
         proc.wait(timeout=120)
     assert first.startswith("PASS shoot-vs-polynomial")
     assert err == ""
+
+
+def test_grid_axis_whose_span_overflows_is_rejected(cfg, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["trace", "--config", cfg(DRUDE_CFG), "--grid=0:1:3,-1e308:1e308:3", "--k", "3",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --grid axis span hi - lo must be finite, got '-1e308:1e308:3'\n"
+    assert captured.out == "" and not out.exists()

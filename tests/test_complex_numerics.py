@@ -18,7 +18,6 @@ from pencil_spectra.complex_numerics import (
     poly_roots,
     poly_roots_family,
     polyval,
-    polyval_array,
     principal_sqrt,
     trim_leading,
 )
@@ -221,7 +220,7 @@ def test_array_arithmetic_is_cpythons_bit_for_bit():
         _assert_bitwise(cabs(a), lambda x: cabs(x), a)
         _assert_bitwise(principal_sqrt(a), principal_sqrt, a)
         coeffs = (2 + 1j, -3j, 0.5, 1e-3 + 0j)
-        _assert_bitwise(polyval_array(coeffs, a), lambda x: polyval(coeffs, x), a)
+        _assert_bitwise(polyval(coeffs, a), lambda x: polyval(coeffs, x), a)
 
 
 def test_array_arithmetic_scalars_and_zero_division():
@@ -490,3 +489,8 @@ def test_eigen_sweep_family_matches_the_scalar_loop():
     _same_rows(rows, [_eigenvalue_polynomial_scalar(k, problem) for k in ks.tolist()])
     expect = _assert_family_matches_scalar(rows)
     assert all(sum(m for _, m in f) == rows.shape[1] - 1 for f in expect)
+
+
+@pytest.mark.parametrize("raw", ["", " ", " , ,"])
+def test_blank_tolerance_override_gives_the_defaults(raw):
+    assert Tolerances.from_env({"PENCIL_SPECTRA_TOL": raw}) == Tolerances()
