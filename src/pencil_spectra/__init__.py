@@ -30,8 +30,7 @@ from .dielectric import (
     w,
     wtilde,
 )
-from .classify1d import SpectrumClass, classify, in_M, in_N
-from .classify2d import classify2, in_M2, in_N2
+from .classify1d import SpectrumClass, classify, classify2, in_M, in_M2, in_N, in_N2
 # modes, resolvent and fd_oracle (with scipy) load on first use: a command loads what it runs
 _LAZY = {
     **dict.fromkeys(("PlasmonMode", "WeylSample", "dispersion_k2", "eigen_omegas",

@@ -9,20 +9,22 @@ W-tilde_pm(omega):
 * on the exceptional set a case table on (W-tilde_+, W-tilde_-, W_+, W_-)
   applies, which for k != 0 can split the essential spectra three ways.
 
-classify_array() decides whole arrays of omega for both pencils (k=None
-selects the 2D one); classify() and classify2d.classify2() decide one point
-with its per-point step, _classify_point. The reduced branch, the N identity,
-the 2D witness and the exceptional table each have one implementation, which
-takes Python scalars or numpy arrays (a size-1 array call would cost about
-20x a scalar one in numpy call overhead). Classification is total: domain or
-singularity issues are encoded in the record, never thrown, so grid tracing
-cannot abort. All functions are pure.
+The 2D sets are the 1D ones at k = 0 plus the witness a = W_+ W_-/(W_+ + W_-)
+of N. classify_array() decides whole arrays of omega for both pencils (k=None
+selects the 2D one); classify() and classify2() decide one point with its
+per-point step, _classify_point, which evaluates w_values once. The reduced
+branch, the N identity, the 2D witness and the exceptional table each have one
+implementation, which takes Python scalars or numpy arrays (a size-1 array call
+would cost about 20x a scalar one in numpy call overhead). Classification is
+total: domain or singularity issues are encoded in the record, never thrown, so
+grid tracing cannot abort. All functions are pure.
 
 The values come from dielectric.w_values and every set test lives in
-_reduced_codes: in_M and in_N (so classify2d's in_M2) read one bit of its
-code (M_PLUS, M_MINUS, IN_N) after _reduced_point_values' precondition, and
-modes.eigen_sweep keeps the polynomial roots whose code is IN_N, deciding the
-roots of a whole k sweep in one call with one k per root.
+_reduced_codes: in_M and in_N (so in_M2, in_M at k = 0) read one bit of its
+code (M_PLUS, M_MINUS, IN_N) after _reduced_point_values' precondition, in_N2
+also returns the 2D witness, and modes.eigen_sweep keeps the polynomial roots
+whose code is IN_N, deciding the roots of a whole k sweep in one call with one
+k per root.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .complex_numerics import (
 from .dielectric import (
     InterfaceProblem,
     Omega0Point,
+    _zero_tags,
     near_omega0,
     omega0_set,
     singular_set,
@@ -262,11 +265,10 @@ def in_N(omega: complex, k: float, problem: InterfaceProblem,
     return bool(_reduced_codes(*values, k, tol) & IN_N)
 
 
-def _classify_omega0(problem, omega, k, pt: Omega0Point, tol, exact_hit: bool) -> SpectrumClass:
-    """The exceptional-set case table; k=None is the 2D pencil."""
-    wt_p, wt_m, w_p, w_m = w_values(problem, omega, tol)
-    m = max(abs(wt_p), abs(wt_m), 1.0)
-    sum_zero = abs(wt_p + wt_m) <= tol.equality_tol * m
+def _classify_omega0(values, k, pt: Omega0Point, tol, exact_hit: bool) -> SpectrumClass:
+    """The exceptional-set case table from the caller's w_values; k=None is the 2D pencil."""
+    wt_p, wt_m, w_p, w_m = values
+    wtp_zero, wtm_zero, sum_zero, _ = _zero_tags(wt_p, wt_m, tol)
     suffix = "" if exact_hit else ";near-Omega0"
 
     if k is None:
@@ -277,8 +279,7 @@ def _classify_omega0(problem, omega, k, pt: Omega0Point, tol, exact_hit: bool) -
             branch_note=f"2D-exceptional/{'pt-infinite' if point_infinite else 'essential'}{suffix}",
         )
 
-    wtp_zero = pt.wtilde_plus_zero or abs(wt_p) <= tol.equality_tol * m
-    wtm_zero = pt.wtilde_minus_zero or abs(wt_m) <= tol.equality_tol * m
+    wtp_zero, wtm_zero = pt.wtilde_plus_zero or wtp_zero, pt.wtilde_minus_zero or wtm_zero
     point_infinite = wtp_zero or wtm_zero
     if k != 0.0:
         if not point_infinite:
@@ -327,10 +328,11 @@ def _classify_point(omega: complex, k, problem: InterfaceProblem, tol: Tolerance
     if hit is not None:
         pole, side = hit
         return replace(OUTSIDE, branch_note=f"{'2D-' if k is None else ''}S/{side}-pole@{pole:.6g}")
+    values = w_values(problem, omega, tol)
     pt = near_omega0(problem, omega, tol)
     if pt is not None:
-        return _classify_omega0(problem, omega, k, pt, tol, omega == pt.omega)
-    return REDUCED[2 if k is None else 1][_reduced_codes(*w_values(problem, omega, tol), k, tol)]
+        return _classify_omega0(values, k, pt, tol, omega == pt.omega)
+    return REDUCED[2 if k is None else 1][_reduced_codes(*values, k, tol)]
 
 
 def _near_any(omega: np.ndarray, points, dist: float) -> np.ndarray:
@@ -381,3 +383,33 @@ def classify(omega: complex, k: float, problem: InterfaceProblem,
              tol: Tolerances = DEFAULT_TOL) -> SpectrumClass:
     """Classify omega for the 1D pencil at wavenumber k. Total: never raises."""
     return _classify_point(complex(omega), k, problem, tol)
+
+
+def in_M2(side: str, omega: complex, problem: InterfaceProblem,
+          tol: Tolerances = DEFAULT_TOL) -> bool:
+    """Membership of omega in the 2D bulk set M_side: W_side(omega) in (0, inf).
+
+    This is the 1D set at k = 0, in_M(side, omega, 0.0): the M_side bit of
+    the reduced branch code. Raises PreconditionError on S or Omega_0.
+    """
+    return in_M(side, omega, 0.0, problem, tol)
+
+
+def in_N2(omega: complex, problem: InterfaceProblem,
+          tol: Tolerances = DEFAULT_TOL):
+    """(membership, witness a) for the 2D interface set N.
+
+    The witness solves a(W_+ + W_-) = W_+ W_- in closed form; the test is
+    _n2_witness, the one the 2D reduced branch code reads. Raises
+    PreconditionError on S or Omega_0.
+    """
+    omega = complex(omega)
+    _, _, w_p, w_m = _reduced_point_values(problem, omega, tol, "in_N2")
+    holds, a = _n2_witness(w_p, w_m, tol)
+    return (True, float(a)) if holds else (False, None)
+
+
+def classify2(omega: complex, problem: InterfaceProblem,
+              tol: Tolerances = DEFAULT_TOL) -> SpectrumClass:
+    """Classify omega for the 2D pencil. Total: never raises."""
+    return _classify_point(complex(omega), None, problem, tol)

@@ -161,27 +161,28 @@ def _near(z: complex, points, dist: float):
 
 
 def _pole_at(model: DielectricModel, omega: complex, tol: Tolerances):
-    """The pole of model within ray_imag_tol of omega, else None; omega itself
-    where a rational denominator is exactly 0 (a root that poly_roots missed)."""
+    """(pole, den(omega)): the pole of model within ray_imag_tol of omega, else omega
+    where a rational den(omega) is exactly 0 (a root poly_roots missed), else None."""
     pole = _near(omega, singular_set(model, tol), tol.ray_imag_tol)
-    exact = pole is None and model.is_rational and polyval(model.denominator, omega) == 0
-    return omega if exact else pole
+    den = polyval(model.denominator, omega) if model.is_rational else None
+    return (omega if pole is None and den == 0 else pole), den
 
 
 def wtilde(model: DielectricModel, omega, tol: Tolerances = DEFAULT_TOL):
-    """W-tilde(omega). Raises SingularityError at (or within ray_imag_tol of) a pole.
-    At a numpy array (a rational model, points off its poles: not checked) each
-    element is bitwise its scalar value: cmul and cdiv are CPython's operators at scalars."""
-    if not isinstance(omega, np.ndarray):
+    """W-tilde(omega); SingularityError at (or within ray_imag_tol of) a pole. A scalar
+    divides by _pole_at's den. At a numpy array (a rational model, points off its poles:
+    not checked) each element is bitwise its scalar value, as cmul and cdiv are."""
+    if isinstance(omega, np.ndarray):
+        den = polyval(model.denominator, omega)
+    else:
         omega = complex(omega)
-        pole = _pole_at(model, omega, tol)
+        pole, den = _pole_at(model, omega, tol)
         if pole is not None:
             raise SingularityError(omega, pole)
         if model.kind == "callable":
             # the callable supplies the full W-tilde, scale included
             return complex(model.func(omega))
-    return cdiv(cmul(model.scale, polyval(model.numerator, omega)),
-                polyval(model.denominator, omega))
+    return cdiv(cmul(model.scale, polyval(model.numerator, omega)), den)
 
 
 def w(model: DielectricModel, omega: complex, tol: Tolerances = DEFAULT_TOL) -> complex:
@@ -240,7 +241,7 @@ def singular_points(problem: InterfaceProblem, tol: Tolerances = DEFAULT_TOL) ->
 def which_pole_side(problem: InterfaceProblem, omega: complex, tol: Tolerances = DEFAULT_TOL):
     """(pole, side-label) if omega sits on S (as wtilde decides it), else None."""
     for side, model in (("plus", problem.plus), ("minus", problem.minus)):
-        p = _pole_at(model, complex(omega), tol)
+        p = _pole_at(model, complex(omega), tol)[0]
         if p is not None:
             return p, side
     return None
@@ -257,25 +258,29 @@ class Omega0Point:
     wtilde_minus_zero: bool
 
 
-def _omega0_point(problem: InterfaceProblem, omega: complex, tol: Tolerances):
-    """The Omega0Point at omega if W_+ or W_- vanishes there, else None.
+def _zero_tags(wt_p, wt_m, tol: Tolerances):
+    """(W-tilde_+ = 0, W-tilde_- = 0, W-tilde_+ + W-tilde_- = 0, b): each |.| <= b
+    with b = equality_tol max(|W-tilde_+|, |W-tilde_-|, 1), the moduli by cabs
+    (inf, not an OverflowError, beyond the float range)."""
+    a_p, a_m = cabs(wt_p), cabs(wt_m)
+    b = tol.equality_tol * max(a_p, a_m, 1.0)
+    return a_p <= b, a_m <= b, cabs(wt_p + wt_m) <= b, b
+
+
+def _omega0_point(omega: complex, wt_p, wt_m, tol: Tolerances):
+    """The Omega0Point at omega if W_+ or W_- vanishes there, else None, from
+    the caller's values W-tilde_pm(omega).
 
     W = omega^2 W-tilde vanishes relative to max(|omega|^2, 1) exactly when
-    min(|omega|^2, 1) |W-tilde| <= equality_tol max(|W-tilde_+|, |W-tilde_-|, 1).
-    W is never formed and |omega|^2 is a float product (inf, not an
-    OverflowError, beyond the float range), so the test holds at every |omega|.
-    Raises SingularityError on either side's poles, as wtilde does.
+    min(|omega|^2, 1) |W-tilde| <= b, the bound of _zero_tags (which gives the
+    W-tilde tags). W is never formed and |omega|^2 is a float product (inf, not
+    an OverflowError, beyond the float range), so the test holds at every |omega|.
     """
-    wt_p = wtilde(problem.plus, omega, tol)
-    wt_m = wtilde(problem.minus, omega, tol)
-    a_p, a_m = cabs(wt_p), cabs(wt_m)
-    bound = tol.equality_tol * max(a_p, a_m, 1.0)
+    wtp_zero, wtm_zero, _, bound = _zero_tags(wt_p, wt_m, tol)
     zz = min(cabs(omega) * cabs(omega), 1.0)
-    plus_v, minus_v = zz * a_p <= bound, zz * a_m <= bound
-    if not (plus_v or minus_v):
-        return None
-    return Omega0Point(omega=omega, plus_vanishes=plus_v, minus_vanishes=minus_v,
-                       wtilde_plus_zero=a_p <= bound, wtilde_minus_zero=a_m <= bound)
+    plus_v, minus_v = zz * cabs(wt_p) <= bound, zz * cabs(wt_m) <= bound
+    return (Omega0Point(omega, plus_v, minus_v, wtp_zero, wtm_zero)
+            if plus_v or minus_v else None)
 
 
 @lru_cache(maxsize=256)
@@ -302,7 +307,8 @@ def omega0_set(problem: InterfaceProblem, tol: Tolerances = DEFAULT_TOL) -> tupl
                 pts.append(z)
 
     # a candidate where neither W vanishes (e.g. a clustered duplicate) is dropped
-    out = [p for z in pts if (p := _omega0_point(problem, z, tol)) is not None]
+    out = [p for z in pts
+           if (p := _omega0_point(z, *w_values(problem, z, tol)[:2], tol)) is not None]
     out.sort(key=lambda p: (p.omega.real, p.omega.imag))
     return tuple(out)
 
@@ -312,7 +318,8 @@ def near_omega0(problem: InterfaceProblem, omega: complex, tol: Tolerances = DEF
 
     For rational models, the first point of omega0_set that close; for
     black-box models, the pointwise test of _omega0_point at omega itself:
-    min(|omega|^2, 1) |W-tilde_pm| <= equality_tol max(|W-tilde_+|, |W-tilde_-|, 1).
+    min(|omega|^2, 1) |W-tilde_pm| <= the bound of _zero_tags (SingularityError
+    on either side's poles, as wtilde).
     """
     omega = complex(omega)
     if problem.is_rational:
@@ -320,4 +327,4 @@ def near_omega0(problem: InterfaceProblem, omega: complex, tol: Tolerances = DEF
             if cabs(omega - p.omega) <= tol.ray_imag_tol:
                 return p
         return None
-    return _omega0_point(problem, omega, tol)
+    return _omega0_point(omega, *w_values(problem, omega, tol)[:2], tol)

@@ -28,6 +28,7 @@ from .dielectric import (
     DielectricModel,
     InterfaceProblem,
     _omega0_point,
+    _zero_tags,
     omega0_set,
     singular_points,
     w,
@@ -117,11 +118,10 @@ def dispersion_k2(omega: complex, problem: InterfaceProblem,
     """k^2 = W_+ Wt_- / (Wt_+ + Wt_-) from w_values; the caller judges admissibility."""
     omega = complex(omega)
     wt_p, wt_m, w_p, _ = w_values(problem, omega, tol)
-    s = wt_p + wt_m
-    if abs(s) <= tol.equality_tol * max(abs(wt_p), abs(wt_m), 1.0):
+    if _zero_tags(wt_p, wt_m, tol)[2]:
         raise DegenerateDispersionError(
             f"Wt_+ + Wt_- cancels at omega={omega}; k^2 diverges there")
-    return w_p * wt_m / s
+    return w_p * wt_m / (wt_p + wt_m)
 
 
 def _polymul(a, b):
@@ -305,12 +305,13 @@ def weyl_sequence_1d(omega: complex, k: float, n: int, side: str,
     with l = sqrt(W_side - k^2) real; needs omega in M_side^(k), the classifier's
     M_side bit (W_side(omega) in [k^2, inf), in the open ray (0, inf) at k = 0).
     variant == "k0_w0": k = 0 with W_side(omega) = 0, the Omega_0 test of
-    dielectric._omega0_point; compactly supported profile in the first
-    component, residual |W_side(omega)|.
+    dielectric._omega0_point on the same values; compactly supported profile
+    in the first component, residual |W_side(omega)|.
     """
     omega = complex(omega)
     sgn = 1.0 if side in ("+", "plus") else -1.0
-    w_side, in_m = _m_side(side, w_values(problem, omega, tol), k, problem, tol)
+    values = w_values(problem, omega, tol)
+    w_side, in_m = _m_side(side, values, k, problem, tol)
     center = sgn * n * n
     _, nphi1, nphi2 = _bump_constants()
 
@@ -326,7 +327,7 @@ def weyl_sequence_1d(omega: complex, k: float, n: int, side: str,
     if variant == "k0_w0":
         if k != 0.0:
             raise PreconditionError("k0_w0 variant requires k = 0")
-        pt = _omega0_point(problem, omega, tol)
+        pt = _omega0_point(omega, *values[:2], tol)
         if pt is None or not (pt.plus_vanishes if sgn > 0 else pt.minus_vanishes):
             raise PreconditionError(
                 f"k0_w0 variant needs W_{side}(omega) = 0; got {w_side}")

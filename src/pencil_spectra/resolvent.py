@@ -81,10 +81,10 @@ def suggest_half_length(omega: complex, k: float, problem: InterfaceProblem,
                         tol: Tolerances = DEFAULT_TOL) -> float:
     """Smallest L (multiple of h) with exp(-Re mu (L - edge)) < 1e-12 on both sides."""
     _, _, w_p, w_m = w_values(problem, omega, tol)
-    alpha = min(principal_sqrt(k * k - w_p).real, principal_sqrt(k * k - w_m).real)
-    if alpha <= 0:
-        raise PreconditionError("decay rates are not positive at this omega")
-    L = abs(support_edge) + 27.7 / alpha
+    a_p, a_m = principal_sqrt(k * k - w_p).real, principal_sqrt(k * k - w_m).real
+    if not (a_p > 0 and a_m > 0):   # a NaN rate (W overflowed) fails too
+        raise PreconditionError(f"decay rates Re mu_pm = {a_p:g}, {a_m:g} are not positive")
+    L = abs(support_edge) + 27.7 / min(a_p, a_m)
     if not math.isfinite(L / h):
         raise PreconditionError(f"h = {h:g} is too small: L / h overflows (L = {L:g})")
     return math.ceil(L / h) * h
@@ -253,8 +253,9 @@ def solve(omega: complex, k: float, r: RhsField, problem: InterfaceProblem,
     wt_p, wt_m, w_p, w_m = w_values(problem, omega, tol)
     mu_p = principal_sqrt(k * k - w_p)
     mu_m = principal_sqrt(k * k - w_m)
-    if mu_p.real <= 0 or mu_m.real <= 0:
-        raise PreconditionError("non-decaying branch: Re mu_pm <= 0 (unreachable in rho)")
+    if not (mu_p.real > 0 and mu_m.real > 0):   # a NaN rate (W overflowed) fails too
+        raise PreconditionError(
+            f"decay rates Re mu_pm = {mu_p.real:g}, {mu_m.real:g} are not positive")
 
     grid = r.grid
     xl, xr = grid.left(), grid.right()

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify1d import (IN_N, M_MINUS, M_PLUS, ArrayClassification, SpectrumClass, classify,
-                         classify_array)
-from .classify2d import classify2, in_N2
+                         classify2, classify_array, in_N2)
 from .complex_numerics import DEFAULT_TOL, Tolerances, poly_roots_family
 from .config import load_problem
 from .dielectric import InterfaceProblem, omega0_set, singular_points
@@ -257,6 +256,11 @@ def _parse_fields(text: str, flag: str, form: str, counts) -> list:
     return values
 
 
+# caps near 5 GB of peak memory, as MAX_GRID_NODES: ~210 B per trace cell, ~30 KB per eigen k
+MAX_TRACE_CELLS = 20_000_000
+MAX_EIGEN_KS = 100_000
+
+
 def _parse_grid(text: str):
     """((re0, re1, nx), (im0, im1, ny)) from re0:re1:nx,im0:im1:ny; an axis of
     more than one node runs from lo up to hi > lo, with a finite span hi - lo."""
@@ -268,6 +272,8 @@ def _parse_grid(text: str):
             raise PencilSpectraError(f"--grid axis with count > 1 needs lo < hi, got {part!r}")
         if n > 1 and not math.isfinite(hi - lo):
             raise PencilSpectraError(f"--grid axis span hi - lo must be finite, got {part!r}")
+    if axes[0][2] * axes[1][2] > MAX_TRACE_CELLS:
+        raise PencilSpectraError(f"--grid asks for more than {MAX_TRACE_CELLS} cells, got {text!r}")
     return axes
 
 
@@ -279,6 +285,8 @@ def _parse_k(text: str, sweep: bool = False):
         raise PencilSpectraError(
             f"--k must have a finite square (|k| below about 1.34e154), got {text!r}")
     if len(values) == 3:
+        if values[2] > MAX_EIGEN_KS:
+            raise PencilSpectraError(f"--k sweep count must be at most {MAX_EIGEN_KS}, got {text!r}")
         return list(np.linspace(*values))
     return values if sweep else values[0]
 

@@ -14,7 +14,7 @@ from pencil_spectra import (
     omega0_set,
     singular_points,
 )
-from pencil_spectra.classify2d import classify2
+from pencil_spectra.classify1d import classify2
 from tests.test_classify1d import check_flag_invariants
 
 PROBLEMS = [

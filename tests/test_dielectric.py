@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pencil_spectra.classify1d import classify
-from pencil_spectra.classify2d import classify2
+from pencil_spectra.classify1d import classify2
 from pencil_spectra.dielectric import (
     DielectricModel,
     InterfaceProblem,
