@@ -11,20 +11,18 @@ W-tilde_pm(omega):
 
 The 2D sets are the 1D ones at k = 0 plus the witness a = W_+ W_-/(W_+ + W_-)
 of N. classify_array() decides whole arrays of omega for both pencils (k=None
-selects the 2D one); classify() and classify2() decide one point with its
-per-point step, _classify_point, which evaluates w_values once. The reduced
-branch, the N identity, the 2D witness and the exceptional table each have one
-implementation, which takes Python scalars or numpy arrays (a size-1 array call
-would cost about 20x a scalar one in numpy call overhead). Classification is
-total: domain or singularity issues are encoded in the record, never thrown, so
-grid tracing cannot abort. All functions are pure.
+selects the 2D one). Every set test lives in _reduced_codes and runs on numpy
+arrays of dielectric.w_values; a scalar entry point (classify, classify2, in_M,
+in_N, in_M2, in_N2, the Weyl preconditions) passes it one-element arrays
+(_point_arrays), so each agrees with classify_array at every omega. That costs a
+scalar call about 100 us of numpy call overhead, some 200 times a point of a
+large classify_array call: classify many points with classify_array.
+Classification is total: domain or singularity issues are encoded in the
+record, never thrown, so grid tracing cannot abort. All functions are pure.
 
-The values come from dielectric.w_values and every set test lives in
-_reduced_codes: in_M and in_N (so in_M2, in_M at k = 0) read one bit of its
-code (M_PLUS, M_MINUS, IN_N) after _reduced_point_values' precondition, in_N2
-also returns the 2D witness, and modes.eigen_sweep keeps the polynomial roots
-whose code is IN_N, deciding the roots of a whole k sweep in one call with one
-k per root.
+in_M and in_N (so in_M2, in_M at k = 0) read one bit of the code (M_PLUS,
+M_MINUS, IN_N), in_N2 also returns the 2D witness, and modes.eigen_sweep keeps
+the polynomial roots of a whole k sweep whose code is IN_N, one k per root.
 """
 
 from __future__ import annotations
@@ -37,14 +35,13 @@ from .complex_numerics import (
     DEFAULT_TOL,
     Tolerances,
     cabs,
-    cdiv,
-    cmul,
     in_ray,
     principal_sqrt,
 )
 from .dielectric import (
     InterfaceProblem,
     Omega0Point,
+    _omega0_point,
     _zero_tags,
     near_omega0,
     omega0_set,
@@ -183,10 +180,8 @@ class ArrayClassification:
 
 
 def _reduced_point_values(problem, omega, tol, op_name):
-    """w_values at an omega off S and Omega_0, the precondition of the set predicates.
-
-    Raises PreconditionError on S or Omega_0, where the reduced branch does not apply.
-    """
+    """w_values at an omega off S and Omega_0, the precondition of the set predicates:
+    PreconditionError on S or Omega_0, where the reduced branch does not apply."""
     hit = which_pole_side(problem, omega, tol)
     if hit is not None:
         pole, side = hit
@@ -196,11 +191,22 @@ def _reduced_point_values(problem, omega, tol, op_name):
     return w_values(problem, omega, tol)
 
 
-def _m_side(side: str, values, k, problem: InterfaceProblem, tol: Tolerances):
-    """(W_side, the M_side bit of the reduced code at k; k=None is 2D) from w_values' values.
+def _point_arrays(omega: complex, values, problem: InterfaceProblem, tol: Tolerances):
+    """The values the reduced branch decides omega on, as one-element arrays: a rational
+    problem's w_values in numpy's arithmetic, bitwise those of any classify_array grid
+    holding omega, and a black box's own values (the caller's w_values at omega)."""
+    if not problem.is_rational:
+        return [np.array([v]) for v in values]
+    with np.errstate(all="ignore"):
+        return w_values(problem, np.array([omega]), tol)
+
+
+def _m_side(side: str, omega: complex, values, k, problem: InterfaceProblem, tol: Tolerances):
+    """(W_side from w_values' values, the M_side bit of the reduced code at k; k=None is 2D).
     problem.side rejects a bad label; when one model serves both sides the bits agree."""
     i = 0 if problem.side(side) is problem.plus else 1
-    return values[2 + i], bool(_reduced_codes(*values, k, tol) & (M_PLUS, M_MINUS)[i])
+    code = _reduced_codes(*_point_arrays(omega, values, problem, tol), k, tol)[0]
+    return values[2 + i], bool(code & (M_PLUS, M_MINUS)[i])
 
 
 def in_M(side: str, omega: complex, k: float, problem: InterfaceProblem,
@@ -213,8 +219,9 @@ def in_M(side: str, omega: complex, k: float, problem: InterfaceProblem,
     which this operation rejects. Raises PreconditionError on S or Omega_0.
     The answer is the M_side bit of the reduced branch code (_m_side).
     """
-    values = _reduced_point_values(problem, complex(omega), tol, "in_M")
-    return _m_side(side, values, k, problem, tol)[1]
+    omega = complex(omega)
+    values = _reduced_point_values(problem, omega, tol, "in_M")
+    return _m_side(side, omega, values, k, problem, tol)[1]
 
 
 def _n_identity_holds(wt_p, wt_m, w_p, w_m, k2, tol, slack=1.0):
@@ -225,12 +232,13 @@ def _n_identity_holds(wt_p, wt_m, w_p, w_m, k2, tol, slack=1.0):
     |a + b| <= slack * equality_tol * (|a| + |b|) and |a| + |b| is finite.
     Elementwise on arrays.
     """
-    mu_p = principal_sqrt(k2 - w_p)
-    mu_m = principal_sqrt(k2 - w_m)
-    a = cmul(wt_p, mu_m)
-    b = cmul(wt_m, mu_p)
-    size = cabs(a) + cabs(b)   # beyond the float range no cancellation can be read
-    return (cabs(a + b) <= slack * tol.equality_tol * size) & (size < np.inf)
+    with np.errstate(all="ignore"):
+        mu_p = principal_sqrt(k2 - w_p)
+        mu_m = principal_sqrt(k2 - w_m)
+        a = wt_p * mu_m
+        b = wt_m * mu_p
+        size = cabs(a) + cabs(b)   # beyond the float range no cancellation can be read
+        return (cabs(a + b) <= slack * tol.equality_tol * size) & (size < np.inf)
 
 
 def _n2_witness(w_p, w_m, tol: Tolerances):
@@ -242,10 +250,11 @@ def _n2_witness(w_p, w_m, tol: Tolerances):
     a = k^2). The comparisons are written so that a NaN W or witness fails
     them. Elementwise on arrays.
     """
-    s = w_p + w_m
-    a = cdiv(cmul(w_p, w_m), s)
-    holds = ((cabs(s) > tol.equality_tol * (cabs(w_p) + cabs(w_m)))
-             & (abs(a.imag) <= tol.ray_imag_tol) & (a.real >= -tol.ray_real_tol))
+    with np.errstate(all="ignore"):
+        s = w_p + w_m
+        a = np.divide(w_p * w_m, s)   # s = 0 gives a witness that fails, also for scalars
+        holds = ((cabs(s) > tol.equality_tol * (cabs(w_p) + cabs(w_m)))
+                 & (abs(a.imag) <= tol.ray_imag_tol) & (a.real >= -tol.ray_real_tol))
     holds = holds & np.logical_not(in_ray(w_p, a.real, tol) | in_ray(w_m, a.real, tol))
     return holds, a.real
 
@@ -262,7 +271,7 @@ def in_N(omega: complex, k: float, problem: InterfaceProblem,
     """
     omega = complex(omega)
     values = _reduced_point_values(problem, omega, tol, "in_N")
-    return bool(_reduced_codes(*values, k, tol) & IN_N)
+    return bool(_reduced_codes(*_point_arrays(omega, values, problem, tol), k, tol)[0] & IN_N)
 
 
 def _classify_omega0(values, k, pt: Omega0Point, tol, exact_hit: bool) -> SpectrumClass:
@@ -323,16 +332,19 @@ def _reduced_codes(wt_p, wt_m, w_p, w_m, k, tol):
 
 
 def _classify_point(omega: complex, k, problem: InterfaceProblem, tol: Tolerances) -> SpectrumClass:
-    """classify_array's decision for one point, in CPython scalar arithmetic; k=None is 2D."""
+    """classify_array's decision for one point; k=None is 2D. w_values at omega (a black
+    box's only evaluation) feed the exceptional table, and _point_arrays the reduced branch."""
     hit = which_pole_side(problem, omega, tol)
     if hit is not None:
         pole, side = hit
         return replace(OUTSIDE, branch_note=f"{'2D-' if k is None else ''}S/{side}-pole@{pole:.6g}")
     values = w_values(problem, omega, tol)
-    pt = near_omega0(problem, omega, tol)
+    pt = (near_omega0(problem, omega, tol) if problem.is_rational
+          else _omega0_point(omega, *values[:2], tol))
     if pt is not None:
         return _classify_omega0(values, k, pt, tol, omega == pt.omega)
-    return REDUCED[2 if k is None else 1][_reduced_codes(*values, k, tol)]
+    code = _reduced_codes(*_point_arrays(omega, values, problem, tol), k, tol)[0]
+    return REDUCED[2 if k is None else 1][code]
 
 
 def _near_any(omega: np.ndarray, points, dist: float) -> np.ndarray:
@@ -359,10 +371,10 @@ def classify_array(omega, k: float | None, problem: InterfaceProblem,
        test is pointwise, and every point with a W-tilde that is not finite
        (a denominator exactly 0 at a pole that poly_roots missed, say).
 
-    The array arithmetic rounds as CPython's complex arithmetic, so every
-    point gets the record classify (or classify2) gives it. Total: never
-    raises for any complex input, NaN and infinities included, and emits no
-    floating-point warnings.
+    Every point gets the record classify (or classify2) gives it, as numpy
+    rounds an element alike in an array of any size (_point_arrays). Total:
+    never raises for any complex input, NaN and infinities included, and
+    emits no floating-point warnings.
     """
     omega = np.ravel(np.asarray(omega, dtype=complex))
     codes = np.full(omega.shape, POINTWISE, dtype=np.int8)
@@ -404,9 +416,9 @@ def in_N2(omega: complex, problem: InterfaceProblem,
     PreconditionError on S or Omega_0.
     """
     omega = complex(omega)
-    _, _, w_p, w_m = _reduced_point_values(problem, omega, tol, "in_N2")
-    holds, a = _n2_witness(w_p, w_m, tol)
-    return (True, float(a)) if holds else (False, None)
+    values = _reduced_point_values(problem, omega, tol, "in_N2")
+    holds, a = _n2_witness(*_point_arrays(omega, values, problem, tol)[2:], tol)
+    return (True, float(a[0])) if holds[0] else (False, None)
 
 
 def classify2(omega: complex, problem: InterfaceProblem,

@@ -5,6 +5,11 @@ negative real axis and the upper value is taken there, so sqrt(-1) == 1j.
 Every branch condition in the classification (the decay rates mu_pm and the
 ray tests they induce) hinges on this convention.
 
+Each evaluator takes a Python scalar, computed in CPython's complex arithmetic,
+or a numpy array, computed by numpy's operators. The two can differ in the last
+bits, so no decision may depend on one agreeing with the other; classify1d
+makes every set decision on arrays.
+
 All functions here are pure and safe to call from any number of threads.
 """
 
@@ -13,7 +18,6 @@ from __future__ import annotations
 import cmath
 import math
 import os
-import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -76,16 +80,14 @@ DEFAULT_TOL = Tolerances()
 def principal_sqrt(z):
     """Unique a with a^2 == z and arg(a) in (-pi/2, pi/2]; principal_sqrt(-1) == 1j.
 
-    Elementwise on numpy arrays, with the scalar result at every element.
+    Elementwise (np.sqrt) on numpy arrays.
     """
-    if isinstance(z, np.ndarray):
-        return _principal_sqrt_array(z)
-    a = cmath.sqrt(complex(z))
-    # cmath.sqrt lands in [-pi/2, pi/2]; arg == -pi/2 occurs only on the cut
+    array = isinstance(z, np.ndarray)
+    a = np.sqrt(z) if array else cmath.sqrt(complex(z))
+    # both land in [-pi/2, pi/2]; arg == -pi/2 occurs only on the cut
     # approached from below (negative real z with -0.0 imaginary part).
-    if a.real < 0.0 or (a.real == 0.0 and a.imag < 0.0):
-        a = -a
-    return a
+    flip = (a.real < 0.0) | ((a.real == 0.0) & (a.imag < 0.0))
+    return np.where(flip, -a, a) if array else (-a if flip else a)
 
 
 def in_ray(z, a, tol: Tolerances = DEFAULT_TOL):
@@ -93,59 +95,12 @@ def in_ray(z, a, tol: Tolerances = DEFAULT_TOL):
 
     Elementwise (a numpy bool) when z is an array; a may be an array too.
     """
-    if not isinstance(z, np.ndarray):
-        z = complex(z)
     return (abs(z.imag) <= tol.ray_imag_tol) & (z.real >= a - tol.ray_real_tol)
 
 
 def in_open_positive_ray(z, tol: Tolerances = DEFAULT_TOL):
     """Membership of z in the open ray (0, inf); the endpoint is excluded. Elementwise on arrays."""
-    if not isinstance(z, np.ndarray):
-        z = complex(z)
     return (abs(z.imag) <= tol.ray_imag_tol) & (z.real > tol.ray_real_tol)
-
-
-# -- complex arithmetic on numpy arrays, rounded as CPython rounds it ----------
-#
-# numpy's complex product, quotient, modulus and square root round
-# differently from CPython's (fused or reordered products, a reciprocal in the
-# quotient, other hypot and sqrt algorithms). The functions below rebuild
-# CPython's formulas from real-array operations, so an array kernel decides
-# every point bit-for-bit as scalar code does. Given Python scalars they use
-# CPython's own arithmetic. Array callers wrap them in np.errstate: infinities
-# and NaNs propagate, nothing raises.
-
-def complex_array(re, im) -> np.ndarray:
-    """re + i*im (same-shape real arrays) by assignment, so infinities and
-    signed zeros pass unchanged."""
-    out = np.empty(np.shape(re), dtype=complex)
-    out.real = re
-    out.imag = im
-    return out
-
-
-def cmul(a, b):
-    """a*b, elementwise on arrays."""
-    if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
-        return a * b
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    return complex_array(a.real * b.real - a.imag * b.imag,
-                         a.real * b.imag + a.imag * b.real)
-
-
-def cdiv(a, b):
-    """a/b (Smith's method), elementwise on arrays; NaN where b == 0."""
-    if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
-        return a / b if b != 0 else complex(math.nan, math.nan)
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    wide = np.abs(b.real) >= np.abs(b.imag)
-    ratio = np.where(wide, b.imag / b.real, b.real / b.imag)
-    denom = np.where(wide, b.real + b.imag * ratio, b.real * ratio + b.imag)
-    re = np.where(wide, a.real + a.imag * ratio, a.real * ratio + a.imag)
-    im = np.where(wide, a.imag - a.real * ratio, a.imag * ratio - a.real)
-    return complex_array(re / denom, im / denom)
 
 
 def cabs(z):
@@ -155,46 +110,21 @@ def cabs(z):
             return abs(z)
         except OverflowError:   # both parts finite, the modulus beyond the float range
             return math.inf
-    z = np.asarray(z, dtype=complex)
     return np.hypot(z.real, z.imag)
 
 
-def hypot_array(x, y) -> np.ndarray:
-    """math.hypot at every element: CPython's own algorithm, not libm's (np.hypot)."""
-    return np.frompyfunc(math.hypot, 2, 1)(x, y).astype(float)
-
-
-def _principal_sqrt_array(z: np.ndarray) -> np.ndarray:
-    """cmath.sqrt's algorithm on arrays, then principal_sqrt's branch flip."""
-    z = np.asarray(z, dtype=complex)
-    ax, ay = np.abs(z.real), np.abs(z.imag)
-    s = 2.0 * np.sqrt(ax / 8.0 + np.hypot(ax / 8.0, ay / 8.0))
-    tiny = (ax < sys.float_info.min) & (ay < sys.float_info.min)
-    if tiny.any():   # cmath rescales where hypot(ax, ay) could be subnormal
-        up = np.ldexp(ax[tiny], 53)
-        s[tiny] = np.ldexp(np.sqrt(up + np.hypot(up, np.ldexp(ay[tiny], 53))), -27)
-    d = ay / (2.0 * s)
-    lower = z.real < 0.0
-    a = complex_array(np.where(lower, d, s), np.copysign(np.where(lower, s, d), z.imag))
-    # zeros and cmath's table of infinite and NaN cases, taken from cmath
-    special = ~(np.isfinite(z.real) & np.isfinite(z.imag)) | ((z.real == 0.0) & (z.imag == 0.0))
-    if special.any():
-        a[special] = [cmath.sqrt(v) for v in z[special].tolist()]
-    return np.where((a.real < 0.0) | ((a.real == 0.0) & (a.imag < 0.0)), -a, a)
-
-
 def polyval(coeffs, z):
-    """Horner evaluation of descending coefficients at a complex scalar or, elementwise
-    and bitwise as at each scalar (cmul), a numpy array; a coefficient may be an array."""
+    """Horner evaluation of descending coefficients at a complex scalar or,
+    elementwise, a numpy array; a coefficient may be an array."""
     acc = 0j
     for c in coeffs:
-        acc = cmul(acc, z) + c
+        acc = acc * z + c
     return acc
 
 
 def poly_eval_scale(coeffs, z):
     """Natural magnitude of the evaluation sum_i |c_i| |z|^(n-i); floors residual
-    tests. Elementwise on arrays (z or the coefficients), bitwise as at each scalar."""
+    tests. Elementwise on arrays (z or the coefficients)."""
     az = cabs(z)
     acc = 0.0
     for c in coeffs:
@@ -240,7 +170,7 @@ def poly_roots_family(polys, tol: Tolerances = DEFAULT_TOL) -> list:
     stacked eigvals call. One masked Newton loop polishes every root of the
     family (_newton_polish), and each member's roots are then clustered into
     multiplicity groups on their own (_clusters). A member's roots are bitwise
-    those it has when solved alone.
+    those it has when solved alone, as Python complex numbers.
     """
     out: list = [None] * len(polys)
     groups: dict = {}   # (trimmed length, trailing zeros) -> [(member, coefficients)]
@@ -268,24 +198,19 @@ def poly_roots_family(polys, tol: Tolerances = DEFAULT_TOL) -> list:
             companion[:, 0, :] = np.where(finite[:, None], row, 0.0)   # eigvals takes no inf
             companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
             raw[:, :d] = np.linalg.eigvals(companion)
-        z, moved = _newton_polish(c, der, raw, tol)
-        for (i, cs), zs, mv, dr, ok in zip(members, z.tolist(), moved.tolist(), der, finite):
-            # a root Newton moved is a numpy scalar, as z - p/dp makes it; the
-            # cluster centres divide by the cluster size in that type's arithmetic
-            out[i] = (_clusters(cs, dr, [np.complex128(w) if m else w for w, m in zip(zs, mv)])
-                      if ok else DegenerateInputError("the companion matrix overflows"))
+        z = _newton_polish(c, der, raw, tol)
+        for (i, cs), zs, dr, ok in zip(members, z.tolist(), der, finite):
+            out[i] = (_clusters(cs, dr, zs) if ok
+                      else DegenerateInputError("the companion matrix overflows"))
     return out
 
 
 def _newton_polish(c, der, raw, tol: Tolerances):
     """Newton steps on every root of raw (a row of roots per coefficient row of c,
     der their derivatives) at once: each root stops at its first small residual,
-    zero or non-finite step, small step, or after 20 steps. Returns the roots and
-    the mask of those that moved; the arithmetic is the scalar loop's (polyval and
-    poly_eval_scale at arrays), rounded as CPython rounds p and numpy scalars
-    round p' and p/p'."""
+    zero or non-finite step, small step, or after 20 steps. Returns the roots,
+    shaped as raw."""
     z = raw.ravel()
-    moved = np.zeros(z.size, dtype=bool)
     owner = np.repeat(np.arange(raw.shape[0]), raw.shape[1])
     bound = 1e-3 * tol.root_residual_tol
     live = np.arange(z.size)
@@ -299,11 +224,10 @@ def _newton_polish(c, der, raw, tol: Tolerances):
             go = np.isfinite(step.real) & np.isfinite(step.imag)
             live, zl, step = live[go], zl[go] - step[go], step[go]
             z[live] = zl
-            moved[live] = True
             live = live[~(cabs(step) <= 1e-16 * (1.0 + cabs(zl)))]
             if not live.size:
                 break
-    return z.reshape(raw.shape), moved.reshape(raw.shape)
+    return z.reshape(raw.shape)
 
 
 def _clusters(cs: tuple, der, polished: list) -> list:

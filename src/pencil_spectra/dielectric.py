@@ -23,8 +23,6 @@ from .complex_numerics import (
     DEFAULT_TOL,
     Tolerances,
     cabs,
-    cdiv,
-    cmul,
     poly_eval_scale,
     poly_roots,
     polyval,
@@ -171,7 +169,7 @@ def _pole_at(model: DielectricModel, omega: complex, tol: Tolerances):
 def wtilde(model: DielectricModel, omega, tol: Tolerances = DEFAULT_TOL):
     """W-tilde(omega); SingularityError at (or within ray_imag_tol of) a pole. A scalar
     divides by _pole_at's den. At a numpy array (a rational model, points off its poles:
-    not checked) each element is bitwise its scalar value, as cmul and cdiv are."""
+    not checked) it is elementwise, in numpy's arithmetic."""
     if isinstance(omega, np.ndarray):
         den = polyval(model.denominator, omega)
     else:
@@ -182,7 +180,7 @@ def wtilde(model: DielectricModel, omega, tol: Tolerances = DEFAULT_TOL):
         if model.kind == "callable":
             # the callable supplies the full W-tilde, scale included
             return complex(model.func(omega))
-    return cdiv(cmul(model.scale, polyval(model.numerator, omega)), den)
+    return model.scale * polyval(model.numerator, omega) / den
 
 
 def w(model: DielectricModel, omega: complex, tol: Tolerances = DEFAULT_TOL) -> complex:
@@ -197,11 +195,11 @@ def w_values(problem: InterfaceProblem, omega, tol: Tolerances = DEFAULT_TOL):
     omega is used as given (a Python complex keeps CPython's arithmetic);
     raises SingularityError on either side's poles, as wtilde does. At a
     numpy array of omega (rational media, off the poles: not checked) the
-    values are elementwise, each bitwise its scalar value (wtilde and cmul).
+    values are elementwise, in numpy's arithmetic.
     """
     wt_p, wt_m = wtilde(problem.plus, omega, tol), wtilde(problem.minus, omega, tol)
-    zz = cmul(omega, omega)
-    return wt_p, wt_m, cmul(zz, wt_p), cmul(zz, wt_m)
+    zz = omega * omega
+    return wt_p, wt_m, zz * wt_p, zz * wt_m
 
 
 @dataclass(frozen=True)

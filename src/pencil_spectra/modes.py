@@ -21,9 +21,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .complex_numerics import (DEFAULT_TOL, Tolerances, cabs, cmul, hypot_array, in_ray,
-                               poly_roots_family, principal_sqrt)
-from .classify1d import IN_N, _m_side, _n_identity_holds, _near_any, _reduced_codes
+from .complex_numerics import (DEFAULT_TOL, Tolerances, cabs, in_ray, poly_roots_family,
+                               principal_sqrt)
+from .classify1d import (IN_N, _m_side, _n_identity_holds, _near_any, _point_arrays,
+                         _reduced_codes)
 from .dielectric import (
     DielectricModel,
     InterfaceProblem,
@@ -156,8 +157,7 @@ def eigenvalue_polynomial(k, problem: InterfaceProblem):
     cross = _polyadd(_polymul(np_, dm), _polymul(nm, dp))
     qb = _polymul((s, 0.0, 0.0), _polymul(np_, nm))
     k = np.asarray(k, dtype=float)
-    # k^2 times each coefficient, one row per k, rounded as k * k * c of scalars
-    q = _polyadd(cmul((k * k)[..., None], cross), np.negative(qb))
+    q = _polyadd((k * k)[..., None] * cross, np.negative(qb))   # one row per k
     return q if k.ndim else tuple(q)
 
 
@@ -172,7 +172,7 @@ def ray_polynomial(model: DielectricModel, t):
         raise UnsupportedModelError("ray preimages need a rational model")
     t = np.asarray(t, dtype=float)
     q = _polyadd(_polymul((model.scale, 0.0, 0.0), model.numerator),
-                 cmul(-t[..., None], model.denominator))   # rounded as -t * c of scalars
+                 -t[..., None] * np.asarray(model.denominator))
     return q if t.ndim else tuple(q)
 
 
@@ -248,36 +248,30 @@ def eigenfunction_eval(mode: PlasmonMode, x1):
 
 def mode_residuals(modes, grid, problem: InterfaceProblem,
                    tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """mode_residual of every mode, in one array pass over modes and grid: cmul,
-    cabs, wtilde and hypot_array round as the one-mode formula does in
-    CPython scalars, so each value is bitwise that formula's (a NaN term gives
-    NaN). The modes must lie off S, as eigen_sweep's do."""
+    """mode_residual of every mode, in one array pass over modes and grid (a NaN
+    term gives NaN). The modes must lie off S, as eigen_sweep's do."""
     x = np.asarray(grid, dtype=float)
     if np.any(x == 0.0):
         raise PreconditionError("mode_residual grid must avoid x1 = 0")
-    # k ** 2 is CPython's pow, which can round differently from k * k
-    k, k_sq, omega, mu_p, mu_m, vp0, vp1, vm0, vm1 = np.array(
-        [(md.k, md.k ** 2, md.omega, md.mu_plus, md.mu_minus, *md.v_plus, *md.v_minus)
-         for md in modes], dtype=complex).reshape(-1, 9).T
-    ik = cmul(1j, k)   # k and k_sq hold a zero imaginary part, which rounds as a float
+    k, omega, mu_p, mu_m, vp0, vp1, vm0, vm1 = np.array(
+        [(md.k, md.omega, md.mu_plus, md.mu_minus, *md.v_plus, *md.v_minus)
+         for md in modes], dtype=complex).reshape(-1, 8).T
+    ik = 1j * k
     parts = []   # per mode: the residual on each side, then the three jumps
     with np.errstate(all="ignore"):
         for sel, m, v0, v1 in ((x > 0, -mu_p, vp0, vp1), (x < 0, mu_m, vm0, vm1)):
             if not np.any(sel):
                 continue
-            # psi = v e^(m x1); W_side = k^2 - mu^2 (CPython's mu**2 is mu * mu
-            # up to the sign of a zero, which the subtraction from k^2 drops)
-            w_side = k_sq - cmul(m, m)
-            r1 = cmul(k * k - w_side, v0) + cmul(cmul(ik, m), v1)
-            r2 = cmul(cmul(ik, m), v0) - cmul(cmul(m, m), v1) - cmul(w_side, v1)
+            w_side = k * k - m * m   # psi = v e^(m x1), W_side = k^2 - mu^2
+            r1 = (k * k - w_side) * v0 + ik * m * v1
+            r2 = ik * m * v0 - m * m * v1 - w_side * v1
             env = m[:, None] * x[sel]   # one mode per row, overwritten in place
             env = np.abs(np.exp(env, out=env))
-            env *= hypot_array(cabs(r1), cabs(r2))[:, None]
+            env *= np.hypot(cabs(r1), cabs(r2))[:, None]
             parts.append(env.max(axis=1))
-        parts += [cabs(cmul(wtilde(problem.plus, omega), vp0)
-                       - cmul(wtilde(problem.minus, omega), vm0)),
+        parts += [cabs(wtilde(problem.plus, omega) * vp0 - wtilde(problem.minus, omega) * vm0),
                   cabs(vp1 - vm1),
-                  cabs((cmul(-mu_p, vp1) - cmul(ik, vp0)) - (cmul(mu_m, vm1) - cmul(ik, vm0)))]
+                  cabs((-mu_p * vp1 - ik * vp0) - (mu_m * vm1 - ik * vm0))]
     return np.max(parts, axis=0)
 
 
@@ -311,7 +305,7 @@ def weyl_sequence_1d(omega: complex, k: float, n: int, side: str,
     omega = complex(omega)
     sgn = 1.0 if side in ("+", "plus") else -1.0
     values = w_values(problem, omega, tol)
-    w_side, in_m = _m_side(side, values, k, problem, tol)
+    w_side, in_m = _m_side(side, omega, values, k, problem, tol)
     center = sgn * n * n
     _, nphi1, nphi2 = _bump_constants()
 
@@ -364,7 +358,8 @@ def weyl_sequence_2d_bulk(omega: complex, side: str, n: int,
     """2D plane-wave Weyl member in the third component; needs omega in M_side,
     the M_side bit of classify2 (W_side(omega) in the open ray (0, inf))."""
     sgn = 1.0 if side in ("+", "plus") else -1.0
-    w_side, in_m = _m_side(side, w_values(problem, complex(omega), tol), None, problem, tol)
+    omega = complex(omega)
+    w_side, in_m = _m_side(side, omega, w_values(problem, omega, tol), None, problem, tol)
     if not in_m:
         raise PreconditionError(
             f"2D bulk Weyl sample needs W_{side}(omega) in (0, inf); got {w_side}")
@@ -395,12 +390,12 @@ class Weyl2DInterfaceReport:
 def _interface_profile(omega, a, problem, tol):
     """psi, its coefficient data, and exponents for the guided construction."""
     k0 = math.sqrt(a)
-    wt_p, wt_m, w_p, w_m = w_values(problem, omega, tol)
+    wt_p, wt_m, w_p, w_m = values = w_values(problem, omega, tol)
     if in_ray(w_p, a, tol) or in_ray(w_m, a, tol):
         raise PreconditionError("(omega, a) violates the ray exclusions of N")
     mu_p = principal_sqrt(a - w_p)
     mu_m = principal_sqrt(a - w_m)
-    if not _n_identity_holds(wt_p, wt_m, w_p, w_m, a, tol, slack=10):
+    if not _n_identity_holds(*_point_arrays(omega, values, problem, tol), a, tol, slack=10)[0]:
         raise PreconditionError(
             f"(omega, a) does not satisfy the N-membership identity: "
             f"|Wt+ mu- + Wt- mu+| = {abs(wt_p * mu_m + wt_m * mu_p):.3e}")

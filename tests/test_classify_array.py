@@ -27,12 +27,20 @@ from pencil_spectra import (
     singular_points,
 )
 from pencil_spectra.classify1d import M_MINUS, M_PLUS, _reduced_codes, classify_array
-from pencil_spectra.complex_numerics import (DEFAULT_TOL, Tolerances, complex_array,
-                                             in_open_positive_ray)
+from pencil_spectra.complex_numerics import DEFAULT_TOL, Tolerances, in_open_positive_ray
 from pencil_spectra.dielectric import near_omega0, which_pole_side, wtilde
 
 KS = [0.0, 0.7, 3.0, 50.0, 1e3]
 TOL = DEFAULT_TOL
+
+
+def complex_array(re, im) -> np.ndarray:
+    """re + i*im (same-shape real arrays) by assignment, so infinities and
+    signed zeros pass unchanged."""
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
 
 
 def _lorentz(oscillators):

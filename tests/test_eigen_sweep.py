@@ -1,6 +1,7 @@
 """eigen_sweep and mode_residuals, the array passes over a whole k sweep, held
-to the scalar decisions and formulas they replace; and the N identity, the
-polynomial roots and the CLI's k parser where squares overflow the float range."""
+to the scalar decisions they replace and, within the rounding bounds of their
+formulas, to the scalar formulas; and the N identity, the polynomial roots and
+the CLI's k parser where squares overflow the float range."""
 
 import math
 
@@ -19,6 +20,7 @@ from pencil_spectra.errors import DegenerateInputError
 from pencil_spectra.modes import (_make_mode, eigen_sweep, eigenvalue_polynomial, mode_residuals,
                                   ray_polynomial)
 from pencil_spectra.trace_cli import main
+from tests.test_one_evaluator import _gamma, _wtilde_bound
 
 POLE_REACH = max(DEFAULT_TOL.ray_imag_tol, 1e-9)    # eigen_sweep's pole filter
 INVERSE_SQUARE = DielectricModel.rational([1], [1, 0, 0])   # W~ = 1/omega^2
@@ -82,10 +84,18 @@ def test_eigen_sweep_is_the_scalar_filter_chain(plus, minus, ks):
     assert len(sweep) == len(ks)
     for k, modes in zip(ks, sweep):
         assert [m.omega for m in modes] == _reduced_n_roots(k, problem), k
-        # each record is built from the scalar W values, and a k's modes do not
-        # depend on the rest of the sweep
-        assert modes == [_make_mode(m.omega, k, *w_values(problem, m.omega)[2:]) for m in modes]
+        # each record is built from the one-element call's W values, and a k's
+        # modes do not depend on the rest of the sweep
+        one = [[v.tolist()[0] for v in w_values(problem, np.array([m.omega]))[2:]] for m in modes]
+        assert modes == [_make_mode(m.omega, k, *ws) for m, ws in zip(modes, one)]
         assert modes == eigen_omegas(k, problem)
+        # the scalar W values (CPython's arithmetic) lie within the bound of the
+        # formula W = omega^2 W~ (test_w_values_at_an_array_is_the_scalar_formula_bit_for_bit)
+        for m, ws in zip(modes, one):
+            zz = abs(m.omega) ** 2
+            for model, w_arr, w_ref in zip((plus, minus), ws, w_values(problem, m.omega)[2:]):
+                b = zz * _wtilde_bound(model, [m.omega])[0] + _gamma(6) * abs(w_ref)
+                assert abs(w_arr - w_ref) <= 2.0 * b
 
 
 def test_eigen_sweep_constant_polynomial_and_k0():
@@ -160,6 +170,53 @@ def _eigen_grid():
     return grid[grid != 0.0]
 
 
+def _residual_bound(mode, grid, problem):
+    """A priori bound, to first order, on the rounding error of either the array
+    residual or _reference_residual against the exact value of the formula.
+
+    A complex product errs by at most gamma_3 relative (Higham, Lemma 3.5) and a
+    sum by u, so an expression of depth d errs by at most gamma_3d times its
+    value with every operand replaced by its modulus and every difference by a
+    sum. With A = |k|^2 + |m|^2 (for W_side = k^2 - m^2, within gamma_4 A), the
+    side terms r1 and r2 err by at most gamma_9 (|k|^2 + A)|v0| + gamma_9 |k||m||v1|
+    and gamma_9 (|k||m||v0| + |m|^2|v1| + A|v1|); hypot and the envelope add
+    gamma_3, so a side errs by at most gamma_12 (that sum) max_x |e^(m x)|. The
+    jumps err by at most |v0| dW~ + gamma_8 |W~||v0| per side (dW~ from
+    _wtilde_bound) and gamma_8 (|mu_+||v_+1| + |k||v_+0| + |mu_-||v_-1| + |k||v_-0|).
+    A max of terms errs by at most the largest term error."""
+    x = np.asarray(grid, dtype=float)
+    k = mode.k
+    errs = []
+    for sel, m, v in ((x > 0, -mode.mu_plus, mode.v_plus), (x < 0, mode.mu_minus, mode.v_minus)):
+        if not np.any(sel):
+            continue
+        a = k * k + abs(m) ** 2
+        env = float(np.abs(np.exp(m * x[sel])).max())
+        e1 = (k * k + a) * abs(v[0]) + abs(k) * abs(m) * abs(v[1])
+        e2 = abs(k) * abs(m) * abs(v[0]) + abs(m) ** 2 * abs(v[1]) + a * abs(v[1])
+        errs.append(_gamma(12) * (e1 + e2) * env)
+    jump = 0.0
+    for model, v in ((problem.plus, mode.v_plus), (problem.minus, mode.v_minus)):
+        jump += abs(v[0]) * (_wtilde_bound(model, [mode.omega])[0]
+                             + _gamma(8) * abs(wtilde(model, mode.omega)))
+    errs.append(jump)
+    errs.append(_gamma(8) * (abs(mode.mu_plus) * abs(mode.v_plus[1]) + abs(k) * abs(mode.v_plus[0])
+                             + abs(mode.mu_minus) * abs(mode.v_minus[1])
+                             + abs(k) * abs(mode.v_minus[0])))
+    return max(errs)
+
+
+def _assert_residuals_match(cases, grid, problem):
+    """mode_residuals against _reference_residual within twice _residual_bound
+    (both err by at most the bound), and bitwise the one-mode mode_residual."""
+    got = mode_residuals(cases, grid, problem)
+    for g, md in zip(got.tolist(), cases):
+        r = _reference_residual(md, grid, problem)
+        assert abs(g - r) <= 2.0 * _residual_bound(md, grid, problem), (md, g, r)
+    assert _bitwise(got) == _bitwise(mode_residual(md, grid, problem) for md in cases)
+    return got
+
+
 def _bitwise(values):
     return [float(v).hex() for v in values]
 
@@ -175,16 +232,13 @@ def test_mode_residuals_bitwise_on_a_three_pole_pair_sweep(sweep):
     modes = [m for ms in eigen_sweep(ks.tolist(), THREE_POLE_PAIRS) for m in ms]
     assert len(modes) == 3200
     # the same modes with mu_+ off by about 1e-3: the residual on the grid then
-    # dominates the jumps, and math.hypot's rounding shows
+    # dominates the jumps
     rng = np.random.default_rng(3)
     off = [type(m)(omega=m.omega, k=m.k, mu_plus=m.mu_plus * (1 + 1e-3 * rng.standard_normal()),
                    mu_minus=m.mu_minus, v_plus=m.v_plus, v_minus=m.v_minus) for m in modes]
     grid = _eigen_grid()
     for cases in (modes, off):
-        got = mode_residuals(cases, grid, THREE_POLE_PAIRS)
-        assert _bitwise(got) == _bitwise(_reference_residual(m, grid, THREE_POLE_PAIRS)
-                                         for m in cases)
-    assert mode_residual(off[17], grid, THREE_POLE_PAIRS) == got[17]
+        _assert_residuals_match(cases, grid, THREE_POLE_PAIRS)
 
 
 def test_mode_residuals_bitwise_on_perturbed_and_zero_modes(lossless_problem):
@@ -197,12 +251,10 @@ def test_mode_residuals_bitwise_on_perturbed_and_zero_modes(lossless_problem):
     zero = type(m)(omega=m.omega, k=m.k, mu_plus=m.mu_plus,
                    mu_minus=m.mu_minus, v_plus=(0j, 0j), v_minus=(0j, 0j))
     cases = modes + [bad, zero]
-    got = mode_residuals(cases, grid, lossless_problem).tolist()
-    assert got == [_reference_residual(md, grid, lossless_problem) for md in cases]
+    got = _assert_residuals_match(cases, grid, lossless_problem).tolist()
     assert got[-2] > 1e-3 and got[-1] == 0.0
     # one side of the interface only, and no modes at all
-    assert mode_residuals(cases, grid[grid > 0], lossless_problem).tolist() == [
-        _reference_residual(md, grid[grid > 0], lossless_problem) for md in cases]
+    _assert_residuals_match(cases, grid[grid > 0], lossless_problem)
     assert mode_residuals([], grid, lossless_problem).shape == (0,)
 
 
@@ -218,9 +270,7 @@ def test_mode_residuals_bitwise_on_random_records(lossless_problem):
              for j in range(300)]
     grid = np.linspace(-2, 2, 41)
     grid = grid[grid != 0.0]
-    got = mode_residuals(cases, grid, lossless_problem)
-    assert _bitwise(got) == _bitwise(_reference_residual(md, grid, lossless_problem)
-                                     for md in cases)
+    _assert_residuals_match(cases, grid, lossless_problem)
 
 
 # -- where k^2, W or the identity's terms leave the float range -----------------
