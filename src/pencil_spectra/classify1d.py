@@ -104,7 +104,7 @@ class SpectrumClass:
             return "M-"
         if "N" in members:
             return "N"
-        return "resolvent" if self.resolvent else "M-"
+        return "resolvent"
 
 
 OUTSIDE = SpectrumClass(
@@ -332,19 +332,20 @@ def _reduced_codes(wt_p, wt_m, w_p, w_m, k, tol):
 
 
 def _classify_point(omega: complex, k, problem: InterfaceProblem, tol: Tolerances) -> SpectrumClass:
-    """classify_array's decision for one point; k=None is 2D. w_values at omega (a black
-    box's only evaluation) feed the exceptional table, and _point_arrays the reduced branch."""
+    """classify_array's decision for one point; k=None is 2D. w_values at omega feed the
+    exceptional table (and a black box's Omega_0 test), and _point_arrays the reduced branch."""
     hit = which_pole_side(problem, omega, tol)
     if hit is not None:
         pole, side = hit
         return replace(OUTSIDE, branch_note=f"{'2D-' if k is None else ''}S/{side}-pole@{pole:.6g}")
-    values = w_values(problem, omega, tol)
-    pt = (near_omega0(problem, omega, tol) if problem.is_rational
+    values = None if problem.is_rational else w_values(problem, omega, tol)
+    pt = (near_omega0(problem, omega, tol) if values is None
           else _omega0_point(omega, *values[:2], tol))
     if pt is not None:
+        values = values or w_values(problem, omega, tol)
         return _classify_omega0(values, k, pt, tol, omega == pt.omega)
-    code = _reduced_codes(*_point_arrays(omega, values, problem, tol), k, tol)[0]
-    return REDUCED[2 if k is None else 1][code]
+    return REDUCED[2 if k is None else 1][
+        _reduced_codes(*_point_arrays(omega, values, problem, tol), k, tol)[0]]
 
 
 def _near_any(omega: np.ndarray, points, dist: float) -> np.ndarray:
@@ -355,7 +356,7 @@ def _near_any(omega: np.ndarray, points, dist: float) -> np.ndarray:
     return hit
 
 
-def classify_array(omega, k: float | None, problem: InterfaceProblem,
+def classify_array(omega, k, problem: InterfaceProblem,
                    tol: Tolerances = DEFAULT_TOL) -> ArrayClassification:
     """Classify every point of a complex array (flattened); k=None selects the 2D pencil.
 
@@ -371,12 +372,13 @@ def classify_array(omega, k: float | None, problem: InterfaceProblem,
        test is pointwise, and every point with a W-tilde that is not finite
        (a denominator exactly 0 at a pole that poly_roots missed, say).
 
-    Every point gets the record classify (or classify2) gives it, as numpy
-    rounds an element alike in an array of any size (_point_arrays). Total:
-    never raises for any complex input, NaN and infinities included, and
-    emits no floating-point warnings.
+    Every point gets the record classify (or classify2) gives it at its k, which is
+    one wavenumber or an array of one per point, as numpy rounds an element alike in
+    an array of any size (_point_arrays). Total: never raises for any complex input,
+    NaN and infinities included, and emits no floating-point warnings.
     """
     omega = np.ravel(np.asarray(omega, dtype=complex))
+    ks = np.ravel(k) if np.ndim(k) else None   # a scalar k is never expanded per point
     codes = np.full(omega.shape, POINTWISE, dtype=np.int8)
     if problem.is_rational:
         with np.errstate(all="ignore"):
@@ -385,8 +387,10 @@ def classify_array(omega, k: float | None, problem: InterfaceProblem,
             rest = ~_near_any(omega, special, tol.ray_imag_tol)
             wt_p, wt_m, w_p, w_m = w_values(problem, omega[rest], tol)
             codes[rest] = np.where(np.isfinite(wt_p) & np.isfinite(wt_m),
-                                   _reduced_codes(wt_p, wt_m, w_p, w_m, k, tol), POINTWISE)
-    pointwise = {i: _classify_point(complex(omega[i]), k, problem, tol)
+                                   _reduced_codes(wt_p, wt_m, w_p, w_m,
+                                                  k if ks is None else ks[rest], tol), POINTWISE)
+    pointwise = {i: _classify_point(complex(omega[i]), k if ks is None else float(ks[i]),
+                                    problem, tol)
                  for i in np.flatnonzero(codes == POINTWISE).tolist()}
     return ArrayClassification(codes, pointwise, 2 if k is None else 1)
 

@@ -58,16 +58,15 @@ class DiscretizedPencil:
     """Sparse FD assembly of T_k - lambda W on a Grid with interface rows.
 
     block2 is the Schur-reduced (u1, u2) block acting on u2 alone; block3
-    acts on u3. Both share one row layout: eq_rows marks the equation rows and
-    rhs_node the node whose right-hand side each takes. Constraint rows
-    (boundary, interface) take zero, except block2's [Wt u1] row.
+    acts on u3. Both share one row layout: row i < interior.size is the equation
+    of node interior[i] and takes its right-hand side. The constraint rows after
+    them (boundary, interface) take zero, except block2's [Wt u1] row.
     """
 
     grid: Grid
     block2: sp.csc_matrix
     block3: sp.csc_matrix
-    eq_rows: np.ndarray
-    rhs_node: np.ndarray
+    interior: np.ndarray       # the interior nodes, in equation-row order
     wu1_row: int               # index of the [Wt u1] constraint row (-1 if k = 0)
     wu1_rhs_factor: complex    # rhs of that row = factor * r1(0)
     denom_plus: complex        # k^2 - lam W_+
@@ -96,10 +95,6 @@ def discretize(omega: complex, k: float, problem: InterfaceProblem,
     interior = np.r_[1:im, ip + 1:N - 1]
     n_int = interior.size
     wu1_row = n_int + 3
-    eq = np.zeros(N, dtype=bool)
-    eq[:n_int] = True
-    node = np.zeros(N, dtype=np.int64)
-    node[:n_int] = interior
     # one diagonal scalar per side: each entry rounds as a per-node sum would
     diag = np.where(interior >= ip, 2.0 / h**2 + k * k - lam * w_p, 2.0 / h**2 + k * k - lam * w_m)
     off = np.full(n_int, -1.0 / h**2)
@@ -126,7 +121,7 @@ def discretize(omega: complex, k: float, problem: InterfaceProblem,
         block2, factor, wu1_row = block3, 0.0, -1
 
     return DiscretizedPencil(
-        grid=grid, block2=block2, block3=block3, eq_rows=eq, rhs_node=node,
+        grid=grid, block2=block2, block3=block3, interior=interior,
         wu1_row=wu1_row, wu1_rhs_factor=complex(factor),
         denom_plus=complex(den_p), denom_minus=complex(den_m),
     )
@@ -171,13 +166,13 @@ def direct_solve(omega: complex, k: float, r: RhsField,
     N = disc.grid.x.size
     ip = disc.grid.i_zero_plus
 
-    eq, nodes = disc.eq_rows, disc.rhs_node[disc.eq_rows]
+    rows = slice(disc.interior.size)   # equation row i takes node interior[i]
     b2 = np.zeros(N, dtype=complex)
-    b2[eq] = r.r2[nodes]
+    b2[rows] = r.r2[disc.interior]
     if disc.wu1_row >= 0:
         b2[disc.wu1_row] = disc.wu1_rhs_factor * r.r1[ip]
     b3 = np.zeros(N, dtype=complex)
-    b3[eq] = r.r3[nodes]
+    b3[rows] = r.r3[disc.interior]
 
     # the pencil is block diagonal: solving the blocks separately IS the
     # full solve, and keeps the u3 block bitwise identical either way

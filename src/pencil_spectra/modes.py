@@ -4,9 +4,9 @@ Eigenvalues are the zeros of k^2 (W_+ + W_-) - W_+ W_- surviving a filter
 chain (poles, exceptional set, essential rays, unsquared matching identity);
 for rational media the zeros come from one cleared-denominator polynomial, so
 the search is exact. eigen_sweep solves the polynomials of a whole k sweep
-as one family and filters their roots in one array pass; mode_residuals checks
-all modes in another. Eigenfunctions are the explicit two-sided exponentials
-with decay rates mu_pm = sqrt(k^2 - W_pm), Re mu_pm > 0.
+as one family and keeps the roots classify_array puts in N^(k); mode_residuals
+checks all modes in one array pass. Eigenfunctions are the explicit two-sided
+exponentials with decay rates mu_pm = sqrt(k^2 - W_pm), Re mu_pm > 0.
 
 Weyl-sequence residual norms are evaluated from closed-form integrands on
 quadrature grids, never by numerically differentiating samples: the decay
@@ -23,14 +23,12 @@ import numpy as np
 
 from .complex_numerics import (DEFAULT_TOL, Tolerances, cabs, in_ray, poly_roots_family,
                                principal_sqrt)
-from .classify1d import (IN_N, _m_side, _n_identity_holds, _near_any, _point_arrays,
-                         _reduced_codes)
+from .classify1d import IN_N, _m_side, _n_identity_holds, _point_arrays, classify_array
 from .dielectric import (
     DielectricModel,
     InterfaceProblem,
     _omega0_point,
     _zero_tags,
-    omega0_set,
     singular_points,
     w,
     w_values,
@@ -73,11 +71,11 @@ def bump(y):
 
 @lru_cache(maxsize=1)
 def _bump_fourier_table():
-    """kappa grid and hat-phi(kappa) = sqrt(2/pi) * int_0^1 phi cos(kappa y) dy."""
-    x, w = np.polynomial.legendre.leggauss(_GL_N)
-    half = x > 0  # phi is even; integrate on (0, 1)
-    y = x[half]
-    wphi = w[half] * bump(y)
+    """kappa grid and hat-phi(kappa) = sqrt(2/pi) * int_0^1 phi cos(kappa y) dy, phi being
+    even, by the _GL_N // 2-point Gauss-Legendre rule mapped onto (0, 1)."""
+    x, w = np.polynomial.legendre.leggauss(_GL_N // 2)
+    y = 0.5 * (x + 1.0)
+    wphi = 0.5 * w * bump(y)
     kappa = np.linspace(0.0, 240.0, 4801)
     # 512 kappa at a time: the whole 4801 x 200 cosine table never exists at once
     phat = np.concatenate([np.cos(np.outer(kappa[i:i + 512], y)) @ wphi
@@ -189,12 +187,12 @@ def eigen_sweep(ks, problem: InterfaceProblem, tol: Tolerances = DEFAULT_TOL) ->
     """The plasmon eigenvalues in N^(k) of each k of a sweep: per k, a list of
     PlasmonMode records sorted by (Re, Im) omega.
 
-    The eigenvalue polynomials of all k are solved as one poly_roots_family,
-    and their roots pass one array filter chain. A root is kept off the pole
-    reach (wider than classify's, since it is about root accuracy) and Omega_0,
-    with the reduced branch code IN_N: off the essential rays, and satisfying
-    the unsquared matching identity (squaring made the polynomial's spurious
-    roots). A member error of the family (a polynomial that overflows) is raised.
+    The eigenvalue polynomials of all k are solved as one poly_roots_family. A
+    root is kept exactly when classify_array, at its own k, codes it IN_N (off S,
+    Omega_0 and the essential rays, with the unsquared matching identity that
+    squaring lost) and it lies off the pole reach, wider than classify's since
+    it is about root accuracy. A member error of the family (a polynomial that
+    overflows) is raised.
     """
     if not problem.is_rational:
         raise UnsupportedModelError("eigen_omegas needs rational models on both sides")
@@ -212,14 +210,13 @@ def eigen_sweep(ks, problem: InterfaceProblem, tol: Tolerances = DEFAULT_TOL) ->
             roots += [z for z, _ in found]
             owner += [i] * len(found)
         z = np.array(roots, dtype=complex)
-        keep = ~_near_any(z, [p.omega for p in omega0_set(problem, tol)], tol.ray_imag_tol)
+        keep = classify_array(z, ka[owner], problem, tol).codes == IN_N
         for p in singular_points(problem, tol):
             keep &= ~(cabs(z - p) <= reach * (1.0 + abs(p)))
-        wt_p, wt_m, w_p, w_m = w_values(problem, z, tol)
-        keep &= _reduced_codes(wt_p, wt_m, w_p, w_m, ka[owner], tol) == IN_N
+        _, _, w_p, w_m = w_values(problem, z[keep], tol)
     sweep = [[] for _ in ks]   # each k's modes in poly_roots' (Re, Im) order
     for i, root, wp, wm in zip(np.array(owner, dtype=int)[keep].tolist(), z[keep].tolist(),
-                               w_p[keep].tolist(), w_m[keep].tolist()):
+                               w_p.tolist(), w_m.tolist()):
         sweep[i].append(_make_mode(root, ks[i], wp, wm))
     return sweep
 

@@ -24,7 +24,7 @@ ten) rather than formatted one float at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import accumulate
 from typing import Callable
@@ -76,15 +76,21 @@ def make_grid(L: float, h: float) -> Grid:
     return Grid(L=L, h=h, x=x, i_zero_minus=m, i_zero_plus=m + 1)
 
 
+def _decaying_mus(k: float, values) -> tuple:
+    """mu_pm = sqrt(k^2 - W_pm) of w_values' values; PreconditionError unless Re mu_pm > 0."""
+    mu_p, mu_m = (principal_sqrt(k * k - wv) for wv in values[2:])
+    if not (mu_p.real > 0 and mu_m.real > 0):   # a NaN rate (W overflowed) fails too
+        raise PreconditionError(
+            f"decay rates Re mu_pm = {mu_p.real:g}, {mu_m.real:g} are not positive")
+    return mu_p, mu_m
+
+
 def suggest_half_length(omega: complex, k: float, problem: InterfaceProblem,
                         support_edge: float, h: float,
                         tol: Tolerances = DEFAULT_TOL) -> float:
     """Smallest L (multiple of h) with exp(-Re mu (L - edge)) < 1e-12 on both sides."""
-    _, _, w_p, w_m = w_values(problem, omega, tol)
-    a_p, a_m = principal_sqrt(k * k - w_p).real, principal_sqrt(k * k - w_m).real
-    if not (a_p > 0 and a_m > 0):   # a NaN rate (W overflowed) fails too
-        raise PreconditionError(f"decay rates Re mu_pm = {a_p:g}, {a_m:g} are not positive")
-    L = abs(support_edge) + 27.7 / min(a_p, a_m)
+    mu_p, mu_m = _decaying_mus(k, w_values(problem, omega, tol))
+    L = abs(support_edge) + 27.7 / min(mu_p.real, mu_m.real)
     if not math.isfinite(L / h):
         raise PreconditionError(f"h = {h:g} is too small: L / h overflows (L = {L:g})")
     return math.ceil(L / h) * h
@@ -250,12 +256,8 @@ def solve(omega: complex, k: float, r: RhsField, problem: InterfaceProblem,
     if not record.resolvent:
         raise SpectralPointError(
             f"omega={omega} is not in the resolvent set ({record.branch_note})")
-    wt_p, wt_m, w_p, w_m = w_values(problem, omega, tol)
-    mu_p = principal_sqrt(k * k - w_p)
-    mu_m = principal_sqrt(k * k - w_m)
-    if not (mu_p.real > 0 and mu_m.real > 0):   # a NaN rate (W overflowed) fails too
-        raise PreconditionError(
-            f"decay rates Re mu_pm = {mu_p.real:g}, {mu_m.real:g} are not positive")
+    wt_p, wt_m, w_p, w_m = values = w_values(problem, omega, tol)
+    mu_p, mu_m = _decaying_mus(k, values)
 
     grid = r.grid
     xl, xr = grid.left(), grid.right()
@@ -286,9 +288,9 @@ def solve(omega: complex, k: float, r: RhsField, problem: InterfaceProblem,
     u[0, :nl] = (r.r1[:nl] - 1j * k * du2[:nl]) / (k * k - w_m)
     u[0, nl:] = (r.r1[nl:] - 1j * k * du2[nl:]) / (k * k - w_p)
 
-    rep = _verify_fields(grid, u, du2, du3, r, omega, k, problem, tol)
-    return ResolventSolution(grid=grid, omega=omega, k=k, u=u, u2_prime=du2, u3_prime=du3,
-                             C2=consts[0], C3=consts[1], report=rep)
+    sol = ResolventSolution(grid=grid, omega=omega, k=k, u=u, u2_prime=du2, u3_prime=du3,
+                            C2=consts[0], C3=consts[1], report=None)
+    return replace(sol, report=verify(sol, r, omega, k, problem, tol))
 
 
 def _fd_first(y: np.ndarray, h: float) -> np.ndarray:
@@ -303,14 +305,9 @@ def _fd_second(y: np.ndarray, h: float) -> np.ndarray:
 
 def verify(sol: ResolventSolution, r: RhsField, omega: complex, k: float,
            problem: InterfaceProblem, tol: Tolerances = DEFAULT_TOL) -> VerifyReport:
-    """Check the ODEs (4th-order FD), the five jumps, the divergence, and the norm."""
-    return _verify_fields(sol.grid, sol.u, sol.u2_prime, sol.u3_prime, r, omega, k,
-                          problem, tol)
-
-
-def _verify_fields(grid: Grid, u: np.ndarray, u2_prime: np.ndarray, u3_prime: np.ndarray,
-                   r: RhsField, omega: complex, k: float, problem: InterfaceProblem,
-                   tol: Tolerances) -> VerifyReport:
+    """Check sol's fields: the ODEs (4th-order FD), the five jumps, the divergence and the
+    norm, each relative to ||r||. solve attaches this report; sol.report is not read."""
+    grid, u = sol.grid, sol.u
     h = grid.h
     nl = grid.i_zero_minus + 1
     wt_p, wt_m, w_p, w_m = w_values(problem, omega, tol)
@@ -338,10 +335,10 @@ def _verify_fields(grid: Grid, u: np.ndarray, u2_prime: np.ndarray, u3_prime: np
     jump_wu1 = abs(wt_p * u[0, ip] - wt_m * u[0, im])
     jump_u2 = abs(u[1, ip] - u[1, im])
     jump_u3 = abs(u[2, ip] - u[2, im])
-    comb_p = u2_prime[ip] - 1j * k * u[0, ip]
-    comb_m = u2_prime[im] - 1j * k * u[0, im]
+    comb_p = sol.u2_prime[ip] - 1j * k * u[0, ip]
+    comb_m = sol.u2_prime[im] - 1j * k * u[0, im]
     jump_comb = abs(comb_p - comb_m)
-    jump_du3 = abs(u3_prime[ip] - u3_prime[im])
+    jump_du3 = abs(sol.u3_prime[ip] - sol.u3_prime[im])
 
     u_norm = math.sqrt(sum(float(np.trapezoid(np.abs(u[j]) ** 2, x=grid.x))
                            for j in range(3)))

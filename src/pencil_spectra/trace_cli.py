@@ -62,8 +62,6 @@ class PortraitGrid:
     cells: ArrayClassification   # row-major branch codes and pointwise records
     classes: list          # display class per cell (after marker stamping)
     overlays: dict         # name -> list of complex points
-    k: float | None        # None for the 2D portrait
-    dim: int
 
 
 def trace_portrait(problem: InterfaceProblem, grid_spec, k: float | None,
@@ -90,7 +88,7 @@ def trace_portrait(problem: InterfaceProblem, grid_spec, k: float | None,
         ov["M-boundary"] = _m_minus_boundary(problem, k, tol)
 
     pg = PortraitGrid(re_axis=re_axis, im_axis=im_axis, cells=cells,
-                      classes=classes, overlays=ov, k=k, dim=dim)
+                      classes=classes, overlays=ov)
     _stamp_markers(pg, tol)
     return pg
 

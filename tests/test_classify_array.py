@@ -26,9 +26,10 @@ from pencil_spectra import (
     omega0_set,
     singular_points,
 )
-from pencil_spectra.classify1d import M_MINUS, M_PLUS, _reduced_codes, classify_array
+from pencil_spectra.classify1d import IN_N, M_MINUS, M_PLUS, _reduced_codes, classify_array
 from pencil_spectra.complex_numerics import DEFAULT_TOL, Tolerances, in_open_positive_ray
 from pencil_spectra.dielectric import near_omega0, which_pole_side, wtilde
+from pencil_spectra.modes import eigen_sweep
 
 KS = [0.0, 0.7, 3.0, 50.0, 1e3]
 TOL = DEFAULT_TOL
@@ -263,3 +264,35 @@ def test_2d_rays_are_the_open_positive_ray(tol):
     for a, b, want in zip(w_p.tolist(), w_m.tolist(), old.tolist()):
         got = _reduced_codes(1 + 0j, 1 + 0j, a, b, None, tol) & (M_PLUS | M_MINUS)
         assert got == want, (a, b)
+
+
+@pytest.mark.parametrize("name", ["drude", "lorentz"])
+def test_one_k_per_point_is_each_points_own_call(name):
+    """classify_array with an array of one k per point gives point i the record, and
+    the code, of classify_array(z[i:i+1], k_i), and classify's record at k_i: at
+    the roots of a short eigen_sweep (at their own k), at each point of S and
+    Omega_0 and +-ray_imag_tol / 2 beside it (the points decided one at a time),
+    and on a grid, at k drawn from KS."""
+    problem = MEDIA[name]
+    sweep = [0.5, 1.0, 3.0, 7.0]
+    pts, ks = [], []
+    for k, found in zip(sweep, eigen_sweep(sweep, problem)):
+        pts += [m.omega for m in found]
+        ks += [k] * len(found)
+    d = 0.5 * TOL.ray_imag_tol
+    centres = list(singular_points(problem)) + [p.omega for p in omega0_set(problem)]
+    others = [c + s for c in centres for s in (0.0, d, -d, 1j * d, -1j * d)]
+    others += list(_grid(-4.0, 4.0, 17, -2.4, 0.8, 9))
+    pts += others
+    ks += np.random.default_rng(5).choice(KS, size=len(others)).tolist()
+    z = np.array(pts, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # a RuntimeWarning fails the test
+        res = classify_array(z, np.array(ks), problem)
+        for i, (zi, k) in enumerate(zip(z.tolist(), ks)):
+            one = classify_array(z[i:i + 1], k, problem)
+            assert (res.codes[i], res.record(i)) == (one.codes[0], one.record(0)), (zi, k)
+            assert res.record(i) == classify(zi, k, problem), (zi, k)
+    assert (res.codes[:len(pts) - len(others)] == IN_N).all()
+    assert (res.codes == -1).sum() >= 5 * len(omega0_set(problem))
+    assert {k for k, c in zip(ks, res.codes.tolist()) if c == -1} >= {0.0, 3.0}

@@ -89,7 +89,7 @@ def test_u3_block_bitwise_consistency(drude_problem):
     r = _bump_rhs(grid, 3.0)
     u_full = direct_solve(0.5j, 3.0, r, disc)
     b3 = np.zeros(grid.x.size, dtype=complex)
-    b3[disc.eq_rows] = r.r3[disc.rhs_node[disc.eq_rows]]
+    b3[:disc.interior.size] = r.r3[disc.interior]   # equation row i takes node interior[i]
     u3_alone = fd_oracle._lu(disc.block3).solve(b3)
     assert np.array_equal(u3_alone, u_full[2])
 
@@ -238,9 +238,11 @@ def test_discretize_matches_loop_assembly(k, lam, medium, request):
         for name in ("indptr", "indices", "data"):
             a, b = getattr(got, name), getattr(ref, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
-    for got, ref in ((disc.eq_rows, eq2), (disc.rhs_node, node2),
-                     (disc.eq_rows, eq3), (disc.rhs_node, node3)):
-        assert np.array_equal(got, ref)
+    # the loop's equation rows are the first interior.size rows, and row i takes
+    # the right-hand side of node interior[i]
+    for eq, node in ((eq2, node2), (eq3, node3)):
+        assert np.array_equal(eq, np.arange(grid.x.size) < disc.interior.size)
+        assert disc.interior.dtype == node.dtype and np.array_equal(disc.interior, node[eq])
     assert disc.wu1_row == (grid.x.size - 1 if k != 0.0 else -1)
 
 

@@ -15,7 +15,7 @@ from pencil_spectra import (DielectricModel, InterfaceProblem, classify, classif
 from pencil_spectra import classify1d, modes
 from pencil_spectra.classify1d import IN_N, M_MINUS, M_PLUS, REDUCED, classify_array
 from pencil_spectra.complex_numerics import DEFAULT_TOL, cabs, poly_roots
-from pencil_spectra.dielectric import singular_points, w_values
+from pencil_spectra.dielectric import omega0_set, singular_points, w_values
 from pencil_spectra.errors import PreconditionError
 from pencil_spectra.modes import ray_polynomial, weyl_2d_interface_report, weyl_sequence_2d_bulk
 from tests.test_classify_array import MEDIA
@@ -131,6 +131,27 @@ def test_a_black_box_is_evaluated_once_per_classified_point():
         calls.clear()
         classify2(omega, problem)
         assert len(calls) == 1
+
+
+def test_a_rational_classify_evaluates_scalar_w_only_on_omega0(monkeypatch):
+    """Scalar w_values (CPython's arithmetic) feed only the exceptional table of a rational
+    medium: classify and classify2 make no such call off Omega_0 and one on it."""
+    scalar = []
+
+    def counting(problem, omega, tol=DEFAULT_TOL):
+        if not isinstance(omega, np.ndarray):
+            scalar.append(omega)
+        return w_values(problem, omega, tol)
+
+    monkeypatch.setattr(classify1d, "w_values", counting)
+    problem = MEDIA["drude"]
+    z0 = min((p.omega for p in omega0_set(problem)), key=lambda z: abs(z - (-1.94197 - 0.5j)))
+    assert abs(z0 - (-1.94197 - 0.5j)) < 1e-5
+    for omega, calls in ((0.3 + 0.4j, 0), (z0, 1)):
+        for run in (lambda: classify(omega, 3.0, problem), lambda: classify2(omega, problem)):
+            scalar.clear()
+            run()
+            assert len(scalar) == calls, omega
 
 
 def test_the_set_tests_receive_only_numpy_arrays(monkeypatch):

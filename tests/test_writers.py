@@ -78,7 +78,7 @@ def test_portrait_writers_match_the_per_cell_writers(drude_problem, guided_2d_pr
     for dim in (1, 2):   # a row with every reduced branch code of the pencil
         cells = ArrayClassification(np.arange(len(REDUCED[dim])), {}, dim)
         pgs.append(PortraitGrid(np.linspace(-1.0, 1.0, cells.codes.size), np.array([-0.0]), cells,
-                                cells.raster_classes(), {}, None, dim))
+                                cells.raster_classes(), {}))
     for n, pg in enumerate(pgs):
         write_portrait_csv(tmp_path / f"fast{n}.csv", pg)
         _portrait_csv_reference(tmp_path / f"ref{n}.csv", pg)
