@@ -180,15 +180,16 @@ class ArrayClassification:
 
 
 def _reduced_point_values(problem, omega, tol, op_name):
-    """w_values at an omega off S and Omega_0, the precondition of the set predicates:
-    PreconditionError on S or Omega_0, where the reduced branch does not apply."""
+    """The precondition of the set predicates: PreconditionError on S or Omega_0, where
+    the reduced branch does not apply. Returns the values _point_arrays reads: a black
+    box's w_values at omega, None for a rational problem (_point_arrays evaluates it)."""
     hit = which_pole_side(problem, omega, tol)
     if hit is not None:
         pole, side = hit
         raise PreconditionError(f"{op_name}: omega={omega} is a pole of the {side} side ({pole})")
     if near_omega0(problem, omega, tol) is not None:
         raise PreconditionError(f"{op_name}: omega={omega} lies in the exceptional set Omega_0")
-    return w_values(problem, omega, tol)
+    return None if problem.is_rational else w_values(problem, omega, tol)
 
 
 def _point_arrays(omega: complex, values, problem: InterfaceProblem, tol: Tolerances):
@@ -202,11 +203,10 @@ def _point_arrays(omega: complex, values, problem: InterfaceProblem, tol: Tolera
 
 
 def _m_side(side: str, omega: complex, values, k, problem: InterfaceProblem, tol: Tolerances):
-    """(W_side from w_values' values, the M_side bit of the reduced code at k; k=None is 2D).
+    """The M_side bit of the reduced code at k (k=None is 2D), from _point_arrays' values.
     problem.side rejects a bad label; when one model serves both sides the bits agree."""
-    i = 0 if problem.side(side) is problem.plus else 1
-    code = _reduced_codes(*_point_arrays(omega, values, problem, tol), k, tol)[0]
-    return values[2 + i], bool(code & (M_PLUS, M_MINUS)[i])
+    bit = M_PLUS if problem.side(side) is problem.plus else M_MINUS
+    return bool(_reduced_codes(*_point_arrays(omega, values, problem, tol), k, tol)[0] & bit)
 
 
 def in_M(side: str, omega: complex, k: float, problem: InterfaceProblem,
@@ -221,7 +221,7 @@ def in_M(side: str, omega: complex, k: float, problem: InterfaceProblem,
     """
     omega = complex(omega)
     values = _reduced_point_values(problem, omega, tol, "in_M")
-    return _m_side(side, omega, values, k, problem, tol)[1]
+    return _m_side(side, omega, values, k, problem, tol)
 
 
 def _n_identity_holds(wt_p, wt_m, w_p, w_m, k2, tol, slack=1.0):

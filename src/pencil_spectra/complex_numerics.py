@@ -10,6 +10,11 @@ or a numpy array, computed by numpy's operators. The two can differ in the last
 bits, so no decision may depend on one agreeing with the other; classify1d
 makes every set decision on arrays.
 
+Polynomial roots come from one Aberth-Ehrlich iteration (poly_roots_family),
+started from the tropical roots and evaluated through the reversed polynomial
+beyond the unit circle, so roots some 100 orders of magnitude apart come out
+together; roots that agree within root_residual_tol are one multiple root.
+
 All functions here are pure and safe to call from any number of threads.
 """
 
@@ -33,7 +38,8 @@ class Tolerances:
 
     ray_imag_tol      max |Im z| for z to count as real (ray membership)
     ray_real_tol      slack at a ray's left endpoint
-    root_residual_tol relative residual accepted for polynomial roots
+    root_residual_tol relative residual accepted for polynomial roots; it also
+                      sizes the discs that decide their multiplicities
     equality_tol      relative tolerance for zero/equality tests on W, W-tilde
 
     Ray tolerances are absolute on purpose: the rays start at k^2, a
@@ -149,7 +155,7 @@ def poly_roots(coeffs, tol: Tolerances = DEFAULT_TOL):
     multiplicity), ...] sorted by (Re, Im); the multiplicities sum to the degree.
 
     Raises DegenerateInputError for the zero polynomial, degree 0, a
-    coefficient that is not finite or a companion matrix that overflows.
+    coefficient that is not finite or a root beyond the float range.
     """
     (roots,) = poly_roots_family([coeffs], tol)
     if isinstance(roots, DegenerateInputError):
@@ -164,13 +170,11 @@ def poly_roots_family(polys, tol: Tolerances = DEFAULT_TOL) -> list:
     array, one member per row). Returns one entry per member: its [(root,
     multiplicity), ...], or the DegenerateInputError it raises alone.
 
-    Roots come from companion matrices, built as np.roots builds them: the
-    members are grouped by trimmed length and number of trailing zero
-    coefficients (the exact root 0), and each group's matrices go through one
-    stacked eigvals call. One masked Newton loop polishes every root of the
-    family (_newton_polish), and each member's roots are then clustered into
-    multiplicity groups on their own (_clusters). A member's roots are bitwise
-    those it has when solved alone, as Python complex numbers.
+    The members are grouped by trimmed length and number of trailing zero
+    coefficients, which give the exact root 0. The other roots of a group come
+    from one masked Aberth-Ehrlich iteration over a (members, degree) array
+    (_aberth), and _multiplicities groups them. Each member's update reads only
+    its own roots, so its roots are bitwise those it has when solved alone.
     """
     out: list = [None] * len(polys)
     groups: dict = {}   # (trimmed length, trailing zeros) -> [(member, coefficients)]
@@ -184,89 +188,138 @@ def poly_roots_family(polys, tol: Tolerances = DEFAULT_TOL) -> list:
             out[i] = DegenerateInputError("polynomial has a coefficient that is not finite")
         else:
             zeros = next(j for j, c in enumerate(reversed(cs)) if c != 0)
-            groups.setdefault((len(cs), zeros), []).append((i, cs))
-    for (n, zeros), members in groups.items():
-        c = np.array([cs for _, cs in members])
-        d = n - zeros - 1   # the companion order; the zero roots are appended
-        with np.errstate(all="ignore"):
-            row = -c[:, 1:d + 1] / c[:, :1]
-            der = c[:, :-1] * np.arange(n - 1, 0, -1)   # np.polyder's product
-        finite = np.isfinite(row).all(axis=1)   # else a member error: the companion overflows
-        raw = np.zeros((len(members), n - 1), dtype=complex)
-        if d:
-            companion = np.zeros((len(members), d, d), dtype=complex)
-            companion[:, 0, :] = np.where(finite[:, None], row, 0.0)   # eigvals takes no inf
-            companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-            raw[:, :d] = np.linalg.eigvals(companion)
-        z = _newton_polish(c, der, raw, tol)
-        for (i, cs), zs, dr, ok in zip(members, z.tolist(), der, finite):
-            out[i] = (_clusters(cs, dr, zs) if ok
-                      else DegenerateInputError("the companion matrix overflows"))
+            groups.setdefault((len(cs), zeros), []).append((i, cs[:len(cs) - zeros]))
+    for (_, zeros), members in groups.items():
+        a = np.array([cs for _, cs in members], dtype=complex)
+        ok, found = np.ones(len(a), dtype=bool), [[] for _ in members]
+        if a.shape[1] > 1:   # else every root is the exact 0
+            with np.errstate(all="ignore"):
+                z, ok = _aberth(a)
+                found = _multiplicities(a, z, tol)
+        for (i, _), roots, fine in zip(members, found, ok.tolist()):
+            if zeros:
+                roots = sorted(roots + [(0j, zeros)], key=lambda t: (t[0].real, t[0].imag))
+            out[i] = roots if fine else DegenerateInputError(
+                "polynomial has a root beyond the float range")
     return out
 
 
-def _newton_polish(c, der, raw, tol: Tolerances):
-    """Newton steps on every root of raw (a row of roots per coefficient row of c,
-    der their derivatives) at once: each root stops at its first small residual,
-    zero or non-finite step, small step, or after 20 steps. Returns the roots,
-    shaped as raw."""
-    z = raw.ravel()
-    owner = np.repeat(np.arange(raw.shape[0]), raw.shape[1])
-    bound = 1e-3 * tol.root_residual_tol
-    live = np.arange(z.size)
-    with np.errstate(all="ignore"):
-        for _ in range(20):
-            rows, zl = owner[live], z[live]
-            p = polyval(c[rows].T, zl)
-            go = ~(cabs(p) <= bound * poly_eval_scale(c[rows].T, zl))
-            live, rows, zl, p = live[go], rows[go], zl[go], p[go]
-            step = p / polyval(der[rows].T, zl)   # not finite where p' == 0
-            go = np.isfinite(step.real) & np.isfinite(step.imag)
-            live, zl, step = live[go], zl[go] - step[go], step[go]
-            z[live] = zl
-            live = live[~(cabs(step) <= 1e-16 * (1.0 + cabs(zl)))]
-            if not live.size:
-                break
-    return z.reshape(raw.shape)
+def _horner(a, z):
+    """(p/p', p, s, big) at the roots z, a row of them per row of descending
+    coefficients a; s = sum_j |a_j| |x|^(d-j) bounds the rounding of p. Where
+    |z| > 1 (big), p and s are those of the reversed polynomial at x = 1/z, so
+    that nothing overflows; p/p' is that of p at z either way."""
+    d = a.shape[1] - 1
+    big = np.abs(z) > 1.0
+    x = np.where(big, 1.0 / z, z)
+    ax = np.abs(x)
+    cs = np.where(big[..., None], a[:, None, ::-1], a[:, None, :])
+    acs = np.abs(cs)
+    p, dp, s = cs[..., 0], 0j, acs[..., 0]
+    for j in range(1, d + 1):
+        dp = dp * x + p
+        p = p * x + cs[..., j]
+        s = s * ax + acs[..., j]
+    # z^d rev(1/z) = p(z) gives p/p' = rev / (x (d rev - x rev'))
+    return np.where(big, p / (d * p - x * dp) / x, p / dp), p, s, big
 
 
-def _clusters(cs: tuple, der, polished: list) -> list:
-    """One member's polished roots as [(root, multiplicity), ...], sorted by (Re, Im)."""
-    # The exact root 0 of trailing zero coefficients stays apart. The other
-    # roots cluster up to the multiple-root noise floor, within a radius
-    # relative to the root scale s (Fujiwara: all roots lie within 2 s of 0).
-    zeros = polished.count(0)
-    s = max((abs(c) / abs(cs[0])) ** (1.0 / i) for i, c in enumerate(cs) if i)
+def _aberth(a):
+    """The roots of each row of descending coefficients a (the first and last
+    nonzero), a row of them per row, and whether the row's are all finite.
 
-    def radius(c):
-        return 1e-5 * min(1.0 + abs(c), s + abs(c))
+    They start on circles whose radii are the tropical roots (the slopes of the
+    upper convex hull of (j, log|a_j|)), at angles 2 pi t / d + 0.7, so that no
+    start set is symmetric about the real axis. Each root takes Aberth-Ehrlich
+    steps N / (1 - N sum_j 1/(z - z_j)), N = p/p', over its own row's roots;
+    the last starts where |p(z)| is within the rounding bound of its Horner
+    evaluation (at most 100 steps).
+    """
+    m, n = a.shape
+    d, j = n - 1, np.arange(n)
+    lg = np.log(np.abs(a))
+    lg[~np.isfinite(lg)] = -1e6   # a zero coefficient lies below the hull
+    hull = np.empty((m, n))
+    for k in range(n):   # the hull at k: the best chord from some lo <= k to some hi >= k
+        lo, hi = j[:k + 1, None], j[None, k:]
+        chord = (((hi - k) * lg[:, :k + 1, None] + (k - lo) * lg[:, None, k:])
+                 / np.maximum(hi - lo, 1))
+        hull[:, k] = np.where(hi > lo, chord, -np.inf).max(axis=(1, 2))
+    z = np.exp(np.diff(hull, axis=1)) * np.exp(1j * (2.0 * np.pi * j[:d] / d + 0.7))
+    ok = np.isfinite(z).all(axis=1)
+    z[~ok] = 0.0
+    live = np.repeat(ok[:, None], d, axis=1)
+    bound = 4.0 * d * np.finfo(float).eps
+    for _ in range(100):
+        rows = np.flatnonzero(live.any(axis=1))
+        if not rows.size:
+            break
+        zr = z[rows]
+        newton, p, s, _ = _horner(a[rows], zr)
+        diff = zr[:, :, None] - zr[:, None, :]
+        diff[:, j[:d], j[:d]] = np.inf   # no self-repulsion
+        inv = 1.0 / diff
+        step = newton / (1.0 - newton * sum(inv[:, :, i] for i in range(d)))
+        move = live[rows] & np.isfinite(step.real) & np.isfinite(step.imag)
+        z[rows] = np.where(move, zr - step, zr)
+        live[rows] &= ~(np.abs(p) <= bound * s)
+    return z, ok & np.isfinite(z).all(axis=1)
 
-    polished.sort(key=lambda w: (w.real, w.imag))
-    clusters: list[list[complex]] = []
-    for z in polished:
-        if z == 0:
-            continue
-        for cl in clusters:
-            c = sum(cl) / len(cl)
-            if abs(z - c) <= radius(c):
-                cl.append(z)
-                break
-        else:
-            clusters.append([z])
 
-    out = [(0j, zeros)] if zeros else []
-    for cl in clusters:
-        m = len(cl)
-        z = sum(cl) / m
-        if m > 1:
-            # multiplicity-aware Newton sharpens the cluster centre; it stops
-            # before a step longer than the radius, where p' is only noise
-            for _ in range(5):
-                p = polyval(cs, z)
-                dp = polyval(der, z)
-                if not m * abs(p) < radius(z) * abs(dp):
-                    break
-                z = z - m * p / dp
-        out.append((z, m))
-    out.sort(key=lambda t: (t[0].real, t[0].imag))
-    return out
+def _pseudozero(a, z, tol: Tolerances):
+    """Whether z is a root of a polynomial whose coefficients differ from its row
+    of a by at most root_residual_tol relative: |p(z)| <= root_residual_tol s."""
+    _, p, s, _ = _horner(a, z)
+    return np.abs(p) <= tol.root_residual_tol * s
+
+
+def _multiplicities(a, z, tol: Tolerances) -> list:
+    """Each row's roots z as [(root, multiplicity), ...] sorted by (Re, Im).
+
+    Roots i and j are one where their inclusion discs, of radius
+    d (|p(z_i)| + root_residual_tol s_i) / |a_0 prod_j (z_i - z_j)| (Bini &
+    Fiorentino), overlap and their midpoint is a _pseudozero. The midpoint test
+    splits the discs that a tight cluster swells: a triple root's reach 13
+    times the distance to a simple root 1 away. A connected component is one
+    root, at _centre, with its size as the multiplicity. On a row of real
+    coefficients a root whose real part is a _pseudozero is real.
+    """
+    d = z.shape[1]
+    _, p, s, big = _horner(a, z)
+    dist = np.abs(z[:, :, None] - z[:, None, :])
+    logs = np.log(dist, out=np.zeros_like(dist), where=dist > 0)
+    r = np.exp(math.log(d) + np.log(np.abs(p) + tol.root_residual_tol * s)
+               - np.log(np.abs(a[:, :1])) + np.where(big, d * np.log(np.abs(z)), 0.0)
+               - sum(logs[:, :, j] for j in range(d)))
+    near = (dist <= r[:, :, None] + r[:, None, :]) | (dist == 0)
+    i, j, k = np.nonzero(near & (dist > 0))   # distinct roots whose discs overlap: rare
+    near[i, j, k] = _pseudozero(a[i], (z[i, j] + z[i, k])[:, None] / 2.0, tol)[:, 0]
+    for _ in range(d.bit_length()):   # the transitive closure: connected components
+        near = near @ near
+    label, size = near.argmax(axis=2), near.sum(axis=2)
+    first = label == np.arange(d)
+    for i, k in zip(*np.nonzero(first & (size > 1))):
+        z[i, k] = _centre(a[i], z[i, label[i] == k])
+    i, k = np.nonzero((a.imag == 0.0).all(axis=1)[:, None] & (z.imag != 0.0))
+    x = z[i, k].real + 0j
+    z[i, k] = np.where(_pseudozero(a[i], x[:, None], tol)[:, 0], x, z[i, k])
+    order = np.lexsort((z.imag, z.real))
+    rows = (np.take_along_axis(v, order, axis=1).tolist() for v in (z, size, first))
+    return [[(c, m) for c, m, f in zip(*row) if f] for row in zip(*rows)]
+
+
+def _centre(a, zs):
+    """The m-fold root of the polynomial a that its m clustered roots zs stand
+    for: Newton's method on p^(m-1), which has a simple root there, from their
+    mean (on the reversed polynomial where |mean| > 1). A step that leaves the
+    cluster's spread about the mean is not taken."""
+    mean = zs.mean()
+    flip = abs(mean) > 1.0
+    q = np.polyder(a[::-1] if flip else a, len(zs) - 1)
+    x = 1.0 / mean if flip else mean
+    for _ in range(3):
+        x_new = x - np.polyval(q, x) / np.polyval(np.polyder(q), x)
+        if not abs((1.0 / x_new if flip else x_new) - mean) <= np.abs(zs - mean).max():
+            break
+        x = x_new
+    return 1.0 / x if flip else x

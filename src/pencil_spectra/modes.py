@@ -302,7 +302,8 @@ def weyl_sequence_1d(omega: complex, k: float, n: int, side: str,
     omega = complex(omega)
     sgn = 1.0 if side in ("+", "plus") else -1.0
     values = w_values(problem, omega, tol)
-    w_side, in_m = _m_side(side, omega, values, k, problem, tol)
+    in_m = _m_side(side, omega, values, k, problem, tol)
+    w_side = values[2 if sgn > 0 else 3]
     center = sgn * n * n
     _, nphi1, nphi2 = _bump_constants()
 
@@ -356,7 +357,9 @@ def weyl_sequence_2d_bulk(omega: complex, side: str, n: int,
     the M_side bit of classify2 (W_side(omega) in the open ray (0, inf))."""
     sgn = 1.0 if side in ("+", "plus") else -1.0
     omega = complex(omega)
-    w_side, in_m = _m_side(side, omega, w_values(problem, omega, tol), None, problem, tol)
+    values = w_values(problem, omega, tol)
+    in_m = _m_side(side, omega, values, None, problem, tol)
+    w_side = values[2 if sgn > 0 else 3]
     if not in_m:
         raise PreconditionError(
             f"2D bulk Weyl sample needs W_{side}(omega) in (0, inf); got {w_side}")

@@ -259,12 +259,14 @@ def test_poly_roots_double_root_centre_stays_in_its_cluster():
     assert abs(z - (2.5 + 2j)) < 1e-8
 
 
-# -- poly_roots_family against the one-polynomial loop it replaced ------------
+# -- poly_roots_family against a companion-matrix reference -------------------
 
 
 def _poly_roots_scalar(coeffs, tol=Tolerances()):
-    """The per-polynomial poly_roots the family routine replaced: np.roots, then
-    a Newton polish loop per root, then the cluster step."""
+    """A reference poly_roots: np.roots (companion eigenvalues), then a Newton
+    polish loop per root, then a cluster step within 1e-5 of the root scale. It
+    splits triple roots, but agrees with poly_roots_family on families of
+    well-separated roots, such as the overlay and sweep families."""
     cs = trim_leading(coeffs)
     if not cs:
         raise DegenerateInputError("zero polynomial has no well-defined roots")
@@ -339,13 +341,12 @@ def _bits(found):
 
 
 def _assert_family_matches_scalar(polys, tol=Tolerances()):
-    """poly_roots_family against _poly_roots_scalar, which polishes in CPython's
-    arithmetic where the family polishes in numpy's, so the roots may differ in
+    """poly_roots_family against _poly_roots_scalar, whose roots may differ in
     their last bits. A member's error is the same. Its multiplicities are the
-    same, and each root of multiplicity m lies within _clusters' radius (the
-    resolution the cluster step claims) of a reference root of multiplicity m.
-    A simple root meets the polish's own stopping bound |p(z)| <= 1e-3
-    root_residual_tol sum_i |c_i||z|^(n-i), which the reference roots meet too.
+    same, and each root of multiplicity m lies within the reference's cluster
+    radius of a reference root of multiplicity m. A simple root meets the
+    reference polish's stopping bound |p(z)| <= 1e-3 root_residual_tol
+    sum_i |c_i||z|^(n-i).
     The family's roots are returned bitwise as each member has them alone."""
     expect = []
     for coeffs in polys:
@@ -376,68 +377,137 @@ _PARTS = st.floats(-3.0, 3.0, allow_nan=False).map(lambda x: round(x, 3))
 
 @st.composite
 def _polynomial(draw):
-    """Descending coefficients with simple, double and triple roots, the exact
-    root 0 (trailing zeros) and leading zeros. Roots far apart in modulus leave
-    the small ones to the Newton polish."""
-    roots = []
+    """(descending coefficients, drawn roots): simple, double and triple roots,
+    the exact root 0 (trailing zeros) and leading zeros. Roots far apart in
+    modulus come from tropical starts on circles of their own. The drawn roots
+    are [(root, multiplicity), ...] with the coinciding draws merged."""
+    drawn: dict = {}
     for _ in range(draw(st.integers(1, 4))):
         scale = 10.0 ** draw(st.integers(-14, 6))
-        roots += [complex(draw(_PARTS), draw(_PARTS)) * scale] * draw(st.integers(1, 3))
-    roots += [0j] * draw(st.integers(0, 2))
+        z = complex(draw(_PARTS), draw(_PARTS)) * scale
+        drawn[z] = drawn.get(z, 0) + draw(st.integers(1, 3))
+    zeros = draw(st.integers(0, 2))
+    if zeros:
+        drawn[0j] = drawn.get(0j, 0) + zeros
+    roots = [z for z, m in drawn.items() for _ in range(m)]
     lead = complex(draw(st.floats(0.25, 4.0)), draw(st.floats(-1.0, 1.0)))
-    return [0j] * draw(st.integers(0, 2)) + (lead * np.poly(roots)).tolist()
+    return [0j] * draw(st.integers(0, 2)) + (lead * np.poly(roots)).tolist(), list(drawn.items())
 
 
 @st.composite
 def _family(draw):
+    """[(coefficients, drawn roots or the message of the member's error), ...]."""
     members = draw(st.lists(_polynomial(), min_size=3, max_size=10))
-    members.append(draw(st.sampled_from([[2.5], [0j, -1j], [0j, 0j], []])))   # degree 0
-    broken = draw(_polynomial())
+    members.append((draw(st.sampled_from([[2.5], [0j, -1j], [0j, 0j], []])), None))   # degree 0
+    broken, _ = draw(_polynomial())
     broken[draw(st.integers(0, len(broken) - 1))] = draw(st.sampled_from(
         [complex(math.inf, 0.0), complex(-math.inf, 1.0), complex(math.nan, 0.0),
          complex(0.0, math.nan)]))
-    members.append(broken)
+    members.append((broken, "polynomial has a coefficient that is not finite"))
     return draw(st.permutations(members))
 
 
+def _cluster_radius(cs, drawn, i, tol):
+    """The inclusion radius of the m-fold drawn root i of cs against the other
+    drawn roots: (d (|p| + root_residual_tol s) / |a_0 prod_j (z - z_j)^m_j|)^(1/m)."""
+    z, m = drawn[i]
+    rest = abs(cs[0]) * math.prod(abs(z - w) ** n for j, (w, n) in enumerate(drawn) if j != i)
+    top = (len(cs) - 1) * (abs(polyval(cs, z)) + tol.root_residual_tol * poly_eval_scale(cs, z))
+    return (top / rest) ** (1.0 / m) if rest else math.inf
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(polys=_family())
-def test_poly_roots_family_is_the_scalar_loop_bit_for_bit(polys):
-    expect = _assert_family_matches_scalar(polys)
-    assert sum(isinstance(f, DegenerateInputError) for f in expect) >= 2
-    for coeffs, found in zip(polys, expect):   # poly_roots is the one-member call
+@given(members=_family())
+def test_poly_roots_family_is_the_scalar_loop_bit_for_bit(members):
+    """Every member of a family gets bitwise the roots, or the error, it gets
+    alone. A simple root meets |p(z)| <= 1e-3 root_residual_tol sum_i |c_i||z|^(n-i).
+    Where the member's drawn roots lie more than 10 cluster radii apart, each
+    is found once, within its radius, with its drawn multiplicity."""
+    tol = Tolerances()
+    polys = [coeffs for coeffs, _ in members]
+    got = poly_roots_family(polys, tol)
+    assert sum(isinstance(f, DegenerateInputError) for f in got) >= 2
+    for (coeffs, drawn), found in zip(members, got):
         if isinstance(found, DegenerateInputError):
             with pytest.raises(DegenerateInputError) as err:
-                poly_roots(coeffs)
+                poly_roots(coeffs, tol)
             assert str(err.value) == str(found)
+            if drawn is not None:
+                assert str(found) == drawn
+            continue
+        assert _bits(found) == _bits(poly_roots(coeffs, tol))
+        cs = trim_leading(coeffs)
+        assert sum(m for _, m in found) == len(cs) - 1
+        for z, m in found:
+            if m == 1:
+                bound = 1e-3 * tol.root_residual_tol * poly_eval_scale(cs, z)
+                assert abs(polyval(cs, z)) <= bound, (cs, z)
+        radii = [_cluster_radius(cs, drawn, i, tol) for i in range(len(drawn))]
+        if all(abs(z - w) > 10.0 * (radii[i] + radii[j])
+               for i, (z, _) in enumerate(drawn) for j, (w, _) in enumerate(drawn) if i < j):
+            assert len(found) == len(drawn), (cs, drawn, found)
+            for (z, m), rad in zip(drawn, radii):
+                assert [n for w, n in found if abs(w - z) <= rad] == [m], (cs, z, m, found)
 
 
 def test_poly_roots_family_meets_every_member_kind():
-    """Multiple roots, the exact root 0, a root the Newton polish moves (it
-    becomes a numpy scalar, as the loop's z - p/p' made it), degree 0 and a
-    coefficient that is not finite, in one family."""
+    """Multiple roots, the exact root 0, roots eleven orders of magnitude apart,
+    degree 0 and a coefficient that is not finite, in one family; every root a
+    Python complex, and each member as it is alone."""
     fam = [list(np.poly([1 + 1j] * 3 + [0j, 0j, -2.0])), list(np.poly([0.5, 0.5, -1j])),
            list(np.poly([92000 + 47000j, 1560000 + 2860000j, 2.8e-06 + 5.7e-06j])),
            [0j, 1.0, -2.0], [4.0], [1.0, math.nan]]
-    expect = _assert_family_matches_scalar(fam)
-    assert (0j, 2) in expect[0] and [m for _, m in expect[1]] == [1, 2]
-    assert type(expect[2][0][0]) is np.complex128 and abs(expect[2][0][0] - 2.8e-06 - 5.7e-06j) < 1e-20
+    found = poly_roots_family(fam)
+    assert [m for _, m in found[0]] == [1, 2, 3] and found[0][1] == (0j, 2)
+    assert abs(found[0][0][0] + 2.0) < 1e-12 and abs(found[0][2][0] - (1 + 1j)) < 1e-12
+    assert [m for _, m in found[1]] == [1, 2] and abs(found[1][1][0] - 0.5) < 1e-12
+    assert abs(found[2][0][0] - 2.8e-06 - 5.7e-06j) < 1e-20
+    assert found[3] == [(2 + 0j, 1)]
+    assert [type(e) for e in found[4:]] == [DegenerateInputError] * 2
+    assert all(type(z) is complex for f in found[:4] for z, _ in f)
+    for coeffs, f in zip(fam, found):
+        try:
+            alone = poly_roots(coeffs)
+        except DegenerateInputError as exc:
+            alone = exc
+        assert _bits(f) == _bits(alone)
     assert poly_roots_family([]) == []
 
 
 @pytest.mark.parametrize("wide", [[1e-300, 1e300], [1e-200, 1.0, 1e200]])
 def test_poly_roots_family_member_with_overflowing_companion(wide):
-    """Finite coefficients whose companion row overflows make that member's own
-    DegenerateInputError, without a warning; [1, -3, 2] beside it (in its
-    eigvals group for the second) keeps its roots, bitwise those it has alone."""
+    """Finite coefficients whose root lies beyond the float range (-1e600 of the
+    first) make that member's own DegenerateInputError, without a warning. The
+    second, whose two roots have modulus 1e200, is solved. [1, -3, 2] beside
+    either keeps its roots, bitwise those it has alone."""
     found = poly_roots_family([wide, [1.0, -3.0, 2.0]])
-    assert isinstance(found[0], DegenerateInputError)
-    assert "companion" in str(found[0])
+    if len(wide) == 2:
+        assert isinstance(found[0], DegenerateInputError)
+        assert "beyond the float range" in str(found[0])
+        with pytest.raises(DegenerateInputError):
+            poly_roots(wide)
+    else:
+        expect = [1e200 * complex(-0.5, -math.sqrt(0.75)), 1e200 * complex(-0.5, math.sqrt(0.75))]
+        assert [m for _, m in found[0]] == [1, 1]
+        assert all(abs(z - e) <= 1e-15 * 1e200 for (z, _), e in zip(found[0], expect))
+        assert _bits(found[0]) == _bits(poly_roots(wide))
     assert [m for _, m in found[1]] == [1, 1]
     assert [abs(z - r) <= 1e-14 for (z, _), r in zip(found[1], (1.0, 2.0))] == [True, True]
     assert _bits(found[1]) == _bits(poly_roots([1.0, -3.0, 2.0]))
-    with pytest.raises(DegenerateInputError):
-        poly_roots(wide)
+
+
+@pytest.mark.parametrize("roots, expect", [
+    ([-0.6 + 2j] * 3 + [0.4 + 2j], [(-0.6 + 2j, 3), (0.4 + 2j, 1)]),
+    ([1 - 1j] * 2 + [1 + 1j] * 2, [(1 - 1j, 2), (1 + 1j, 2)]),
+    ([3.0] * 4 + [-1.0], [(-1.0, 1), (3.0, 4)]),
+])
+def test_poly_roots_finds_a_multiple_root_beside_a_simple_one(roots, expect):
+    """Inclusion discs swollen by a tight cluster of computed roots do not merge it
+    with a root a distance 1 or 2 away; the centre sharpens to 1e-12."""
+    found = poly_roots(list(np.poly(roots)))
+    assert [m for _, m in found] == [m for _, m in expect]
+    for (z, _), (e, _) in zip(found, expect):
+        assert abs(z - e) < 1e-12, (z, e)
 
 
 def test_poly_roots_derivative_overflow_is_quiet():

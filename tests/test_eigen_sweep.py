@@ -304,6 +304,29 @@ def test_eigen_sweep_at_an_overflowing_k_raises_a_package_error(drude_problem):
         eigen_sweep([3.0, 1e160], drude_problem)
 
 
+# the quasi-static plasmons W~_+ + W~_- = 0 that the modes approach as k grows
+_LARGE_K_MODES = {
+    "drude": [-1.0442283589 - 0.5j, 1.0442283589 - 0.5j],
+    "three-pole-pair": [-2.73508739543 - 0.248456715255j, -1.73220385945 - 0.199781967287j,
+                        -0.923819138118 - 0.151761317458j, 0.923819138118 - 0.151761317458j,
+                        1.73220385945 - 0.199781967287j, 2.73508739543 - 0.248456715255j],
+}
+
+
+@pytest.mark.parametrize("medium, k", [("drude", 1e32), ("drude", 1e100),
+                                       ("three-pole-pair", 1e33), ("three-pole-pair", 1e40)])
+def test_eigen_sweep_keeps_the_plasmons_at_large_k(drude_problem, medium, k):
+    """The eigenvalue polynomial's roots lie some 30 to 100 orders of magnitude
+    apart (the plasmons near 1, the light-line pair near k); the plasmons are
+    found at such a k alone, and beside k = 3 in one sweep."""
+    problem = drude_problem if medium == "drude" else THREE_POLE_PAIRS
+    expect = _LARGE_K_MODES[medium]
+    for modes in (eigen_omegas(k, problem), eigen_sweep([3.0, k], problem)[1]):
+        got = [m.omega for m in modes]
+        assert len(got) == len(expect), got
+        assert all(abs(z - e) < 1e-9 for z, e in zip(got, expect)), got
+
+
 DRUDE_CFG = """\
 [plus]
 kind = "constant"

@@ -1,8 +1,10 @@
-"""A pole that poly_roots misses by one ulp, where the denominator is exactly 0.
+"""A pole that poly_roots misses, where the denominator is exactly 0.
 
-The minus side's denominator is (omega - 3)(omega - 300000001); poly_roots gives
-300000000.9999999 for the large root, 6e-8 away and so beyond ray_imag_tol,
-while polyval(den, 300000001) is exactly 0.
+The minus side's denominator is (omega - 300000001)(omega - 300000003), its
+constant rounded to 9.00000012e16. The two roots lie closer than
+root_residual_tol resolves at that scale, so poly_roots gives one double root
+300000002, a distance 1 away and so beyond ray_imag_tol, while
+polyval(den, 300000001) is exactly 0.
 """
 
 import pytest
@@ -14,7 +16,7 @@ from pencil_spectra.dielectric import singular_set, w_values, which_pole_side
 from pencil_spectra.errors import SingularityError
 from pencil_spectra.trace_cli import main
 
-MINUS = DielectricModel.rational([1.0], [1, -300000004.0, 900000003.0])
+MINUS = DielectricModel.rational([1.0], [1, -600000004.0, 9.00000012e16])
 PROBLEM = InterfaceProblem(DielectricModel.constant(2.0), MINUS)
 POLE = 300000001.0
 CFG = """\
@@ -25,7 +27,7 @@ value = 2.0
 [minus]
 kind = "rational"
 numerator = [1.0]
-denominator = [1, -300000004.0, 900000003.0]
+denominator = [1, -600000004.0, 9.00000012e16]
 """
 
 

@@ -135,7 +135,8 @@ def test_a_black_box_is_evaluated_once_per_classified_point():
 
 def test_a_rational_classify_evaluates_scalar_w_only_on_omega0(monkeypatch):
     """Scalar w_values (CPython's arithmetic) feed only the exceptional table of a rational
-    medium: classify and classify2 make no such call off Omega_0 and one on it."""
+    medium: classify and classify2 make no such call off Omega_0 and one on it, and the
+    predicates in_M, in_N, in_M2 and in_N2 (defined off Omega_0) make none."""
     scalar = []
 
     def counting(problem, omega, tol=DEFAULT_TOL):
@@ -152,6 +153,11 @@ def test_a_rational_classify_evaluates_scalar_w_only_on_omega0(monkeypatch):
             scalar.clear()
             run()
             assert len(scalar) == calls, omega
+    for run in (lambda: in_M("-", 0.3 + 0.4j, 3.0, problem), lambda: in_N(0.3 + 0.4j, 3.0, problem),
+                lambda: in_M2("+", 0.3 + 0.4j, problem), lambda: in_N2(0.3 + 0.4j, problem)):
+        scalar.clear()
+        run()
+        assert scalar == []
 
 
 def test_the_set_tests_receive_only_numpy_arrays(monkeypatch):

@@ -13,6 +13,9 @@ stripped from ``check`` lines, and so is every output file, byte for byte.
 ``check`` also runs at k away from the benchmark's (``EXTRA_CHECKS``, on the
 ``modes`` workload's configs; k = 0 runs the k = 0 paths of the resolvent and
 the FD solve), so that a rounding change in an oracle there shows as well.
+``eigen`` also runs at k up to 1e33 (``EXTRA_EIGENS``, on the same configs),
+where the roots of the eigenvalue polynomial differ by some 30 orders of
+magnitude, so that a change in the large-k root path shows as well.
 ``resolve`` also runs beyond the drawn cases (``EXTRA_RESOLVES``): at k = 0,
 where the u1 columns of resolvent.csv are all zero, on the rational medium, at
 h = 1e-4 (about 200k nodes, many chunks of the CSV writer), and with
@@ -45,6 +48,7 @@ SEEDS = (1, 2)
 CHECK_TIMING = re.compile(r"^((?:PASS|FAIL) \S+) \(\d+(?:\.\d+)?s\)", re.MULTILINE)
 EXTRA_CHECKS = (("drude.cfg", 0.0), ("drude.cfg", 1.0), ("drude.cfg", 10.0),
                 ("drude.cfg", 1000.0), ("rational.cfg", 3.0))   # (config of the modes workload, k)
+EXTRA_EIGENS = (("drude.cfg", "1e30:1e33:4"), ("rational.cfg", "1e30:1e33:4"))   # (config, --k)
 EXTRA_RESOLVES = (("drude.cfg", "0.2,0.7", 0.0, "1.0:2.0", 1e-3),
                   ("rational.cfg", "0.3,0.6", 3.0, "1.0:2.0", 1e-3),
                   ("drude.cfg", "0.0,0.75", 2.9, "-1.6:-0.8", 1e-4),
@@ -73,7 +77,7 @@ EXTRA_CONFIG_RUNS = (["classify", "--omega=0.3,0.6", "--k", "2.0"],
 
 def run_all(copy: Path, work: Path) -> dict:
     """Run every invocation with copy's program, each workload and seed in its own
-    directory under work, then EXTRA_CHECKS and EXTRA_RESOLVES in one more and
+    directory under work, then EXTRA_CHECKS, EXTRA_EIGENS and EXTRA_RESOLVES in one more and
     EXTRA_CONFIG_RUNS in a last one; returns {label: (exit code, stdout without timings,
     stderr)}."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src")}
@@ -99,6 +103,9 @@ def run_all(copy: Path, work: Path) -> dict:
     for cfg, k in EXTRA_CHECKS:
         run(f"check {cfg} k = {k!r}", work / "extra-checks", configs,
             ["check", "--config", cfg, "--k", repr(k)])
+    for cfg, ks in EXTRA_EIGENS:
+        run(f"eigen {cfg} k = {ks}", work / "extra-checks", configs,
+            ["eigen", "--config", cfg, "--k", ks, "--out", f"eigen_{cfg[:-4]}"])
     for n, (cfg, omega, k, support, h) in enumerate(EXTRA_RESOLVES):
         run(f"resolve {cfg} omega = {omega} k = {k!r} h = {h!r}", work / "extra-checks",
             configs, ["resolve", "--config", cfg, f"--omega={omega}", "--k", repr(k),
@@ -149,7 +156,8 @@ def main(argv=None) -> int:
     for line in diffs:
         print(f"differs: {line}")
     print(f"{len(runs['parent'])} invocations (seeds {', '.join(map(str, SEEDS))}, "
-          f"{len(EXTRA_CHECKS)} extra checks, {len(EXTRA_RESOLVES)} extra resolves, "
+          f"{len(EXTRA_CHECKS)} extra checks, {len(EXTRA_EIGENS)} extra eigen sweeps, "
+          f"{len(EXTRA_RESOLVES)} extra resolves, "
           f"{len(EXTRA_CONFIG_RUNS)} runs on the extra config): "
           + (f"{len(diffs)} difference(s)" if diffs else "no difference"))
     return 1 if diffs else 0
