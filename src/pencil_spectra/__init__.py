@@ -31,7 +31,7 @@ from .dielectric import (
     wtilde,
 )
 from .classify1d import SpectrumClass, classify, classify2, in_M, in_M2, in_N, in_N2
-# modes, resolvent and fd_oracle (with scipy) load on first use: a command loads what it runs
+# modes, resolvent and fd_oracle load on first use: a command loads what it runs
 _LAZY = {
     **dict.fromkeys(("PlasmonMode", "WeylSample", "dispersion_k2", "eigen_omegas",
                      "eigenfunction_eval", "mode_residual", "weyl_residual_2d_interface",

@@ -12,11 +12,19 @@ Three probes, all independent of the closed-form representations:
 * a lambda-plane probe: smallest singular values of T_k - lambda W on rings
   around lambda = 1, numerical evidence for isolation of discrete eigenvalues.
   Singular values (not eigenvalue routines) are used on purpose: the
-  discretized pencil is non-normal. sigma_min comes from inverse Lanczos
-  (ARPACK) on (A^H A)^(-1) applied through one sparse LU of A.
+  discretized pencil is non-normal. sigma_min comes from restarted Lanczos
+  on (A^H A)^(-1).
 
-Every LU goes through _lu: SuperLU in natural column order, no relaxed supernodes.
-On these tridiagonal-plus-four-rows blocks COLAMD saves no fill, at 2-4x the time.
+Each scalar block is kept in structured form (FDBlock): on each side a
+tridiagonal Toeplitz stencil over the n interior nodes, and four constraint
+rows. The orthonormal DST-I S diagonalises each side's stencil (Strang, "The
+discrete cosine transform", SIAM Rev. 41, 1999), so in DST coordinates a block
+is diag(Lambda) bordered by 4 rows and 4 columns, all in closed form (_Bordered).
+A solve eliminates the diagonal, solves the 4x4 Schur complement and takes one
+step of iterative refinement against the exactly applied block: where a
+Lambda_j nearly vanishes the Schur complement alone loses digits. sigma_min
+runs wholly in DST coordinates, which keep the singular values; direct_solve
+maps in and out through _dst, one FFT of length 2(n + 1) per side.
 
 The (u1, u2) block is assembled in Schur-reduced form: the first equation
 slaves u1 = (r1 - i k u2')/(k^2 - lambda W) exactly, leaving a scalar
@@ -34,11 +42,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import expm
 
 from .complex_numerics import DEFAULT_TOL, Tolerances, principal_sqrt
 from .dielectric import InterfaceProblem, w, w_values
@@ -48,14 +54,156 @@ from .resolvent import Grid, RhsField, make_grid
 DEFAULT_L = 20.0
 DEFAULT_H = 1.0 / 200.0
 _SECANT_STEPS, _SECANT_TARGET = 60, 1e-12   # shoot_refine: step limit, |det| to stop at
-_LANCZOS_NCV, _LANCZOS_TOL, _LANCZOS_STEPS = 4, 1e-10, 300   # smallest_singular_value
+# smallest_singular_value: basis size, Ritz vectors kept at a restart, tolerance, step limit
+_LANCZOS_NCV, _LANCZOS_KEEP, _LANCZOS_TOL, _LANCZOS_STEPS = 8, 3, 1e-10, 300
 PROBE_RADII = (0.05, 0.1, 0.2)   # the lambda probe's rings around lambda = 1
 PROBE_ANGLES = 8                 # points on each ring
 
 
+def _dst(x: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I along the last axis, its own inverse: one FFT of length 2(n + 1)
+    of the odd extension (0, x, 0, -x reversed)."""
+    n = x.shape[-1]
+    z = np.zeros(x.shape[:-1] + (2 * n + 2,), dtype=complex)
+    z[..., 1:n + 1] = x
+    z[..., n + 2:] = -x[..., ::-1]
+    return (0.5j * math.sqrt(2.0 / (n + 1))) * np.fft.fft(z)[..., 1:n + 1]
+
+
+class _Bordered:
+    """An FD block in DST coordinates: diag(lam) bordered by 4 rows and 4 columns.
+
+    The interior unknowns x (2, n) hold one row per side. The border meets them
+    only through the node values at each side's ends, nodes 0, 1, n - 2 and
+    n - 1: in DST coordinates those are dot products with the rows of Z, that is
+    S e_0, S e_1, S e_(n-2) and S e_(n-1). Rt (4 x 8) takes the 8 end values to the
+    constraint rows, Ct (8 x 4) puts the 4 boundary unknowns into the interior
+    rows of the end nodes, and E (4 x 4) is the rest. The Schur complement of
+    diag(lam) is K = E - Rt G Ct, G holding S diag(lam)^-1 S at the end nodes.
+    """
+
+    def __init__(self, Z, lam, Ct, Rt, E):
+        self.Z, self.lam, self.Ct, self.Rt, self.E = Z, lam, Ct, Rt, E
+        # static pivoting (Li & Demmel, SC 1998): a pivot below eps max|lam|, exactly 0 on
+        # a real ray, becomes eps max|lam|, and the refinement step in solve absorbs it
+        tiny = np.finfo(float).eps * np.abs(lam).max()
+        self.inv_lam = 1.0 / np.where(np.abs(lam) < tiny, tiny, lam)   # products stream faster
+        G = np.zeros((8, 8), dtype=complex)
+        for side in range(2):
+            G[4 * side:4 * side + 4, 4 * side:4 * side + 4] = (Z * self.inv_lam[side]) @ Z.T
+        self.Kinv = np.linalg.inv(E - Rt @ G @ Ct)
+
+    @property
+    def H(self) -> _Bordered:
+        """The conjugate transpose (Z is real); its Schur complement is K^H."""
+        return _Bordered(self.Z, self.lam.conj(), self.Rt.conj().T, self.Ct.conj().T,
+                         self.E.conj().T)
+
+    def _ends(self, xi: np.ndarray) -> np.ndarray:
+        return (xi @ self.Z.T).ravel()
+
+    def _spread(self, v: np.ndarray) -> np.ndarray:
+        return v.reshape(2, 4) @ self.Z
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        xi, xb = x[:-4].reshape(2, -1), x[-4:]
+        y = np.empty_like(x)
+        yi = np.multiply(self.lam, xi, out=y[:-4].reshape(2, -1))
+        yi += self._spread(self.Ct @ xb)
+        y[-4:] = self.Rt @ self._ends(xi) + self.E @ xb
+        return y
+
+    def _schur_solve(self, y: np.ndarray) -> np.ndarray:
+        # in place where it can: these vectors are long, and each pass over one costs
+        x = np.empty_like(y)
+        z = np.multiply(y[:-4].reshape(2, -1), self.inv_lam, out=x[:-4].reshape(2, -1))
+        x[-4:] = xb = self.Kinv @ (y[-4:] - self.Rt @ self._ends(z))
+        correction = self._spread(self.Ct @ xb)
+        correction *= self.inv_lam
+        z -= correction
+        return x
+
+    def solve(self, y: np.ndarray) -> np.ndarray:
+        """The Schur-complement solve and one step of iterative refinement."""
+        x = self._schur_solve(y)
+        residual = self.apply(x)
+        np.subtract(y, residual, out=residual)
+        x += self._schur_solve(residual)
+        return x
+
+
+@lru_cache(maxsize=1)
+def _dst_ends(n: int):
+    """cos(pi j / (n + 1)), j = 1..n, and Z: the rows S e_0, S e_1, S e_(n-2), S e_(n-1)
+    of the orthonormal DST-I S of size n, sine vectors up to the sign (-1)^(j+1).
+    Read-only: every block on one grid shares them."""
+    theta = math.pi * np.arange(1, n + 1) / (n + 1)
+    s0, s1 = math.sqrt(2.0 / (n + 1)) * np.sin([theta, 2.0 * theta])
+    alt = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    out = np.cos(theta), np.array([s0, s1, alt * s1, alt * s0], dtype=complex)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True)
+class FDBlock:
+    """One scalar block of T_k - lambda W in structured form.
+
+    The unknowns are the grid's N = 2n + 4 nodes. Row i < 2n is the three-point
+    equation (off, diag[side], off) of the i-th interior node, the left side's n
+    first; the four rows after them are u(-L) = 0, u(L) = 0, [u] = 0 and the
+    derivative row cp u'(0+) - cm u'(0-) by one-sided second-order stencils.
+    Those four rows act on the 8 nodes (0, 0- - 2h, 0- - h, 0-, 0+, 0+ + h,
+    0+ + 2h, N - 1), and `rows` holds them there.
+    """
+
+    n: int          # interior nodes per side
+    h: float
+    diag: tuple     # (d_-, d_+): the stencil's diagonal on each side
+    rows: np.ndarray
+
+    @property
+    def off(self) -> float:
+        return -1.0 / self.h**2
+
+    def toarray(self) -> np.ndarray:
+        """The assembled N x N matrix, for dense references."""
+        n = self.n
+        A = np.zeros((2 * n + 4, 2 * n + 4), dtype=complex)
+        i = np.arange(n)
+        for side, first in enumerate((1, n + 3)):   # the first interior node of each side
+            A[side * n + i, first + i - 1] = self.off
+            A[side * n + i, first + i] = self.diag[side]
+            A[side * n + i, first + i + 1] = self.off
+        A[2 * n:, [0, n - 1, n, n + 1, n + 2, n + 3, n + 4, 2 * n + 3]] = self.rows
+        return A
+
+    @cached_property
+    def hat(self) -> _Bordered:
+        """The block in DST coordinates: S on each side's interior nodes, the identity on
+        the four boundary nodes u(-L), u(0-), u(0+), u(L)."""
+        cos, Z = _dst_ends(self.n)
+        lam = np.array([d + 2.0 * self.off * cos for d in self.diag])
+        Ct = np.zeros((8, 4), dtype=complex)   # end nodes (0, 1, n-2, n-1) of each side
+        Ct[[0, 3, 4, 7], [0, 1, 2, 3]] = self.off
+        Rt = np.zeros((4, 8), dtype=complex)
+        Rt[:, [2, 3, 4, 5]] = self.rows[:, [1, 2, 5, 6]]
+        return _Bordered(Z, lam, Ct, Rt, self.rows[:, [0, 3, 4, 7]])
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """u with A u = b: b in the row layout, u in node order."""
+        n = self.n
+        x = self.hat.solve(np.concatenate([_dst(b[:2 * n].reshape(2, n)).ravel(), b[2 * n:]]))
+        u = np.empty(2 * n + 4, dtype=complex)
+        u[np.r_[1:n + 1, n + 3:2 * n + 3]] = _dst(x[:2 * n].reshape(2, n)).ravel()
+        u[[0, n + 1, n + 2, 2 * n + 3]] = x[2 * n:]
+        return u
+
+
 @dataclass(frozen=True)
 class DiscretizedPencil:
-    """Sparse FD assembly of T_k - lambda W on a Grid with interface rows.
+    """FD discretization of T_k - lambda W on a Grid with interface rows.
 
     block2 is the Schur-reduced (u1, u2) block acting on u2 alone; block3
     acts on u3. Both share one row layout: row i < interior.size is the equation
@@ -64,8 +212,8 @@ class DiscretizedPencil:
     """
 
     grid: Grid
-    block2: sp.csc_matrix
-    block3: sp.csc_matrix
+    block2: FDBlock
+    block3: FDBlock
     interior: np.ndarray       # the interior nodes, in equation-row order
     wu1_row: int               # index of the [Wt u1] constraint row (-1 if k = 0)
     wu1_rhs_factor: complex    # rhs of that row = factor * r1(0)
@@ -76,7 +224,7 @@ class DiscretizedPencil:
 def discretize(omega: complex, k: float, problem: InterfaceProblem,
                grid: Grid, lam: complex = 1.0,
                tol: Tolerances = DEFAULT_TOL) -> DiscretizedPencil:
-    """Assemble the FD pencil with the five interface conditions as constraint rows."""
+    """The FD pencil's two blocks, with the five interface conditions as constraint rows."""
     omega = complex(omega)
     lam = complex(lam)
     N = grid.x.size
@@ -90,25 +238,17 @@ def discretize(omega: complex, k: float, problem: InterfaceProblem,
             "k^2 - lambda W vanishes on one side; the u1 elimination degenerates")
     fwd = np.array([-1.5, 2.0, -0.5]) / h   # one-sided derivative, second order
     bwd = np.array([1.5, -2.0, 0.5]) / h
-
-    # interior three-point rows first, then the boundary, [u2] and derivative rows
-    interior = np.r_[1:im, ip + 1:N - 1]
-    n_int = interior.size
-    wu1_row = n_int + 3
     # one diagonal scalar per side: each entry rounds as a per-node sum would
-    diag = np.where(interior >= ip, 2.0 / h**2 + k * k - lam * w_p, 2.0 / h**2 + k * k - lam * w_m)
-    off = np.full(n_int, -1.0 / h**2)
-    rows = np.concatenate([np.repeat(np.arange(n_int), 3),
-                           [n_int, n_int + 1, n_int + 2, n_int + 2], np.full(6, wu1_row)])
-    cols = np.concatenate([(interior[:, None] + np.array([-1, 0, 1])).ravel(),
-                           [0, N - 1, ip, im], [ip, ip + 1, ip + 2, im, im - 1, im - 2]])
-    stencil = np.concatenate([np.column_stack([off, diag, off]).ravel(),
-                              [1.0, 1.0, 1.0, -1.0]])
+    diag = (2.0 / h**2 + k * k - lam * w_m, 2.0 / h**2 + k * k - lam * w_p)
 
     def scalar_block(cp, cm):
-        # derivative row cp u2'(0+) - cm u2'(0-), one-sided stencils on each side
-        vals = np.concatenate([stencil, cp * fwd, -cm * bwd])
-        return sp.csc_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(N, N)))
+        # u(-L), u(L), u(0+) - u(0-), and cp u'(0+) - cm u'(0-) on the row nodes
+        rows = np.zeros((4, 8), dtype=complex)
+        rows[0, 0] = rows[1, 7] = rows[2, 4] = 1.0
+        rows[2, 3] = -1.0
+        rows[3, 3:0:-1] = -cm * bwd
+        rows[3, 4:7] = cp * fwd
+        return FDBlock(n=im - 1, h=h, diag=diag, rows=rows)
 
     block3 = scalar_block(1.0, 1.0)   # u3: the derivative itself is continuous
     if k != 0.0:
@@ -116,12 +256,13 @@ def discretize(omega: complex, k: float, problem: InterfaceProblem,
         # (Wt+/den+) u2'(0+) - (Wt-/den-) u2'(0-) = r1(0)(Wt+/den+ - Wt-/den-)/(i k)
         block2 = scalar_block(wt_p / den_p, wt_m / den_m)
         factor = (wt_p / den_p - wt_m / den_m) / (1j * k)
+        wu1_row = N - 1
     else:
         # k = 0: u2 has the same interface rows as u3
         block2, factor, wu1_row = block3, 0.0, -1
 
     return DiscretizedPencil(
-        grid=grid, block2=block2, block3=block3, interior=interior,
+        grid=grid, block2=block2, block3=block3, interior=np.r_[1:im, ip + 1:N - 1],
         wu1_row=wu1_row, wu1_rhs_factor=complex(factor),
         denom_plus=complex(den_p), denom_minus=complex(den_m),
     )
@@ -147,17 +288,12 @@ def _d1_grid(u: np.ndarray, grid: Grid) -> np.ndarray:
     return np.concatenate([np.gradient(half, grid.h, edge_order=2) for half in halves])
 
 
-def _lu(A: sp.csc_matrix):
-    """SuperLU of one FD block in its natural column order (see the module docstring)."""
-    return spla.splu(A, permc_spec="NATURAL", relax=1, panel_size=1)
-
-
 def direct_solve(omega: complex, k: float, r: RhsField,
                  disc: DiscretizedPencil) -> np.ndarray:
-    """Banded sparse solve of the discretized system; returns u of shape (3, N).
+    """Structured solve of the discretized system; returns u of shape (3, N).
 
-    u2 and u3 come from the two scalar blocks, each factored by one _lu (natural
-    column order); u1 is recovered from the first equation of the system,
+    u2 and u3 come from the two scalar blocks, each solved in DST coordinates;
+    u1 is recovered from the first equation of the system,
     u1 = (r1 - i k u2')/(k^2 - lam W), with the same second-order stencils
     used in the assembly.
     """
@@ -176,14 +312,11 @@ def direct_solve(omega: complex, k: float, r: RhsField,
 
     # the pencil is block diagonal: solving the blocks separately IS the
     # full solve, and keeps the u3 block bitwise identical either way
-    u2 = _lu(disc.block2).solve(b2)
-    u3 = _lu(disc.block3).solve(b3)
-
     u = np.zeros((3, N), dtype=complex)
-    u[1] = u2
-    u[2] = u3
+    u[1] = disc.block2.solve(b2)
+    u[2] = disc.block3.solve(b3)
     denom = np.where(np.arange(N) >= ip, disc.denom_plus, disc.denom_minus)
-    u[0] = (r.r1 - 1j * k * _d1_grid(u2, disc.grid)) / denom   # at k = 0: r1 / denom, bitwise
+    u[0] = (r.r1 - 1j * k * _d1_grid(u[1], disc.grid)) / denom   # at k = 0: r1 / denom, bitwise
     return u
 
 
@@ -192,13 +325,31 @@ def direct_solve(omega: complex, k: float, r: RhsField,
 # ---------------------------------------------------------------------------
 
 
+def _expm(A: np.ndarray) -> np.ndarray:
+    """exp(A) by scaling and squaring (Moler & Van Loan, SIAM Rev. 45, 2003): the (6, 6)
+    Pade approximant of exp(A / 2^s), ||A / 2^s||_inf <= 1/2, squared s times."""
+    s = max(0, math.frexp(float(np.abs(A).sum(axis=1).max()))[1] + 1)
+    B = A / 2.0**s
+    eye = np.eye(A.shape[0])
+    num, den, power, c = eye, eye, eye, 1.0
+    for j in range(1, 7):
+        c *= (7 - j) / (j * (13 - j))
+        power = power @ B
+        num = num + c * power
+        den = den + (-1) ** j * c * power
+    F = np.linalg.solve(den, num)
+    for _ in range(s):
+        F = F @ F
+    return F
+
+
 def _integrate_decaying(omega, k, problem, side, tol):
     """Propagate the decaying half-line solution of the (psi1, psi2) system to 0.
 
     The system is psi' = M_pm psi with M = [[0, -ik], [(W - k^2)/(ik), 0]],
     constant on each half-line, so the flow from x0 to 0 is exp(-x0 M),
-    taken as a generic matrix exponential (scaling and squaring with Pade
-    approximants) rather than from the closed-form mu. The start value is
+    taken as a generic matrix exponential (_expm) rather than from the
+    closed-form mu. The start value is
     the exact decaying eigenvector at distance X from the interface; X is
     sized from the decay rate so the growth toward 0 stays comfortably inside
     floating-point range, and the backward flow damps any error in the start
@@ -215,7 +366,7 @@ def _integrate_decaying(omega, k, problem, side, tol):
     else:
         x0, v0 = -X, np.array([-1j * k, mu], dtype=complex)    # eigenvalue +mu branch
     M = np.array([[0.0, -1j * k], [(wv - k * k) / (1j * k), 0.0]])
-    return expm(-x0 * M) @ v0
+    return _expm(-x0 * M) @ v0
 
 
 def shoot_determinant(omega: complex, k: float, problem: InterfaceProblem,
@@ -276,21 +427,47 @@ class LambdaProbeReport:
         return self.separation_factor >= 100.0
 
 
-def smallest_singular_value(A: sp.csc_matrix) -> float:
-    """sigma_min by inverse Lanczos: the largest eigenvalue of (A^H A)^(-1), one _lu."""
-    n = A.shape[0]
-    lu = _lu(A)
-    op = spla.LinearOperator((n, n), dtype=complex,
-                             matvec=lambda y: lu.solve(lu.solve(y, trans="H")))
+def smallest_singular_value(block: FDBlock) -> float:
+    """sigma_min as 1/sqrt of the largest eigenvalue of (A^H A)^(-1), applied in DST
+    coordinates as y -> A^-1 A^-H y.
+
+    Thick-restart Lanczos (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 2000) with full
+    reorthogonalisation. The basis V and the projection H keep
+    (A^H A)^-1 V = V H + f e_m^T; a full basis restarts from its top _LANCZOS_KEEP
+    Ritz vectors. Converged when the top Ritz pair's residual ||f|| |y_m| is at most
+    _LANCZOS_TOL times its Ritz value; _LANCZOS_STEPS bounds the applications.
+    """
+    a = block.hat
+    ah = a.H
     rng = np.random.default_rng(12345)
-    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    try:
-        top = spla.eigsh(op, k=1, which="LM", v0=v0, ncv=_LANCZOS_NCV,
-                         tol=_LANCZOS_TOL, maxiter=_LANCZOS_STEPS,
-                         return_eigenvectors=False)[0]
-    except spla.ArpackNoConvergence as exc:
-        raise PencilSpectraError(f"sigma_min did not converge: {exc}") from None
-    return 1.0 / math.sqrt(top)
+    v = rng.standard_normal(a.lam.size + 4) + 1j * rng.standard_normal(a.lam.size + 4)
+    V = np.empty((_LANCZOS_NCV, v.size), dtype=complex)        # orthonormal rows
+    H = np.zeros((_LANCZOS_NCV, _LANCZOS_NCV), dtype=complex)  # (A^H A)^-1 projected on them
+    V[0] = v * (1.0 / np.linalg.norm(v))
+    m = 1
+    for _ in range(_LANCZOS_STEPS):
+        f = a.solve(ah.solve(V[m - 1]))
+        c = (f.conj() @ V[:m].T).conj()
+        f = f - c @ V[:m]
+        f = f - (f.conj() @ V[:m].T).conj() @ V[:m]   # full reorthogonalisation
+        H[m - 1, m - 1] = c[m - 1].real
+        beta = np.linalg.norm(f)
+        theta, Y = np.linalg.eigh(H[:m, :m])
+        if beta * abs(Y[m - 1, -1]) <= _LANCZOS_TOL * theta[-1]:
+            return 1.0 / math.sqrt(theta[-1])
+        if m == _LANCZOS_NCV:   # restart from the top Ritz vectors
+            keep = Y[:, -_LANCZOS_KEEP:]
+            m = _LANCZOS_KEEP
+            V[:m] = keep.T @ V
+            H[:] = 0.0
+            H[:m, :m] = np.diag(theta[-m:])
+            H[m, :m] = beta * keep[-1]
+        else:
+            H[m, m - 1] = beta
+        H[:m, m] = H[m, :m].conj()
+        V[m] = f * (1.0 / beta)
+        m += 1
+    raise PencilSpectraError(f"sigma_min did not converge in {_LANCZOS_STEPS} Lanczos steps")
 
 
 def ring_meets_essential(omega: complex, k: float, problem: InterfaceProblem, tol: Tolerances):

@@ -430,7 +430,7 @@ def cmd_resolve(args, tol) -> int:
 
 
 # ---------------------------------------------------------------------------
-# check suites (only these import fd_oracle, and with it scipy)
+# check suites (only these import fd_oracle)
 # ---------------------------------------------------------------------------
 
 
@@ -645,7 +645,7 @@ def run() -> None:
     """Console entry point: exit with main()'s code, skipping the final collections.
 
     gc.freeze() leaves every object alive at exit to the normal shutdown but out
-    of the garbage collector's last passes over what numpy, scipy and the run
+    of the garbage collector's last passes over what numpy and the run
     allocated. This relies on one condition: every file a command writes is
     closed before main returns (each writer uses a with block), so no output
     waits on a collection to be flushed.

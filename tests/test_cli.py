@@ -436,8 +436,8 @@ def _python(*args: str, check: bool = True) -> subprocess.CompletedProcess:
 
 def test_cli_commands_do_not_load_scipy(cfg, tmp_path):
     """Each command, in a fresh interpreter, loads only the modules it runs: classify none
-    of modes, resolvent and fd_oracle, trace and eigen modes, resolve modes and resolvent;
-    none of them loads scipy, which only check needs."""
+    of modes, resolvent and fd_oracle, trace and eigen modes, resolve modes and resolvent,
+    check all three; none of them loads scipy."""
     path = cfg(DRUDE_CFG)
     out = str(tmp_path)
     runs = [
@@ -450,6 +450,7 @@ def test_cli_commands_do_not_load_scipy(cfg, tmp_path):
         (["resolve", "--config", path, "--omega", "0,0.5", "--k", "3", "--h", "0.05",
           "--out", out], ["modes", "resolvent"]),
         (["eigen", "--config", path, "--k", "1:3:3", "--out", out], ["modes"]),
+        (["check", "--config", path, "--k", "3"], ["modes", "resolvent", "fd_oracle"]),
     ]
     code = (
         "import sys\n"
@@ -464,6 +465,18 @@ def test_cli_commands_do_not_load_scipy(cfg, tmp_path):
     proc = _python("-c", "from pencil_spectra import shoot_determinant\n"
                          "print(shoot_determinant.__module__)")
     assert proc.stdout == "pencil_spectra.fd_oracle\n"
+
+
+def test_check_runs_with_scipy_blocked(cfg):
+    """With scipy unimportable, check on lossy Drude still runs every suite and passes."""
+    path = cfg(DRUDE_CFG)
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None   # any import of scipy now raises ImportError\n"
+            "from pencil_spectra.trace_cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    proc = _python("-c", code, "check", "--config", path, "--k", "3", check=False)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert sum(line.startswith("PASS ") for line in proc.stdout.splitlines()) == 4
 
 
 def test_every_public_name_resolves():

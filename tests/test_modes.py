@@ -261,6 +261,15 @@ def test_bump_constants_are_the_gauss_legendre_values():
     assert modes._bump_constants() == (c, n1, n2)
 
 
+def test_gl_half_is_the_gauss_legendre_rule_bit_for_bit():
+    """The stored non-negative half, mirrored, is leggauss(_GL_N // 2) bit for bit."""
+    x, w = np.polynomial.legendre.leggauss(modes._GL_N // 2)
+    nodes, weights = modes._gl_half()
+    assert nodes.tolist() == x[x > 0].tolist() and weights.tolist() == w[x > 0].tolist()
+    assert x.tolist() == (-nodes[::-1]).tolist() + nodes.tolist()
+    assert w.tolist() == weights[::-1].tolist() + weights.tolist()
+
+
 def test_bump_fourier_table_matches_the_one_shot_product():
     """Built in row blocks, the table equals the whole cosine matrix times the weights of
     the _GL_N // 2-point rule on (0, 1); it is within 2e-14 of the table of the

@@ -1,13 +1,13 @@
-"""sigma_min of the discretized pencil against dense SVD, its cost in LU solves,
+"""sigma_min of the discretized pencil against dense SVD, its cost in structured solves,
 and how a non-converged iteration surfaces in `check`."""
 import math
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 from pencil_spectra import eigen_omegas, lambda_isolation_probe
 from pencil_spectra import fd_oracle
+from pencil_spectra.dielectric import w_values
 from pencil_spectra.errors import PencilSpectraError
 from pencil_spectra.fd_oracle import discretize, smallest_singular_value
 from pencil_spectra.resolvent import make_grid
@@ -44,43 +44,61 @@ def test_sigma_min_matches_dense_svd(case, k, lams, drude_problem, equal_problem
             assert smallest_singular_value(block) == pytest.approx(dense, rel=1e-8)
 
 
+@pytest.mark.parametrize("k", [0.5, 3.0, 10.0, 50.0])
+def test_sigma_min_with_lambda_on_each_essential_ray(k, drude_problem):
+    """lambda = t / W_side on a side's ray {t / W : t >= k^2}, with t a discrete eigenvalue
+    of that side's stencil, so that one DST pivot Lambda_j vanishes to rounding (exactly,
+    on the constant side): the refinement step must still give dense SVD's sigma_min."""
+    omega = _probed_mode(k, drude_problem)
+    for grid in (make_grid(1.0, 1 / 10), make_grid(2.0, 1 / 100)):
+        n, h = grid.i_zero_minus - 1, grid.h
+        for wv in w_values(drude_problem, omega)[2:]:
+            for j in (1, n // 3):
+                t = k * k + 2.0 / h**2 * (1.0 - math.cos(math.pi * j / (n + 1)))
+                disc = discretize(omega, k, drude_problem, grid=grid, lam=t / wv)
+                for block in (disc.block2, disc.block3):
+                    lam = np.abs(block.hat.lam)
+                    assert lam.min() <= 1e-12 * lam.max()
+                    dense = np.linalg.svd(block.toarray(), compute_uv=False)[-1]
+                    assert smallest_singular_value(block) == pytest.approx(dense, rel=1e-8)
+
+
 def _backward_error(A, x, b):
     return np.linalg.norm(A @ x - b, np.inf) / (
-        spla.norm(A, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(b, np.inf))
+        np.linalg.norm(A, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(b, np.inf))
 
 
 @pytest.mark.parametrize("k, half_length, h", [(0.5, 10.0, 1 / 25), (3.0, 2.5, 1 / 100),
                                                (50.0, 2.0, 1 / 200)])
 def test_natural_order_lu_is_accurate(k, half_length, h, drude_problem):
-    """fd_oracle's one LU (natural column order) against SuperLU's defaults at lambda = 1
-    and on the outer ring: its solves stay backward stable, and sigma_min matches dense SVD."""
+    """The structured solve against LAPACK's partially pivoted LU of the assembled block,
+    at lambda = 1 and on the outer ring: its solves stay backward stable, and sigma_min
+    matches dense SVD."""
     grid = make_grid(half_length, h)   # 500-800 nodes: a cheap dense SVD
     omega = _probed_mode(k, drude_problem)
     b = np.random.default_rng(0).standard_normal((2, grid.x.size)).T @ [1, 1j]
     for lam in (1.0, RING):
         disc = discretize(omega, k, drude_problem, grid=grid, lam=lam)
         for block in (disc.block2, disc.block3):
-            natural = _backward_error(block, fd_oracle._lu(block).solve(b), b)
-            default = _backward_error(block, spla.splu(block).solve(b), b)
-            assert natural <= 10 * default
-            dense = np.linalg.svd(block.toarray(), compute_uv=False)[-1]
+            A = block.toarray()
+            structured = _backward_error(A, block.solve(b), b)
+            dense_lu = _backward_error(A, np.linalg.solve(A, b), b)
+            assert structured <= 10 * dense_lu
+            dense = np.linalg.svd(A, compute_uv=False)[-1]
             assert smallest_singular_value(block) == pytest.approx(dense, rel=1e-8)
 
 
 def test_probe_lu_solve_count(drude_problem, monkeypatch):
-    """A count, not a timing: the lossy-Drude k = 3 probe on the default grid."""
+    """A count, not a timing: structured solves (each with its refinement step) in the
+    lossy-Drude k = 3 probe on the default grid."""
     solves = []
-    splu = spla.splu
+    solve = fd_oracle._Bordered.solve
 
-    class CountingLU:
-        def __init__(self, lu):
-            self.lu = lu
+    def counting(self, y):
+        solves.append(1)
+        return solve(self, y)
 
-        def solve(self, *args, **kwargs):
-            solves.append(1)
-            return self.lu.solve(*args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", lambda A, **kwargs: CountingLU(splu(A, **kwargs)))
+    monkeypatch.setattr(fd_oracle._Bordered, "solve", counting)
     rep = lambda_isolation_probe(_probed_mode(3.0, drude_problem), 3.0, drude_problem)
     assert rep.isolated
     assert 0 < len(solves) <= 1200
