@@ -8,16 +8,16 @@ as one family and keeps the roots classify_array puts in N^(k); mode_residuals
 checks all modes in one array pass. Eigenfunctions are the explicit two-sided
 exponentials with decay rates mu_pm = sqrt(k^2 - W_pm), Re mu_pm > 0.
 
-Weyl-sequence residual norms are evaluated from closed-form integrands on
-quadrature grids, never by numerically differentiating samples: the decay
-rates under test sit far below finite-difference noise floors.
+Weyl-sequence residual norms are closed forms in the decay rates and the
+cutoff bump's norms ||phi^(m)||, m <= 3 (the 2D interface-guided one through
+Parseval's identity in the Fourier fiber), never numerical derivatives of
+samples: the decay rates under test sit far below finite-difference noise floors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -55,96 +55,18 @@ def _bump_raw(y):
 
 
 def _bump_constants():
-    """(c, ||phi'||, ||phi''||) for phi = c*exp(1/(y^2-1)) with ||phi|| = 1.
+    """(c, ||phi'||, ||phi''||, ||phi'''||) for phi = c*exp(1/(y^2-1)) with ||phi|| = 1.
 
     The values of the _GL_N-point Gauss-Legendre rule, stored so that no
     process pays for leggauss; tests/test_modes.py recomputes them bitwise.
     """
-    return 2.7411551457069354, 1.7543115832803977, 9.022635232749735
+    return 2.7411551457069354, 1.7543115832803977, 9.022635232749735, 155.1337440410206
 
 
 def bump(y):
     """The unit-norm cutoff profile on [-1, 1]."""
-    c, _, _ = _bump_constants()
+    c = _bump_constants()[0]
     return c * _bump_raw(y)
-
-
-def _gl_half():
-    """The non-negative half of the _GL_N // 2-point Gauss-Legendre rule on [-1, 1]:
-    nodes ascending, and their weights. numpy's rule is symmetric bit for bit, so the
-    other half is -nodes and the same weights, reversed. Stored so that no process
-    pays for leggauss; tests/test_modes.py recomputes them bitwise.
-    """
-    nodes = (
-        0.007834291142306368, 0.023500950061457637, 0.03916183935642225, 0.054813114184952376,
-        0.07045093206520935, 0.08607145381911603, 0.10167084451489806, 0.11724527440858257,
-        0.13279091988422337, 0.1483039643926215, 0.16378059938831108, 0.17921702526457994,
-        0.19460945228629592, 0.20995410152030963, 0.2252472057632051, 0.24048501046617085,
-        0.2556637746567642, 0.2707797718573425, 0.2858292909999354, 0.30080863733733487,
-        0.31571413335017723, 0.3305421196497966, 0.34528895587662667, 0.3599510215939307,
-        0.3745247171766407, 0.38900646469508665, 0.40339270879340006, 0.4176799175623748,
-        0.4318645834065725, 0.44594322390545765, 0.4599123826683533, 0.4737686301830054,
-        0.48750856465754877, 0.5011288128556672, 0.5146260309247439, 0.5279969052167963,
-        0.5412381531019974, 0.5543465237745809, 0.5673187990509334, 0.580151794159678,
-        0.5928423585235543, 0.6053873765329049, 0.6177837683105758, 0.6300284904680445,
-        0.642118536852591, 0.6540509392853255, 0.665822768289895, 0.6774311338116865,
-        0.6888731859273538, 0.7001461155444901, 0.7112471550912779, 0.7221735791959438,
-        0.7329227053558545, 0.743491894596087, 0.7538785521173134, 0.7640801279328392,
-        0.774094117494642, 0.7839180623082517, 0.7935495505363276, 0.8029862175907783,
-        0.8122257467132833, 0.8212658695440718, 0.8301043666788191, 0.8387390682135252,
-        0.8471678542772394, 0.8553886555525035, 0.8633994537833832, 0.8711982822709635,
-        0.8787832263561882, 0.8861524238899227, 0.8933040656901265, 0.9002363959860233,
-        0.9069477128491588, 0.913436368611241, 0.9197007702686635, 0.9257393798736082,
-        0.931550714911637, 0.9371333486656785, 0.9424859105663231, 0.9476070865283424,
-        0.952495619273355, 0.9571503086385662, 0.9615700118715107, 0.9657536439107448,
-        0.9697001776524374, 0.9734086442028306, 0.9768781331165662, 0.9801077926209241,
-        0.9830968298260957, 0.9858445109217865, 0.9883501613607613, 0.9906131660306736,
-        0.9926329694171897, 0.9944090757657015, 0.9959410492610112, 0.9972285142833798,
-        0.9982711559489107, 0.9990687218731522, 0.9996210312809364, 0.99992807128507,
-    )
-    weights = (
-        0.015668261715832337, 0.01566441506361095, 0.01565672270354441, 0.015645186524153143,
-        0.015629809357638556, 0.015610594979187131, 0.01558754810604403, 0.015560674396354899,
-        0.015529980447776693, 0.015495473795857861, 0.015457162912188434, 0.015415057202320174,
-        0.015369167003457368, 0.015319503581919136, 0.01526607913037345, 0.015208906764843459,
-        0.015148000521487945, 0.015083375353155012, 0.015015047125711098, 0.014943032614145865,
-        0.014867349498454075, 0.014788016359294458, 0.01470505267342854, 0.014618478808939024,
-        0.014528316020228874, 0.014434586442803586, 0.014337313087836713, 0.014236519836520486,
-        0.014132231434202665, 0.014024473484311746, 0.01391327244207079, 0.013798655608002853,
-        0.013680651121228285, 0.013559287952556688, 0.013434595897373896, 0.013306605568327617,
-        0.013175348387811777, 0.013040856580251444, 0.012903163164192474, 0.01276230194419463,
-        0.012618307502532998, 0.012471215190706916, 0.012321061120761255, 0.012167882156422056,
-        0.012011715904043953, 0.01185260070337936, 0.011690575618165045, 0.011525680426532002,
-        0.01135795561124021, 0.011187442349738392, 0.01101418250405644, 0.010838218610526869,
-        0.010659593869342624, 0.010478352133950512, 0.010294537900285458, 0.01010819629584757,
-        0.009919373068619721, 0.009728114575840755, 0.009534467772620132, 0.009338480200414235,
-        0.009140199975351754, 0.008939675776422852, 0.008736956833526668, 0.008532092915386579,
-        0.008325134317331668, 0.008116131848949184, 0.007905136821609959, 0.007692201035873204,
-        0.007477376768767286, 0.007260716760958532, 0.007042274203802023, 0.006822102726285015,
-        0.00660025638186125, 0.006376789635183411, 0.006151757348731806, 0.005925214769351217,
-        0.005697217514689605, 0.005467821559550249, 0.005237083222156625, 0.00500505915033892,
-        0.004771806307641696, 0.004537381959358461, 0.004301843658512845, 0.004065249231775891,
-        0.0038276567653450057, 0.0035891245908115745, 0.003349711271035659, 0.0031094755861022214,
-        0.0028684765194691045, 0.002626773244516121, 0.0023844251120056803, 0.0021414916394403485,
-        0.001898032504939851, 0.0016541075523122757, 0.0014097768274520645, 0.0011651007147556079,
-        0.0009201404593424986, 0.0006749606344774274, 0.00042964663045148117, 0.0001845900974673164,
-    )
-    return np.array(nodes), np.array(weights)
-
-
-@lru_cache(maxsize=1)
-def _bump_fourier_table():
-    """kappa grid and hat-phi(kappa) = sqrt(2/pi) * int_0^1 phi cos(kappa y) dy, phi being
-    even, by the _GL_N // 2-point Gauss-Legendre rule mapped onto (0, 1)."""
-    half, w_half = _gl_half()
-    x, w = np.concatenate([-half[::-1], half]), np.concatenate([w_half[::-1], w_half])
-    y = 0.5 * (x + 1.0)
-    wphi = 0.5 * w * bump(y)
-    kappa = np.linspace(0.0, 240.0, 4801)
-    # 512 kappa at a time: the whole 4801 x 200 cosine table never exists at once
-    phat = np.concatenate([np.cos(np.outer(kappa[i:i + 512], y)) @ wphi
-                           for i in range(0, kappa.size, 512)])
-    return kappa, math.sqrt(2.0 / math.pi) * phat
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +291,7 @@ def weyl_sequence_1d(omega: complex, k: float, n: int, side: str,
     in_m = _m_side(side, omega, values, k, problem, tol)
     w_side = values[2 if sgn > 0 else 3]
     center = sgn * n * n
-    _, nphi1, nphi2 = _bump_constants()
+    _, nphi1, nphi2, _ = _bump_constants()
 
     if variant == "plane_wave":
         if not in_m:
@@ -427,7 +349,7 @@ def weyl_sequence_2d_bulk(omega: complex, side: str, n: int,
     if not in_m:
         raise PreconditionError(
             f"2D bulk Weyl sample needs W_{side}(omega) in (0, inf); got {w_side}")
-    _, nphi1, nphi2 = _bump_constants()
+    _, nphi1, nphi2, _ = _bump_constants()
     # product bump phi(y1) phi(y2): ||beta . grad||^2 = |beta|^2 ||phi'||^2,
     # ||Laplacian||^2 = 2 ||phi''||^2 + 2 ||phi'||^4
     lap2 = 2.0 * nphi2**2 + 2.0 * nphi1**4
@@ -476,47 +398,41 @@ def _half_norm2(coef, alpha):
 def weyl_2d_interface_report(omega: complex, a: float, n: int,
                              problem: InterfaceProblem,
                              tol: Tolerances = DEFAULT_TOL) -> Weyl2DInterfaceReport:
-    """Residual of the interface-guided 2D Weyl member, via kappa quadrature.
+    """Residual of the interface-guided 2D Weyl member, in closed form.
 
     The construction is the 1D eigenprofile psi at wavenumber k0 = sqrt(a),
     modulated by a moving cutoff in x2 and corrected by r_n to stay
     divergence free. In the Fourier fiber the full residual collapses to
       R(x1, k) ~ kappa k hat-phi(kappa) [ (k + k0) psi1, i psi1' + (k0^2/k) psi2, 0 ]
-    with kappa = n (k - k0); the x1-norms are exact exponential integrals and
-    only the kappa integral is quadrature.
+    with kappa = n (k - k0). The x1-norms are exact exponential integrals, and
+    the kappa integrals are Parseval moments of the bump: with hat-phi even,
+    int kappa^(2m) |hat-phi|^2 dkappa = ||phi^(m)||^2 and the odd moments vanish.
     """
     omega = complex(omega)
-    k0, w_p, w_m, mu_p, mu_m, v_p, v_m = _interface_profile(omega, a, problem, tol)
+    k0, _, _, mu_p, mu_m, v_p, v_m = _interface_profile(omega, a, problem, tol)
     ap, am = mu_p.real, mu_m.real
+    _, nphi1, nphi2, nphi3 = _bump_constants()
 
-    kappa, phat = _bump_fourier_table()
-    kap = np.concatenate([-kappa[:0:-1], kappa])
-    ph2 = np.concatenate([phat[:0:-1], phat]) ** 2   # hat-phi is even
-    dk = kap[1] - kap[0]
+    # k^2 times the squared x1-norm of the bracket is the quartic
+    #   P(k) = k^2 (k + k0)^2 n1 + sum_pm |alpha_pm k + beta_pm|^2 / (2 Re mu_pm)
+    # with alpha_pm = -+ i mu_pm v_pm[0] and beta_pm = k0^2 v_pm[1] (sides), the 1/k
+    # of the correction cancelling. With k = k0 + t only even powers of t survive
+    # the kappa integral: those of k^2 (k + k0)^2 are 4 k0^4 + 13 k0^2 t^2 + t^4,
+    # those of |alpha k + beta|^2 are |alpha k0 + beta|^2 + |alpha|^2 t^2
+    n1 =_half_norm2(v_p[0], ap) + _half_norm2(v_m[0], am)
+    sides = ((-1j * mu_p * v_p[0], k0 * k0 * v_p[1], ap),
+             (1j * mu_m * v_m[0], k0 * k0 * v_m[1], am))
+    p0 = 4.0 * k0**4 * n1 + sum(_half_norm2(al * k0 + be, re) for al, be, re in sides)
+    p2 = 13.0 * k0**2 * n1 + sum(_half_norm2(al, re) for al, _, re in sides)
+    # int kappa^2 P(k0 + kappa/n) |hat-phi|^2 dkappa
+    int_R = p0 * nphi1**2 + p2 * (nphi2 / n) ** 2 + n1 * (nphi3 / (n * n)) ** 2
 
-    kk = k0 + kap / n
-    # guard the 1/k factor in the correction: hat-phi is negligible there anyway
-    kk_safe = np.where(np.abs(kk) < 1e-12, 1e-12, kk)
-
-    # x1-norms of the two nonzero residual components
-    n1 = _half_norm2(v_p[0], ap) + _half_norm2(v_m[0], am)
-    comp1 = (kk + k0) ** 2 * n1
-    c_over = k0 * k0 / kk_safe
-    cp = np.abs(-1j * mu_p * v_p[0] + c_over * v_p[1]) ** 2 / (2 * ap)
-    cm = np.abs(1j * mu_m * v_m[0] + c_over * v_m[1]) ** 2 / (2 * am)
-    comp2 = cp + cm
-
-    integrand_R = kap**2 * kk**2 * ph2 * (comp1 + comp2)
-    int_R = float(np.sum(integrand_R) * dk)
-
-    # normalization pieces
+    # normalization pieces; the cross term of leading part and correction is -corr2
     psi_norm2 = sum(_half_norm2(v_p[j], ap) + _half_norm2(v_m[j], am) for j in range(2))
     psi2_norm2 = _half_norm2(v_p[1], ap) + _half_norm2(v_m[1], am)
-    lead2 = psi_norm2 * float(np.sum(kk**2 * ph2) * dk)
-    corr2 = psi2_norm2 * float(np.sum(kap**2 * ph2) * dk) / (n * n)
-    cross = -psi2_norm2 * float(np.sum(kk * kap * ph2) * dk) / n
-    total2 = lead2 + 2.0 * cross + corr2
-    c_n = 1.0 / math.sqrt(total2)
+    lead2 = psi_norm2 * (k0 * k0 + (nphi1 / n) ** 2)
+    corr2 = psi2_norm2 * (nphi1 / n) ** 2
+    c_n = 1.0 / math.sqrt(lead2 - corr2)
 
     resid = c_n * math.sqrt(int_R) / n
     return Weyl2DInterfaceReport(

@@ -7,10 +7,12 @@ half-line Green kernels e^(-+ mu_pm x1) glued by the interface conditions
 _exp_kernels, computes both exponential integrals of a half-line in a single
 array pass: the right-hand side is evaluated once on every Gauss-Legendre node
 of the half-line, the per-cell moments (exponential weight folded in per
-panel) come from two weighted row sums, and stable one-sided recursions
-accumulate them (every propagation factor has modulus < 1 in the recursion
-direction). The moments entering C2 and C3 are read off the kernel arrays at
-the interface node, so each (side, component) pair is integrated once.
+panel) come from two weighted row sums, and a blocked one-sided scan
+accumulates them: one triangular product with the powers of the decay factor
+per block of cells, then one carry per block (every factor has modulus < 1 in
+the recursion direction). The moments entering C2 and C3 are read off the
+kernel arrays at the interface node, so each (side, component) pair is
+integrated once.
 
 The interface x1 = 0 is stored as a double node (0-, 0+), so jumps are
 first-class data. r components live on the grid together with generating
@@ -37,6 +39,7 @@ from .dielectric import InterfaceProblem, w_values
 from .errors import PreconditionError, SpectralPointError
 
 _CELL_GL = 8
+_SCAN_BLOCK = 64   # cells per block of _decay_scan
 # make_grid's largest node count. A resolve's peak memory grows by about 480
 # bytes per node (measured: 43.8 MB at 22k nodes, 134 MB at 220k), so the cap
 # is about 5 GB.
@@ -181,6 +184,27 @@ def _cumulative_integral(grid: Grid, fn) -> np.ndarray:
     return np.concatenate([[0j], np.cumsum(cell_int)])
 
 
+def _decay_scan(m: np.ndarray, decay: complex) -> np.ndarray:
+    """a_0 = 0, a_(j+1) = decay a_j + m_j: all m.size + 1 values, in blocks of _SCAN_BLOCK.
+
+    Within a block the partial sums are one product with the lower-triangular
+    Toeplitz matrix of the powers decay^(i-l); one carry per block, propagated
+    by decay^_SCAN_BLOCK, enters the block's values through decay^(i+1). With
+    |decay| <= 1 no factor exceeds 1 in modulus.
+    """
+    nb = -(-m.size // _SCAN_BLOCK)
+    blocks = np.zeros(nb * _SCAN_BLOCK, dtype=complex)
+    blocks[:m.size] = m
+    powers = decay ** np.arange(_SCAN_BLOCK + 1)
+    lag = np.subtract.outer(np.arange(_SCAN_BLOCK), np.arange(_SCAN_BLOCK))
+    local = blocks.reshape(nb, _SCAN_BLOCK) @ np.where(lag >= 0, powers[lag], 0).T
+    # the value before each block: carry_(b+1) = decay^_SCAN_BLOCK carry_b + last of block b
+    carry = accumulate(local[:-1, -1].tolist(), lambda c, last: powers[-1] * c + last,
+                       initial=0j)
+    local += np.fromiter(carry, complex, nb)[:, None] * powers[1:]
+    return np.concatenate(([0j], local.ravel()[:m.size]))
+
+
 def _exp_kernels(xs: np.ndarray, fn, mu: complex):
     """Stable weighted cumulative integrals against e^(+- mu t) on one half-line xs.
 
@@ -194,15 +218,12 @@ def _exp_kernels(xs: np.ndarray, fn, mu: complex):
     h = xs[1] - xs[0]
     vals = _node_values(xs[:-1], h, fn)
     tloc = h * offs
-    # m_j = int_{x_j}^{x_{j+1}} e^(-mu (t - x_j)) f dt and e^(mu (t - x_{j+1})) f dt;
-    # row sums rather than @ keep numpy's per-cell summation order
-    m_s = (vals * (wq * np.exp(-mu * tloc) * h)).sum(axis=1).tolist()
-    m_t = (vals * (wq * np.exp(mu * (tloc - h)) * h)).sum(axis=1).tolist()
+    # m_j = int_{x_j}^{x_{j+1}} e^(-mu (t - x_j)) f dt and e^(mu (t - x_{j+1})) f dt
+    m_s = (vals * (wq * np.exp(-mu * tloc) * h)).sum(axis=1)
+    m_t = (vals * (wq * np.exp(mu * (tloc - h)) * h)).sum(axis=1)
     decay = complex(np.exp(-mu * h))
     # S_j = m_s[j] + decay S_(j+1) from S_end = 0, T_(j+1) = decay T_j + m_t[j] from T_0 = 0
-    S = accumulate(reversed(m_s), lambda acc, m: m + decay * acc, initial=0j)
-    T = accumulate(m_t, lambda acc, m: decay * acc + m, initial=0j)
-    return np.fromiter(S, complex, xs.size)[::-1], np.fromiter(T, complex, xs.size)
+    return _decay_scan(m_s[::-1], decay)[::-1], _decay_scan(m_t, decay)
 
 
 @dataclass(frozen=True)

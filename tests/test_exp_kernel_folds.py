@@ -1,9 +1,9 @@
-"""_exp_kernels' two folds give the bits of the index loops they are written as."""
+"""_exp_kernels' blocked scan gives the index-loop recursions up to a stated rounding bound."""
 import numpy as np
 import pytest
 
 from pencil_spectra.modes import bump
-from pencil_spectra.resolvent import _exp_kernels, _gl_cell, _node_values
+from pencil_spectra.resolvent import _SCAN_BLOCK, _exp_kernels, _gl_cell, _node_values
 
 
 def _loop_recursions(xs, fn, mu):
@@ -32,9 +32,20 @@ def _loop_recursions(xs, fn, mu):
     (np.linspace(0.0, 6.0, 601), 2.1 - 0.7j),
     (np.linspace(-6.0, 0.0, 601), 0.3 + 1.9j),
     (np.linspace(0.0, 1.0, 2), 1.0 + 0j),
+    (np.linspace(0.0, 11.0, 11001), 0.05 + 3j),   # Re mu h = 5e-5: |decay| near 1
 ])
-def test_folds_match_the_index_loops_bit_for_bit(xs, mu):
+def test_scan_matches_the_index_loops_to_rounding(xs, mu):
+    """First-order bound: each rounded step of either recursion errs by a few eps of
+    max |S| (|T|), the scan's block sums add up to _SCAN_BLOCK terms, and an error
+    decays by |decay| per cell, so it persists over min(N, 1/(1 - |decay|)) cells.
+    The largest measured ratio to the bound is below 0.1 (776 eps max |T| at 11,001
+    nodes, Re mu h = 5e-5, f = e^(7ix), mu = 0.05 + 300i)."""
     fn = lambda x: (bump((np.abs(x) - 1.5) / 0.5) + np.exp(-x * x)) * (1 + 0.3j * x)
     S, T = _exp_kernels(xs, fn, mu)
     S_ref, T_ref = _loop_recursions(xs, fn, mu)
-    assert S.tobytes() == S_ref.tobytes() and T.tobytes() == T_ref.tobytes()
+    decay = abs(np.exp(-mu * (xs[1] - xs[0])))
+    reach = _SCAN_BLOCK + min(xs.size, 1.0 / (1.0 - decay))
+    eps = np.finfo(float).eps
+    assert np.abs(S - S_ref).max() <= 4.0 * eps * reach * np.abs(S_ref).max()
+    assert np.abs(T - T_ref).max() <= 4.0 * eps * reach * np.abs(T_ref).max()
+    assert S[-1] == 0 and T[0] == 0

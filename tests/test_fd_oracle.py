@@ -24,7 +24,6 @@ from pencil_spectra.fd_oracle import discretize, shoot_refine, smallest_singular
 from pencil_spectra.modes import bump
 from pencil_spectra.resolvent import RhsField, make_grid
 from tests.conftest import PLASMON, QUARTIC_HI
-import scipy.sparse as sp
 
 
 def _bump_rhs(grid, k):
@@ -187,8 +186,9 @@ def test_discretize_grid_mismatch(drude_problem):
         direct_solve(0.5j, 3.0, r, disc)
 
 
-def _loop_blocks(omega, k, problem, grid, lam):
-    """Reference assembly: one Python loop over the nodes, entry by entry."""
+def _loop_blocks(sp, omega, k, problem, grid, lam):
+    """Reference assembly: one Python loop over the nodes, entry by entry, into
+    scipy.sparse matrices (sp)."""
     x, h = grid.x, grid.h
     N = x.size
     im, ip = grid.i_zero_minus, grid.i_zero_plus
@@ -231,12 +231,13 @@ def _loop_blocks(omega, k, problem, grid, lam):
 @pytest.mark.parametrize("lam", [1.0, 1.0 + 0.05j, 0.8 + 0.01j])
 @pytest.mark.parametrize("medium", ["lossless_problem", "drude_problem"])
 def test_discretize_matches_loop_assembly(k, lam, medium, request):
+    sp = pytest.importorskip("scipy.sparse")
     problem = request.getfixturevalue(medium)
     omega = 1.0 + 0.3j
     grid = make_grid(5.0, 1 / 40)
     disc = discretize(omega, k, problem, grid=grid, lam=lam)
     (ref2, eq2, node2), (ref3, eq3, node3) = _loop_blocks(
-        complex(omega), k, problem, grid, complex(lam))
+        sp, complex(omega), k, problem, grid, complex(lam))
     for got, ref in ((disc.block2, ref2), (disc.block3, ref3)):
         a, b = got.toarray(), ref.toarray()
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -248,10 +249,9 @@ def test_discretize_matches_loop_assembly(k, lam, medium, request):
     assert disc.wu1_row == (grid.x.size - 1 if k != 0.0 else -1)
 
 
-def _dop853_direction(omega, k, problem, side):
-    """phi[0]/phi[1] from an adaptive DOP853 integration of psi' = M psi."""
-    from scipy.integrate import solve_ivp
-
+def _dop853_direction(solve_ivp, omega, k, problem, side):
+    """phi[0]/phi[1] from an adaptive DOP853 integration of psi' = M psi by scipy's
+    solve_ivp."""
     wv = omega * omega * wtilde(problem.side(side), omega)
     mu = principal_sqrt(k * k - wv)
     X = 25.0 / mu.real
@@ -264,13 +264,14 @@ def _dop853_direction(omega, k, problem, side):
 
 
 def test_flow_map_matches_adaptive_integration(drude_problem):
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
     k = 3.0
     # the modes, and omega = 2.12 where Re mu_+ = 0.106 on the constant side
     points = [m.omega for m in eigen_omegas(k, drude_problem)] + [2.12 + 0j]
     for om in points:
         for side in ("+", "-"):
             phi = fd_oracle._integrate_decaying(om, k, drude_problem, side, fd_oracle.DEFAULT_TOL)
-            ref = _dop853_direction(om, k, drude_problem, side)
+            ref = _dop853_direction(solve_ivp, om, k, drude_problem, side)
             assert abs(phi[0] / phi[1] - ref) <= 1e-12 * abs(ref), (om, side)
 
 

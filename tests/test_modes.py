@@ -20,6 +20,7 @@ from pencil_spectra.errors import (
     UnsupportedModelError,
 )
 from pencil_spectra import modes
+from pencil_spectra.complex_numerics import DEFAULT_TOL
 from pencil_spectra.modes import (
     bump,
     fit_loglog_slope,
@@ -223,7 +224,7 @@ def test_eigen_omegas_are_the_reduced_N_roots(medium, lossless_problem):
     every mode is reduced/N, and every root off the pole filter that classify
     puts in reduced/N is a mode."""
     from pencil_spectra import classify
-    from pencil_spectra.complex_numerics import DEFAULT_TOL, poly_roots
+    from pencil_spectra.complex_numerics import poly_roots
     from pencil_spectra.dielectric import singular_points
     from pencil_spectra.modes import eigenvalue_polynomial
 
@@ -250,37 +251,78 @@ def test_eigen_omegas_are_the_reduced_N_roots(medium, lossless_problem):
 
 
 def test_bump_constants_are_the_gauss_legendre_values():
-    """The stored (c, ||phi'||, ||phi''||) are bitwise what the _GL_N-point rule gives."""
+    """The stored (c, ||phi'||, ||phi''||, ||phi'''||) are bitwise what the _GL_N-point
+    rule gives; with g = 1/(y^2-1), phi''' = phi (g'^3 + 3 g' g'' + g''')."""
     x, w = np.polynomial.legendre.leggauss(modes._GL_N)
     raw = modes._bump_raw(x)
     c = 1.0 / math.sqrt(float(np.sum(w * raw**2)))
     g = -2.0 * x / (x * x - 1.0) ** 2
     gp = (6.0 * x * x + 2.0) / (x * x - 1.0) ** 3
+    gpp = -24.0 * x * (x * x + 1.0) / (x * x - 1.0) ** 4
     n1 = math.sqrt(float(np.sum(w * (c * raw * g) ** 2)))
     n2 = math.sqrt(float(np.sum(w * (c * raw * (g * g + gp)) ** 2)))
-    assert modes._bump_constants() == (c, n1, n2)
+    n3 = math.sqrt(float(np.sum(w * (c * raw * (g**3 + 3.0 * g * gp + gpp)) ** 2)))
+    assert modes._bump_constants() == (c, n1, n2, n3)
 
 
-def test_gl_half_is_the_gauss_legendre_rule_bit_for_bit():
-    """The stored non-negative half, mirrored, is leggauss(_GL_N // 2) bit for bit."""
-    x, w = np.polynomial.legendre.leggauss(modes._GL_N // 2)
-    nodes, weights = modes._gl_half()
-    assert nodes.tolist() == x[x > 0].tolist() and weights.tolist() == w[x > 0].tolist()
-    assert x.tolist() == (-nodes[::-1]).tolist() + nodes.tolist()
-    assert w.tolist() == weights[::-1].tolist() + weights.tolist()
-
-
-def test_bump_fourier_table_matches_the_one_shot_product():
-    """Built in row blocks, the table equals the whole cosine matrix times the weights of
-    the _GL_N // 2-point rule on (0, 1); it is within 2e-14 of the table of the
-    _GL_N-point rule's positive half."""
-    x, w = np.polynomial.legendre.leggauss(modes._GL_N // 2)
-    y, wy = 0.5 * (x + 1.0), 0.5 * w
-    kappa, phat = modes._bump_fourier_table()
-    one_shot = math.sqrt(2.0 / math.pi) * (np.cos(np.outer(kappa, y)) @ (wy * bump(y)))
-    assert kappa.size == 4801
-    assert np.max(np.abs(phat - one_shot)) <= 1e-15
+def _kappa_rule(cutoff, dk=1.0):
+    """Nodes (j + 1/2) dk in (-cutoff, cutoff), the weight dk, and hat-phi there:
+    hat-phi(kappa) = sqrt(2/pi) int_0^1 phi cos(kappa y) dy by the _GL_N-point rule
+    on (0, 1). For dk < pi the sum of kappa^(2m) |hat-phi|^2 dk over the nodes is the
+    integral up to truncation: by Poisson summation its aliases are values of the
+    autocorrelation of phi^(m) at multiples of 2 pi/dk, outside its support [-2, 2]."""
+    half = (np.arange(int(cutoff / dk)) + 0.5) * dk
     x, w = np.polynomial.legendre.leggauss(modes._GL_N)
-    y, wy = x[x > 0], w[x > 0]
-    old = math.sqrt(2.0 / math.pi) * (np.cos(np.outer(kappa, y)) @ (wy * bump(y)))
-    assert np.max(np.abs(phat - old)) <= 2e-14
+    y = 0.5 * (x + 1.0)
+    phat = math.sqrt(2.0 / math.pi) * (np.cos(np.outer(half, y)) @ (0.5 * w * bump(y)))
+    return np.concatenate([-half[::-1], half]), dk, np.concatenate([phat[::-1], phat])
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_bump_norms_are_the_parseval_moments(m):
+    """int kappa^(2m) |hat-phi|^2 dkappa = ||phi^(m)||^2, the moments that make the 2D
+    interface residual closed-form (||phi|| = 1 at m = 0). Cut at kappa = 240, where
+    the former kappa quadrature stopped, the m = 3 moment misses 1.1e-5 of its value."""
+    norm = (1.0, *modes._bump_constants()[1:])[m]
+    kap, dk, phat = _kappa_rule(1000.0)
+    moment = float(np.sum(kap ** (2 * m) * phat**2) * dk)
+    assert moment == pytest.approx(norm**2, rel=1e-11)
+    if m == 3:
+        inside = np.abs(kap) < 240.0
+        truncated = float(np.sum(kap[inside] ** 6 * phat[inside] ** 2) * dk)
+        assert (norm**2 - truncated) / norm**2 > 5e-6
+
+
+def _quadrature_report(omega, a, n, problem):
+    """(residual, c_n, ||r_n||, ||v^(n)||) of the guided 2D member with every kappa
+    integral summed on _kappa_rule, from the Fourier-fiber residual with its 1/k."""
+    k0, _, _, mu_p, mu_m, v_p, v_m = modes._interface_profile(omega, a, problem, DEFAULT_TOL)
+    kap, dk, phat = _kappa_rule(1000.0)
+    ph2 = phat**2
+    kk = k0 + kap / n
+    half = lambda coef, mu: np.abs(coef) ** 2 / (2.0 * mu.real)
+    bracket = ((kk + k0) ** 2 * (half(v_p[0], mu_p) + half(v_m[0], mu_m))
+               + half(-1j * mu_p * v_p[0] + k0 * k0 / kk * v_p[1], mu_p)
+               + half(1j * mu_m * v_m[0] + k0 * k0 / kk * v_m[1], mu_m))
+    int_r = float(np.sum(kap**2 * kk**2 * ph2 * bracket) * dk)
+    psi2 = half(v_p[1], mu_p) + half(v_m[1], mu_m)
+    lead2 = (half(v_p[0], mu_p) + half(v_m[0], mu_m) + psi2) * float(np.sum(kk**2 * ph2) * dk)
+    corr2 = psi2 * float(np.sum(kap**2 * ph2) * dk) / (n * n)
+    cross = -psi2 * float(np.sum(kk * kap * ph2) * dk) / n
+    c_n = 1.0 / math.sqrt(lead2 + 2.0 * cross + corr2)
+    return c_n * math.sqrt(int_r) / n, c_n, c_n * math.sqrt(corr2), c_n * math.sqrt(lead2)
+
+
+@pytest.mark.parametrize("k, n", [(None, 8), (None, 64), (math.sqrt(1e-3), 8), (30.0, 16)])
+def test_weyl_2d_interface_closed_form_is_the_kappa_integral(k, n, guided_2d_problem):
+    """The Parseval closed form equals the kappa integral of the Fourier-fiber residual
+    summed far past the bump's decay: at the 2D example's witness (-i, a = 3.42) and at
+    the 1D modes of largest Re omega at a = 1e-3 and a = 900."""
+    if k is None:
+        omega, a = -1j, A_WITNESS
+    else:
+        omega, a = eigen_omegas(k, guided_2d_problem)[-1].omega, k * k
+    rep = weyl_2d_interface_report(omega, a, n, guided_2d_problem)
+    closed = (rep.residual_norm, rep.normalization, rep.correction_norm, rep.leading_norm)
+    assert closed == pytest.approx(_quadrature_report(omega, a, n, guided_2d_problem),
+                                   rel=1e-11)

@@ -23,8 +23,9 @@ h = 1e-4 (about 200k nodes, many chunks of the CSV writer), and with
 a small ``trace``, a short ``eigen`` sweep and ``resolve`` also run on
 ``EXTRA_CONFIG``, whose top-level ``scale`` and Drude ``background`` beside a
 rational side no benchmark config uses. Each difference is named, a differing
-stdout or stderr with its first differing line on each side; the exit status
-is 1 if there is any, else 0. Temporary copies go under $TMPDIR.
+stdout or stderr with the count of its differing lines and then every differing
+line pair, one per line; the exit status is 1 if there is any, else 0.
+Temporary copies go under $TMPDIR.
 """
 
 from __future__ import annotations
@@ -116,10 +117,12 @@ def run_all(copy: Path, work: Path) -> dict:
     return results
 
 
-def _first_difference(parent: str, change: str) -> str:
-    """The first line that differs, as 'parent line' -> 'change line' (<none> past the end)."""
+def _line_differences(parent: str, change: str) -> str:
+    """How many lines differ, then each as 'parent line' -> 'change line', one per line
+    (<none> past the end)."""
     pairs = itertools.zip_longest(parent.splitlines(), change.splitlines(), fillvalue="<none>")
-    return next((f"{a!r} -> {b!r}" for a, b in pairs if a != b), "line endings")
+    lines = [f"    {a!r} -> {b!r}" for a, b in pairs if a != b]
+    return "\n".join([f"{len(lines)} line(s)" if lines else "line endings", *lines])
 
 
 def differences(parent: Path, change: Path, runs: dict) -> list:
@@ -128,7 +131,7 @@ def differences(parent: Path, change: Path, runs: dict) -> list:
     out = [f"{label}: exit code {old[label][0]} -> {new[label][0]}"
            for label in old if old[label][0] != new[label][0]]
     for i, stream in ((1, "stdout"), (2, "stderr")):
-        out += [f"{label}: {stream}: {_first_difference(old[label][i], new[label][i])}"
+        out += [f"{label}: {stream}: {_line_differences(old[label][i], new[label][i])}"
                 for label in old if old[label][i] != new[label][i]]
     files = {side: {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
              for side, root in (("parent", parent), ("change", change))}
