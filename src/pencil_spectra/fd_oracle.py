@@ -20,10 +20,10 @@ tridiagonal Toeplitz stencil over the n interior nodes, and four constraint
 rows. The orthonormal DST-I S diagonalises each side's stencil (Strang, "The
 discrete cosine transform", SIAM Rev. 41, 1999), so in DST coordinates a block
 is diag(Lambda) bordered by 4 rows and 4 columns, all in closed form (_Bordered).
-A solve eliminates the diagonal, solves the 4x4 Schur complement and takes one
-step of iterative refinement against the exactly applied block: where a
-Lambda_j nearly vanishes the Schur complement alone loses digits. sigma_min
-runs wholly in DST coordinates, which keep the singular values; direct_solve
+A solve eliminates the diagonal and solves the 4x4 Schur complement; where the Lambda_j
+spread, min |Lambda_j| < sqrt(eps) max |Lambda_j|, that alone loses digits, and one step
+of iterative refinement against the exactly applied block follows (Higham 2002, ch. 12).
+sigma_min runs wholly in DST coordinates, which keep the singular values; direct_solve
 maps in and out through _dst, one FFT of length 2(n + 1) per side.
 
 The (u1, u2) block is assembled in Schur-reduced form: the first equation
@@ -86,8 +86,11 @@ class _Bordered:
         self.Z, self.lam, self.Ct, self.Rt, self.E = Z, lam, Ct, Rt, E
         # static pivoting (Li & Demmel, SC 1998): a pivot below eps max|lam|, exactly 0 on
         # a real ray, becomes eps max|lam|, and the refinement step in solve absorbs it
-        tiny = np.finfo(float).eps * np.abs(lam).max()
-        self.inv_lam = 1.0 / np.where(np.abs(lam) < tiny, tiny, lam)   # products stream faster
+        mag = np.abs(lam)
+        eps, top = np.finfo(float).eps, mag.max()
+        self.inv_lam = 1.0 / np.where(mag < eps * top, eps * top, lam)   # products stream faster
+        # the Schur solve alone can lose digits only where the pivots spread past 1/sqrt(eps)
+        self.refine = bool(mag.min() < math.sqrt(eps) * top)
         G = np.zeros((8, 8), dtype=complex)
         for side in range(2):
             G[4 * side:4 * side + 4, 4 * side:4 * side + 4] = (Z * self.inv_lam[side]) @ Z.T
@@ -95,9 +98,12 @@ class _Bordered:
 
     @property
     def H(self) -> _Bordered:
-        """The conjugate transpose (Z is real); its Schur complement is K^H."""
-        return _Bordered(self.Z, self.lam.conj(), self.Rt.conj().T, self.Ct.conj().T,
-                         self.E.conj().T)
+        """The conjugate transpose from these factors: Z is real and G symmetric, so K^H."""
+        adj = object.__new__(_Bordered)
+        vars(adj).update(vars(self), lam=self.lam.conj(), inv_lam=self.inv_lam.conj(),
+                         Ct=self.Rt.conj().T, Rt=self.Ct.conj().T, E=self.E.conj().T,
+                         Kinv=self.Kinv.conj().T)
+        return adj
 
     def _ends(self, xi: np.ndarray) -> np.ndarray:
         return (xi @ self.Z.T).ravel()
@@ -124,11 +130,12 @@ class _Bordered:
         return x
 
     def solve(self, y: np.ndarray) -> np.ndarray:
-        """The Schur-complement solve and one step of iterative refinement."""
+        """The Schur-complement solve, refined by one step where the pivots spread."""
         x = self._schur_solve(y)
-        residual = self.apply(x)
-        np.subtract(y, residual, out=residual)
-        x += self._schur_solve(residual)
+        if self.refine:
+            residual = self.apply(x)
+            np.subtract(y, residual, out=residual)
+            x += self._schur_solve(residual)
         return x
 
 
@@ -427,20 +434,33 @@ class LambdaProbeReport:
         return self.separation_factor >= 100.0
 
 
+@lru_cache(maxsize=1)
+def _start_vector(size: int) -> np.ndarray:
+    """Lanczos's start vector, the same in every process and shared read-only: real and
+    imaginary parts uniform in [-1, 1), the top 53 bits of splitmix64 at 1..2 size."""
+    z = np.arange(1, 2 * size + 1, dtype=np.uint64) * 0x9E3779B97F4A7C15   # wraps mod 2^64
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> shift
+        z *= mult
+    u = ((z ^ (z >> 31)) >> 11).astype(float) * 2.0**-52 - 1.0
+    v = u[:size] + 1j * u[size:]
+    v.flags.writeable = False
+    return v
+
+
 def smallest_singular_value(block: FDBlock) -> float:
     """sigma_min as 1/sqrt of the largest eigenvalue of (A^H A)^(-1), applied in DST
     coordinates as y -> A^-1 A^-H y.
 
     Thick-restart Lanczos (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 2000) with full
-    reorthogonalisation. The basis V and the projection H keep
+    reorthogonalisation, from _start_vector. The basis V and the projection H keep
     (A^H A)^-1 V = V H + f e_m^T; a full basis restarts from its top _LANCZOS_KEEP
     Ritz vectors. Converged when the top Ritz pair's residual ||f|| |y_m| is at most
     _LANCZOS_TOL times its Ritz value; _LANCZOS_STEPS bounds the applications.
     """
     a = block.hat
     ah = a.H
-    rng = np.random.default_rng(12345)
-    v = rng.standard_normal(a.lam.size + 4) + 1j * rng.standard_normal(a.lam.size + 4)
+    v = _start_vector(a.lam.size + 4)
     V = np.empty((_LANCZOS_NCV, v.size), dtype=complex)        # orthonormal rows
     H = np.zeros((_LANCZOS_NCV, _LANCZOS_NCV), dtype=complex)  # (A^H A)^-1 projected on them
     V[0] = v * (1.0 / np.linalg.norm(v))

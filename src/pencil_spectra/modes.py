@@ -231,8 +231,9 @@ def eigenfunction_eval(mode: PlasmonMode, x1):
 
 def mode_residuals(modes, grid, problem: InterfaceProblem,
                    tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """mode_residual of every mode, in one array pass over modes and grid (a NaN
-    term gives NaN). The modes must lie off S, as eigen_sweep's do."""
+    """mode_residual of every mode, in one array pass (a NaN term gives NaN). The modes
+    must lie off S, as eigen_sweep's do. |e^(m x1)| = e^(Re m x1) is monotone in x1, so
+    on each side it peaks at an extreme node, and only those two nodes are evaluated."""
     x = np.asarray(grid, dtype=float)
     if np.any(x == 0.0):
         raise PreconditionError("mode_residual grid must avoid x1 = 0")
@@ -242,14 +243,13 @@ def mode_residuals(modes, grid, problem: InterfaceProblem,
     ik = 1j * k
     parts = []   # per mode: the residual on each side, then the three jumps
     with np.errstate(all="ignore"):
-        for sel, m, v0, v1 in ((x > 0, -mu_p, vp0, vp1), (x < 0, mu_m, vm0, vm1)):
-            if not np.any(sel):
+        for side, m, v0, v1 in ((x[x > 0], -mu_p, vp0, vp1), (x[x < 0], mu_m, vm0, vm1)):
+            if not side.size:
                 continue
             w_side = k * k - m * m   # psi = v e^(m x1), W_side = k^2 - mu^2
             r1 = (k * k - w_side) * v0 + ik * m * v1
             r2 = ik * m * v0 - m * m * v1 - w_side * v1
-            env = m[:, None] * x[sel]   # one mode per row, overwritten in place
-            env = np.abs(np.exp(env, out=env))
+            env = np.abs(np.exp(m[:, None] * [side.min(), side.max()]))   # one mode per row
             env *= np.hypot(cabs(r1), cabs(r2))[:, None]
             parts.append(env.max(axis=1))
         parts += [cabs(wtilde(problem.plus, omega) * vp0 - wtilde(problem.minus, omega) * vm0),

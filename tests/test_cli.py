@@ -467,6 +467,16 @@ def test_cli_commands_do_not_load_scipy(cfg, tmp_path):
     assert proc.stdout == "pencil_spectra.fd_oracle\n"
 
 
+def test_check_loads_no_numpy_random(cfg):
+    """check, the only command that runs the Lanczos iteration, leaves numpy.random unloaded."""
+    code = ("import sys\n"
+            "from pencil_spectra.trace_cli import main\n"
+            "assert main(sys.argv[1:]) == 0, sys.argv\n"
+            "print('numpy.random' in sys.modules)\n")
+    proc = _python("-c", code, "check", "--config", cfg(DRUDE_CFG), "--k", "3")
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_check_runs_with_scipy_blocked(cfg):
     """With scipy unimportable, check on lossy Drude still runs every suite and passes."""
     path = cfg(DRUDE_CFG)

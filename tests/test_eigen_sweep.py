@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from pencil_spectra import (DielectricModel, InterfaceProblem, PlasmonMode, classify, eigen_omegas,
                             mode_residual)
 from pencil_spectra.classify1d import _n_identity_holds, _reduced_codes
-from pencil_spectra.complex_numerics import (DEFAULT_TOL, in_open_positive_ray, in_ray, poly_roots,
-                                             trim_leading)
+from pencil_spectra.complex_numerics import (DEFAULT_TOL, cabs, in_open_positive_ray, in_ray,
+                                             poly_roots, trim_leading)
 from pencil_spectra.dielectric import omega0_set, singular_points, w_values, wtilde
 from pencil_spectra.errors import DegenerateInputError
 from pencil_spectra.modes import (_make_mode, eigen_sweep, eigenvalue_polynomial, mode_residuals,
@@ -239,6 +239,48 @@ def test_mode_residuals_bitwise_on_a_three_pole_pair_sweep(sweep):
     grid = _eigen_grid()
     for cases in (modes, off):
         _assert_residuals_match(cases, grid, THREE_POLE_PAIRS)
+
+
+def _full_grid_residuals(modes, grid, problem):
+    """mode_residuals with each side's envelope taken at every grid node: the reference
+    that its two extreme nodes must reproduce."""
+    x = np.asarray(grid, dtype=float)
+    k, omega, mu_p, mu_m, vp0, vp1, vm0, vm1 = np.array(
+        [(md.k, md.omega, md.mu_plus, md.mu_minus, *md.v_plus, *md.v_minus)
+         for md in modes], dtype=complex).reshape(-1, 8).T
+    ik = 1j * k
+    parts = []
+    with np.errstate(all="ignore"):
+        for sel, m, v0, v1 in ((x > 0, -mu_p, vp0, vp1), (x < 0, mu_m, vm0, vm1)):
+            w_side = k * k - m * m
+            r1 = (k * k - w_side) * v0 + ik * m * v1
+            r2 = ik * m * v0 - m * m * v1 - w_side * v1
+            env = np.abs(np.exp(m[:, None] * x[sel]))
+            env *= np.hypot(cabs(r1), cabs(r2))[:, None]
+            parts.append(env.max(axis=1))
+        parts += [cabs(wtilde(problem.plus, omega) * vp0 - wtilde(problem.minus, omega) * vm0),
+                  cabs(vp1 - vm1),
+                  cabs((-mu_p * vp1 - ik * vp0) - (mu_m * vm1 - ik * vm0))]
+    return np.max(parts, axis=0)
+
+
+@pytest.mark.parametrize("medium", ["lossy Drude", "three-pole-pair"])
+def test_mode_residuals_bitwise_the_full_grid(medium, drude_problem):
+    """The two extreme nodes of each side against every node, bitwise, on an `eigen` sweep
+    and its modes with mu_+ off by about 1e-3; a NaN mu gives NaN either way."""
+    problem = drude_problem if medium == "lossy Drude" else THREE_POLE_PAIRS
+    modes = [m for ms in eigen_sweep(np.linspace(0.5, 6.0, 200).tolist(), problem) for m in ms]
+    rng = np.random.default_rng(5)
+    off = [type(m)(omega=m.omega, k=m.k, mu_plus=m.mu_plus * (1 + 1e-3 * rng.standard_normal()),
+                   mu_minus=m.mu_minus, v_plus=m.v_plus, v_minus=m.v_minus) for m in modes]
+    m = modes[0]
+    nan = type(m)(omega=m.omega, k=m.k, mu_plus=complex(math.nan, 1.0), mu_minus=m.mu_minus,
+                  v_plus=m.v_plus, v_minus=m.v_minus)
+    grid = _eigen_grid()
+    for cases in (modes, off, [*modes[:3], nan]):
+        got = mode_residuals(cases, grid, problem)
+        assert _bitwise(got) == _bitwise(_full_grid_residuals(cases, grid, problem))
+    assert math.isnan(got[-1]) and not np.isnan(got[:-1]).any()
 
 
 def test_mode_residuals_bitwise_on_perturbed_and_zero_modes(lossless_problem):

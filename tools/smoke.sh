@@ -21,5 +21,6 @@ run trace --config drude.cfg --grid=-3:3:61,-1.2:0.4:17 --k 3 --out drude_trace
 run eigen --config drude.cfg --k 0.5:3:6 --out drude_eigen
 run resolve --config drude.cfg --omega 0.3,0.6 --k 3 --h 0.01 --out drude_resolve
 run check --config drude.cfg --k 3
+run check --config drude.cfg --k 0.5   # the decay-sized probe grid, 63k nodes
 # the plasmon pair at k = 1e32, beside light-line roots near 1e32
 test "$(run eigen --config drude.cfg --k 1e32 | grep -c '1.0442283589,-0.5,')" -eq 2
