@@ -13,10 +13,10 @@ The 2D sets are the 1D ones at k = 0 plus the witness a = W_+ W_-/(W_+ + W_-)
 of N. classify_array() decides whole arrays of omega for both pencils (k=None
 selects the 2D one). Every set test lives in _reduced_codes and runs on numpy
 arrays of dielectric.w_values; a scalar entry point (classify, classify2, in_M,
-in_N, in_M2, in_N2, the Weyl preconditions) passes it one-element arrays
-(_point_arrays), so each agrees with classify_array at every omega. That costs a
-scalar call about 100 us of numpy call overhead, some 200 times a point of a
-large classify_array call: classify many points with classify_array.
+in_N, in_M2, in_N2) passes it one-element arrays (_point_arrays), so each agrees
+with classify_array at every omega. That costs a scalar call about 100 us of
+numpy call overhead, some 200 times a point of a large classify_array call:
+classify many points with classify_array.
 Classification is total: domain or singularity issues are encoded in the
 record, never thrown, so grid tracing cannot abort. All functions are pure.
 
@@ -35,6 +35,7 @@ from .complex_numerics import (
     DEFAULT_TOL,
     Tolerances,
     cabs,
+    in_open_positive_ray,
     in_ray,
     principal_sqrt,
 )
@@ -202,13 +203,6 @@ def _point_arrays(omega: complex, values, problem: InterfaceProblem, tol: Tolera
         return w_values(problem, np.array([omega]), tol)
 
 
-def _m_side(side: str, omega: complex, values, k, problem: InterfaceProblem, tol: Tolerances):
-    """The M_side bit of the reduced code at k (k=None is 2D), from _point_arrays' values.
-    problem.side rejects a bad label; when one model serves both sides the bits agree."""
-    bit = M_PLUS if problem.side(side) is problem.plus else M_MINUS
-    return bool(_reduced_codes(*_point_arrays(omega, values, problem, tol), k, tol)[0] & bit)
-
-
 def in_M(side: str, omega: complex, k: float, problem: InterfaceProblem,
          tol: Tolerances = DEFAULT_TOL) -> bool:
     """Membership of omega in the essential ray set M_side^(k).
@@ -217,19 +211,21 @@ def in_M(side: str, omega: complex, k: float, problem: InterfaceProblem,
     (0, inf). The open/closed distinction at the k = 0 endpoint is moot off
     the exceptional set: W_side(omega) = 0 is exactly membership in Omega_0,
     which this operation rejects. Raises PreconditionError on S or Omega_0.
-    The answer is the M_side bit of the reduced branch code (_m_side).
+    The answer is the M_side bit of the reduced branch code (_reduced_codes).
     """
     omega = complex(omega)
     values = _reduced_point_values(problem, omega, tol, "in_M")
-    return _m_side(side, omega, values, k, problem, tol)
+    # problem.side rejects a bad label; when one model serves both sides the bits agree
+    bit = M_PLUS if problem.side(side) is problem.plus else M_MINUS
+    return bool(_reduced_codes(*_point_arrays(omega, values, problem, tol), k, tol)[0] & bit)
 
 
-def _n_identity_holds(wt_p, wt_m, w_p, w_m, k2, tol, slack=1.0):
+def _n_identity_holds(wt_p, wt_m, w_p, w_m, k2, tol):
     """The unsquared matching identity W-tilde_+ mu_- + W-tilde_- mu_+ = 0.
 
     mu_pm = principal_sqrt(k2 - W_pm), where k2 is k^2 (or the 2D witness a).
     With a = W-tilde_+ mu_-, b = W-tilde_- mu_+ it holds when
-    |a + b| <= slack * equality_tol * (|a| + |b|) and |a| + |b| is finite.
+    |a + b| <= equality_tol * (|a| + |b|) and |a| + |b| is finite.
     Elementwise on arrays.
     """
     with np.errstate(all="ignore"):
@@ -238,7 +234,7 @@ def _n_identity_holds(wt_p, wt_m, w_p, w_m, k2, tol, slack=1.0):
         a = wt_p * mu_m
         b = wt_m * mu_p
         size = cabs(a) + cabs(b)   # beyond the float range no cancellation can be read
-        return (cabs(a + b) <= slack * tol.equality_tol * size) & (size < np.inf)
+        return (cabs(a + b) <= tol.equality_tol * size) & (size < np.inf)
 
 
 def _n2_witness(w_p, w_m, tol: Tolerances):
@@ -321,8 +317,8 @@ def _reduced_codes(wt_p, wt_m, w_p, w_m, k, tol):
     ray_p = in_ray(w_p, kr * kr, tol)
     ray_m = in_ray(w_m, kr * kr, tol)
     # M_pm is the closed ray [k^2, inf), or the open ray (0, inf) where k = 0
-    mp = ray_p & ((kr != 0.0) | (w_p.real > tol.ray_real_tol))
-    mm = ray_m & ((kr != 0.0) | (w_m.real > tol.ray_real_tol))
+    mp = np.where(kr != 0.0, ray_p, in_open_positive_ray(w_p, tol))
+    mm = np.where(kr != 0.0, ray_m, in_open_positive_ray(w_m, tol))
     if k is None:
         nn = _n2_witness(w_p, w_m, tol)[0]
     else:

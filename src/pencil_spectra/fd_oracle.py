@@ -94,7 +94,11 @@ class _Bordered:
         G = np.zeros((8, 8), dtype=complex)
         for side in range(2):
             G[4 * side:4 * side + 4, 4 * side:4 * side + 4] = (Z * self.inv_lam[side]) @ Z.T
-        self.Kinv = np.linalg.inv(E - Rt @ G @ Ct)
+        try:
+            self.Kinv = np.linalg.inv(E - Rt @ G @ Ct)
+        except np.linalg.LinAlgError:   # |k| ~ 1e150: the k^2 diagonal swamps the interface rows
+            raise PencilSpectraError("the FD block's 4x4 Schur complement is singular in "
+                                     "floating point; no structured solve") from None
 
     @property
     def H(self) -> _Bordered:
@@ -472,6 +476,9 @@ def smallest_singular_value(block: FDBlock) -> float:
         f = f - (f.conj() @ V[:m].T).conj() @ V[:m]   # full reorthogonalisation
         H[m - 1, m - 1] = c[m - 1].real
         beta = np.linalg.norm(f)
+        if not math.isfinite(beta):   # an ill-conditioned Schur complement at huge |k|
+            raise PencilSpectraError("sigma_min: the structured solve overflows; the FD "
+                                     "block is singular to working precision")
         theta, Y = np.linalg.eigh(H[:m, :m])
         if beta * abs(Y[m - 1, -1]) <= _LANCZOS_TOL * theta[-1]:
             return 1.0 / math.sqrt(theta[-1])

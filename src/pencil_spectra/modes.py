@@ -8,10 +8,12 @@ as one family and keeps the roots classify_array puts in N^(k); mode_residuals
 checks all modes in one array pass. Eigenfunctions are the explicit two-sided
 exponentials with decay rates mu_pm = sqrt(k^2 - W_pm), Re mu_pm > 0.
 
-Weyl-sequence residual norms are closed forms in the decay rates and the
-cutoff bump's norms ||phi^(m)||, m <= 3 (the 2D interface-guided one through
-Parseval's identity in the Fourier fiber), never numerical derivatives of
-samples: the decay rates under test sit far below finite-difference noise floors.
+Each Weyl member is built where the classifier's predicate puts omega in its set:
+in_M, near_omega0 (the side's W = 0 tag), in_M2, and in_N2 with its witness a.
+Residual norms are closed forms in the decay rates and the cutoff bump's norms
+||phi^(m)||, m <= 3 (the 2D interface-guided one through Parseval's identity in
+the Fourier fiber), never numerical derivatives of samples: the decay rates
+under test sit far below finite-difference noise floors.
 """
 
 from __future__ import annotations
@@ -21,14 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex_numerics import (DEFAULT_TOL, Tolerances, cabs, in_ray, poly_roots_family,
-                               principal_sqrt)
-from .classify1d import IN_N, _m_side, _n_identity_holds, _point_arrays, classify_array
+from .complex_numerics import DEFAULT_TOL, Tolerances, cabs, poly_roots_family, principal_sqrt
+from .classify1d import IN_N, classify_array, in_M, in_M2, in_N2
 from .dielectric import (
     DielectricModel,
     InterfaceProblem,
-    _omega0_point,
     _zero_tags,
+    near_omega0,
     singular_points,
     w,
     w_values,
@@ -279,25 +280,22 @@ def weyl_sequence_1d(omega: complex, k: float, n: int, side: str,
     """One member of a 1D Weyl sequence.
 
     variant == "plane_wave": u^(n) = n^(-1/2) e^(i l x1) phi((x1 -+ n^2)/n) e3
-    with l = sqrt(W_side - k^2) real; needs omega in M_side^(k), the classifier's
-    M_side bit (W_side(omega) in [k^2, inf), in the open ray (0, inf) at k = 0).
-    variant == "k0_w0": k = 0 with W_side(omega) = 0, the Omega_0 test of
-    dielectric._omega0_point on the same values; compactly supported profile
-    in the first component, residual |W_side(omega)|.
+    with l = sqrt(W_side - k^2) real; needs in_M(side, omega, k) (W_side(omega)
+    in [k^2, inf), in the open ray (0, inf) at k = 0; off S and Omega_0).
+    variant == "k0_w0": k = 0 and the Omega_0 point near_omega0 finds at omega
+    tagged W_side = 0; compactly supported profile in the first component,
+    residual |W_side(omega)|.
     """
     omega = complex(omega)
     sgn = 1.0 if side in ("+", "plus") else -1.0
-    values = w_values(problem, omega, tol)
-    in_m = _m_side(side, omega, values, k, problem, tol)
-    w_side = values[2 if sgn > 0 else 3]
+    model = problem.side(side)   # rejects a bad label
     center = sgn * n * n
     _, nphi1, nphi2, _ = _bump_constants()
 
     if variant == "plane_wave":
-        if not in_m:
-            raise PreconditionError(
-                f"plane-wave Weyl sample needs omega in M_{side}^(k); got W={w_side}")
-        ell = math.sqrt(max(w_side.real - k * k, 0.0))
+        if not in_M(side, omega, k, problem, tol):
+            raise PreconditionError(f"plane-wave Weyl sample needs omega in M_{side}^(k)")
+        ell = math.sqrt(max(w(model, omega, tol).real - k * k, 0.0))
         resid = (1.0 / n) * math.sqrt(4.0 * ell * ell * nphi1**2 + (nphi2 / n) ** 2)
         return WeylSample(n=n, construction="1D-right" if sgn > 0 else "1D-left",
                           residual_norm=resid, norm=1.0, support_center=center)
@@ -305,13 +303,12 @@ def weyl_sequence_1d(omega: complex, k: float, n: int, side: str,
     if variant == "k0_w0":
         if k != 0.0:
             raise PreconditionError("k0_w0 variant requires k = 0")
-        pt = _omega0_point(omega, *values[:2], tol)
+        pt = near_omega0(problem, omega, tol)
         if pt is None or not (pt.plus_vanishes if sgn > 0 else pt.minus_vanishes):
-            raise PreconditionError(
-                f"k0_w0 variant needs W_{side}(omega) = 0; got {w_side}")
+            raise PreconditionError(f"k0_w0 variant needs omega in Omega_0 with W_{side} = 0")
         # L_0 u = (-W_side f, 0, 0): the residual is |W_side| exactly
         return WeylSample(n=n, construction="1D-k0-W0",
-                          residual_norm=float(abs(w_side)), norm=1.0,
+                          residual_norm=float(abs(w(model, omega, tol))), norm=1.0,
                           support_center=center)
 
     raise ValueError(f"unknown variant {variant!r}")
@@ -339,16 +336,13 @@ def weyl_field_1d(omega: complex, k: float, n: int, side: str, variant: str,
 def weyl_sequence_2d_bulk(omega: complex, side: str, n: int,
                           problem: InterfaceProblem,
                           tol: Tolerances = DEFAULT_TOL) -> WeylSample:
-    """2D plane-wave Weyl member in the third component; needs omega in M_side,
-    the M_side bit of classify2 (W_side(omega) in the open ray (0, inf))."""
+    """2D plane-wave Weyl member in the third component; needs in_M2(side, omega)
+    (W_side(omega) in the open ray (0, inf), off S and Omega_0)."""
     sgn = 1.0 if side in ("+", "plus") else -1.0
     omega = complex(omega)
-    values = w_values(problem, omega, tol)
-    in_m = _m_side(side, omega, values, None, problem, tol)
-    w_side = values[2 if sgn > 0 else 3]
-    if not in_m:
-        raise PreconditionError(
-            f"2D bulk Weyl sample needs W_{side}(omega) in (0, inf); got {w_side}")
+    if not in_M2(side, omega, problem, tol):
+        raise PreconditionError(f"2D bulk Weyl sample needs W_{side}(omega) in (0, inf)")
+    w_side = w(problem.side(side), omega, tol)
     _, nphi1, nphi2, _ = _bump_constants()
     # product bump phi(y1) phi(y2): ||beta . grad||^2 = |beta|^2 ||phi'||^2,
     # ||Laplacian||^2 = 2 ||phi''||^2 + 2 ||phi'||^4
@@ -374,17 +368,15 @@ class Weyl2DInterfaceReport:
 
 
 def _interface_profile(omega, a, problem, tol):
-    """psi, its coefficient data, and exponents for the guided construction."""
+    """psi, its coefficient data, and exponents for the guided construction: needs
+    in_N2(omega) to hold with a its witness, to within equality_tol max(|a|, 1)."""
+    holds, witness = in_N2(omega, problem, tol)
+    if not (holds and abs(a - witness) <= tol.equality_tol * max(abs(a), 1.0)):
+        raise PreconditionError(f"(omega, a={a}) is not in N with witness a: in_N2 gives {witness}")
     k0 = math.sqrt(a)
-    wt_p, wt_m, w_p, w_m = values = w_values(problem, omega, tol)
-    if in_ray(w_p, a, tol) or in_ray(w_m, a, tol):
-        raise PreconditionError("(omega, a) violates the ray exclusions of N")
+    _, _, w_p, w_m = w_values(problem, omega, tol)
     mu_p = principal_sqrt(a - w_p)
     mu_m = principal_sqrt(a - w_m)
-    if not _n_identity_holds(*_point_arrays(omega, values, problem, tol), a, tol, slack=10)[0]:
-        raise PreconditionError(
-            f"(omega, a) does not satisfy the N-membership identity: "
-            f"|Wt+ mu- + Wt- mu+| = {abs(wt_p * mu_m + wt_m * mu_p):.3e}")
     v_p = np.array([1j * k0, mu_p], dtype=complex)
     v_m = (mu_p / mu_m) * np.array([-1j * k0, mu_m], dtype=complex)
     return k0, w_p, w_m, mu_p, mu_m, v_p, v_m

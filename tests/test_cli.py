@@ -585,3 +585,30 @@ def test_grid_axis_whose_span_overflows_is_rejected(cfg, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: --grid axis span hi - lo must be finite, got '-1e308:1e308:3'\n"
     assert captured.out == "" and not out.exists()
+
+
+THREE_POLE_PAIRS_CFG = """\
+# constant 2 against three Lorentz pole pairs (0.8, 0.3, 1.0), (1.6, 0.4, 1.5), (2.6, 0.5, 2.0)
+[plus]
+kind = "constant"
+value = 2.0
+
+[minus]
+kind = "rational"
+numerator = [1, 1.2j, -14.93, -10.916j, 52.0786, 17.29544j, -38.147584]
+denominator = [1, 1.2j, -10.43, -7.416j, 24.5936, 7.74144j, -11.075584]
+"""
+
+
+@pytest.mark.parametrize("text, k", [(DRUDE_CFG, "1e60"), (DRUDE_CFG, "1e100"),
+                                     (DRUDE_CFG, "1e150"), (THREE_POLE_PAIRS_CFG, "1e100")],
+                         ids=["drude-1e60", "drude-1e100", "drude-1e150", "rational-1e100"])
+def test_check_at_huge_k_fails_its_suites_without_a_traceback(cfg, text, k):
+    """Where the FD oracles break down (an overflowing structured solve, a singular Schur
+    complement, a relative error of 0), each suite prints a FAIL line saying why."""
+    proc = _python("-m", "pencil_spectra.trace_cli", "check", "--config", cfg(text), "--k", k,
+                   check=False)
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert len(lines) == 4 and all(line.startswith(("PASS ", "FAIL ")) for line in lines), lines
+    assert "Traceback" not in proc.stderr, proc.stderr

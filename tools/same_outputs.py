@@ -48,7 +48,8 @@ import workloads  # noqa: E402
 SEEDS = (1, 2)
 CHECK_TIMING = re.compile(r"^((?:PASS|FAIL) \S+) \(\d+(?:\.\d+)?s\)", re.MULTILINE)
 EXTRA_CHECKS = (("drude.cfg", 0.0), ("drude.cfg", 0.5), ("drude.cfg", 1.0), ("drude.cfg", 10.0),
-                ("drude.cfg", 1000.0), ("rational.cfg", 3.0))   # (config of the modes workload, k)
+                ("drude.cfg", 1000.0), ("rational.cfg", 0.5), ("rational.cfg", 3.0),
+                ("rational.cfg", 1000.0))   # (config of the modes workload, k)
 EXTRA_EIGENS = (("drude.cfg", "1e30:1e33:4"), ("rational.cfg", "1e30:1e33:4"))   # (config, --k)
 EXTRA_RESOLVES = (("drude.cfg", "0.2,0.7", 0.0, "1.0:2.0", 1e-3),
                   ("rational.cfg", "0.3,0.6", 3.0, "1.0:2.0", 1e-3),

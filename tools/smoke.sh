@@ -1,5 +1,6 @@
 #!/bin/sh
-# Smoke-run every subcommand on a constant pair and on the benchmark's lossy Drude medium.
+# Smoke-run every subcommand on a constant pair and on the benchmark's lossy Drude and
+# three-pole-pair media.
 # Usage: sh tools/smoke.sh <output directory>; exits non-zero on the first failure.
 set -eu
 mkdir -p "$1"
@@ -22,5 +23,16 @@ run eigen --config drude.cfg --k 0.5:3:6 --out drude_eigen
 run resolve --config drude.cfg --omega 0.3,0.6 --k 3 --h 0.01 --out drude_resolve
 run check --config drude.cfg --k 3
 run check --config drude.cfg --k 0.5   # the decay-sized probe grid, 63k nodes
+# the benchmark's three-pole-pair medium: 6 poles and 7 Omega_0 points
+printf '[plus]\nkind = "constant"\nvalue = 2.0\n\n[minus]\nkind = "rational"\n' > rational.cfg
+printf 'numerator = [1, 1.2j, -14.93, -10.916j, 52.0786, 17.29544j, -38.147584]\n' >> rational.cfg
+printf 'denominator = [1, 1.2j, -10.43, -7.416j, 24.5936, 7.74144j, -11.075584]\n' >> rational.cfg
+run classify --config rational.cfg --omega 0.3,0.6 --k 3
+run classify --config rational.cfg --omega 0,-1 --dim 2
+run trace --config rational.cfg --grid=-4:4:81,-1.2:0.4:17 --k 3 --out rational_trace
+run trace --config rational.cfg --grid=-4:4:81,-1.2:0.4:17 --dim 2 --out rational_trace2d
+run eigen --config rational.cfg --k 0.5:3:6 --out rational_eigen
+run resolve --config rational.cfg --omega 0.3,0.6 --k 3 --h 0.01 --out rational_resolve
+run check --config rational.cfg --k 3
 # the plasmon pair at k = 1e32, beside light-line roots near 1e32
 test "$(run eigen --config drude.cfg --k 1e32 | grep -c '1.0442283589,-0.5,')" -eq 2
