@@ -180,17 +180,15 @@ class ArrayClassification:
         return self._per_point(SpectrumClass.raster_class)
 
 
-def _reduced_point_values(problem, omega, tol, op_name):
-    """The precondition of the set predicates: PreconditionError on S or Omega_0, where
-    the reduced branch does not apply. Returns the values _point_arrays reads: a black
-    box's w_values at omega, None for a rational problem (_point_arrays evaluates it)."""
-    hit = which_pole_side(problem, omega, tol)
-    if hit is not None:
-        pole, side = hit
-        raise PreconditionError(f"{op_name}: omega={omega} is a pole of the {side} side ({pole})")
-    if near_omega0(problem, omega, tol) is not None:
-        raise PreconditionError(f"{op_name}: omega={omega} lies in the exceptional set Omega_0")
-    return None if problem.is_rational else w_values(problem, omega, tol)
+def _reduced_code(omega: complex, k, problem: InterfaceProblem, tol: Tolerances, op_name):
+    """omega's code in REDUCED (k=None: 2D), read from _classify_point's record: the set
+    predicates are defined where that record is a reduced one, off S and Omega_0."""
+    rec = _classify_point(omega, k, problem, tol)
+    table = REDUCED[2 if k is None else 1]
+    if rec not in table:
+        raise PreconditionError(f"{op_name}: omega={omega} is off the reduced branch: "
+                                f"{rec.branch_note}")
+    return table.index(rec)
 
 
 def _point_arrays(omega: complex, values, problem: InterfaceProblem, tol: Tolerances):
@@ -213,11 +211,9 @@ def in_M(side: str, omega: complex, k: float, problem: InterfaceProblem,
     which this operation rejects. Raises PreconditionError on S or Omega_0.
     The answer is the M_side bit of the reduced branch code (_reduced_codes).
     """
-    omega = complex(omega)
-    values = _reduced_point_values(problem, omega, tol, "in_M")
     # problem.side rejects a bad label; when one model serves both sides the bits agree
     bit = M_PLUS if problem.side(side) is problem.plus else M_MINUS
-    return bool(_reduced_codes(*_point_arrays(omega, values, problem, tol), k, tol)[0] & bit)
+    return bool(_reduced_code(complex(omega), k, problem, tol, "in_M") & bit)
 
 
 def _n_identity_holds(wt_p, wt_m, w_p, w_m, k2, tol):
@@ -265,9 +261,7 @@ def in_N(omega: complex, k: float, problem: InterfaceProblem,
     bit of the reduced branch code (_reduced_codes); PreconditionError on S
     or Omega_0.
     """
-    omega = complex(omega)
-    values = _reduced_point_values(problem, omega, tol, "in_N")
-    return bool(_reduced_codes(*_point_arrays(omega, values, problem, tol), k, tol)[0] & IN_N)
+    return bool(_reduced_code(complex(omega), k, problem, tol, "in_N") & IN_N)
 
 
 def _classify_omega0(values, k, pt: Omega0Point, tol, exact_hit: bool) -> SpectrumClass:
@@ -411,14 +405,16 @@ def in_N2(omega: complex, problem: InterfaceProblem,
           tol: Tolerances = DEFAULT_TOL):
     """(membership, witness a) for the 2D interface set N.
 
-    The witness solves a(W_+ + W_-) = W_+ W_- in closed form; the test is
-    _n2_witness, the one the 2D reduced branch code reads. Raises
-    PreconditionError on S or Omega_0.
+    Membership is the N bit of the 2D reduced branch code (_n2_witness's test);
+    the witness, from _n2_witness, solves a(W_+ + W_-) = W_+ W_- in closed
+    form. Raises PreconditionError on S or Omega_0.
     """
     omega = complex(omega)
-    values = _reduced_point_values(problem, omega, tol, "in_N2")
-    holds, a = _n2_witness(*_point_arrays(omega, values, problem, tol)[2:], tol)
-    return (True, float(a[0])) if holds[0] else (False, None)
+    if not _reduced_code(omega, None, problem, tol, "in_N2") & IN_N:
+        return False, None
+    values = None if problem.is_rational else w_values(problem, omega, tol)
+    a = _n2_witness(*_point_arrays(omega, values, problem, tol)[2:], tol)[1]
+    return True, float(a[0])
 
 
 def classify2(omega: complex, problem: InterfaceProblem,

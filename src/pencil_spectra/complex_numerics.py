@@ -59,7 +59,7 @@ class Tolerances:
 
     @classmethod
     def from_env(cls, environ=None) -> "Tolerances":
-        """Defaults, overridden by PENCIL_SPECTRA_TOL='name=value,name=value'."""
+        """Defaults, overridden by PENCIL_SPECTRA_TOL='name=value,name=value', each name once."""
         raw = (environ if environ is not None else os.environ).get(TOL_ENV_VAR, "")
         known = {f.name for f in fields(cls)}
         overrides = {}
@@ -73,6 +73,8 @@ class Tolerances:
             name = name.strip()
             if name not in known:
                 raise ValueError(f"{TOL_ENV_VAR}: unknown tolerance {name!r}")
+            if name in overrides:
+                raise ValueError(f"{TOL_ENV_VAR}: tolerance {name!r} given twice")
             try:
                 overrides[name] = float(val)
             except ValueError as exc:

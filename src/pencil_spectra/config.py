@@ -21,9 +21,10 @@ kind's keys and constructor.
 
 Every fault raises ConfigError: a file that cannot be read names its path;
 unknown keys, missing keys, bad literals and a scale that is not finite and
-positive name the offending key and line, and a value the constructor rejects
-(a non-finite one, say) names the section. The CLI prints it as an ``error:``
-line and exits with 2. A rational medium's common roots are cancelled under
+positive name the offending key and line, a key given twice (a reopened section
+is the same one) both its lines, and a value the constructor rejects (a
+non-finite one, say) names the section. The CLI prints it as an ``error:`` line
+and exits with 2. A rational medium's common roots are cancelled under
 the run's Tolerances, so PENCIL_SPECTRA_TOL applies there too.
 """
 
@@ -71,7 +72,11 @@ def parse_problem_config(text: str, source: str = "<config>",
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip().lower()
-        sections.setdefault(current, {})[key] = (_parse_literal(value.strip(), key, lineno, source), lineno)
+        body = sections.setdefault(current, {})
+        if key in body:   # a reopened section is the same section
+            raise ConfigError(f"{source}:{lineno}: key {key!r} given twice "
+                              f"(lines {body[key][1]} and {lineno})")
+        body[key] = (_parse_literal(value.strip(), key, lineno, source), lineno)
 
     top = sections.get("", {})
     for key in top:

@@ -7,7 +7,7 @@ Three probes, all independent of the closed-form representations:
   variation-of-parameters resolvent;
 * a shooting detector: the two decaying half-line solutions are propagated
   to the interface by the flow map of the constant-coefficient first-order
-  system (a generic matrix exponential, not the closed-form eigenfunctions)
+  system (exact by Cayley-Hamilton, not from the closed-form eigenfunctions)
   and matched there; its determinant vanishes exactly at eigenvalues;
 * a lambda-plane probe: smallest singular values of T_k - lambda W on rings
   around lambda = 1, numerical evidence for isolation of discrete eigenvalues.
@@ -40,6 +40,7 @@ lambda probe's grid follows the mode: L = 27.7/min Re mu, h = min(1/200, 0.02/ma
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -336,48 +337,30 @@ def direct_solve(omega: complex, k: float, r: RhsField,
 # ---------------------------------------------------------------------------
 
 
-def _expm(A: np.ndarray) -> np.ndarray:
-    """exp(A) by scaling and squaring (Moler & Van Loan, SIAM Rev. 45, 2003): the (6, 6)
-    Pade approximant of exp(A / 2^s), ||A / 2^s||_inf <= 1/2, squared s times."""
-    s = max(0, math.frexp(float(np.abs(A).sum(axis=1).max()))[1] + 1)
-    B = A / 2.0**s
-    eye = np.eye(A.shape[0])
-    num, den, power, c = eye, eye, eye, 1.0
-    for j in range(1, 7):
-        c *= (7 - j) / (j * (13 - j))
-        power = power @ B
-        num = num + c * power
-        den = den + (-1) ** j * c * power
-    F = np.linalg.solve(den, num)
-    for _ in range(s):
-        F = F @ F
-    return F
-
-
 def _integrate_decaying(omega, k, problem, side, tol):
     """Propagate the decaying half-line solution of the (psi1, psi2) system to 0.
 
     The system is psi' = M_pm psi with M = [[0, -ik], [(W - k^2)/(ik), 0]],
-    constant on each half-line, so the flow from x0 to 0 is exp(-x0 M),
-    taken as a generic matrix exponential (_expm) rather than from the
-    closed-form mu. The start value is
-    the exact decaying eigenvector at distance X from the interface; X is
-    sized from the decay rate so the growth toward 0 stays comfortably inside
-    floating-point range, and the backward flow damps any error in the start
-    direction by exp(-2 Re mu X).
+    constant on each half-line, so the flow from x0 to 0 is exp(A), A = -x0 M.
+    A is traceless, so A^2 = bc I with b, c its off-diagonal entries, and
+    exp(A) = cosh(s) I + sinh(s)/s A for either root s of bc (Cayley-Hamilton;
+    Moler & Van Loan, SIAM Rev. 45, 2003), built from M, not from the closed-form
+    mu; |s| = X |mu| >= 25. The start value is the exact decaying eigenvector at
+    distance X from the interface; X is sized from the decay rate so the growth
+    toward 0 stays comfortably inside floating-point range, and the backward flow
+    damps any error in the start direction by exp(-2 Re mu X).
     """
     wv = w(problem.side(side), omega, tol)
     mu = principal_sqrt(k * k - wv)
     if mu.real <= 0:
         raise PreconditionError(f"side {side}: Re mu <= 0, no decaying solution")
     X = 25.0 / mu.real
-
-    if side in ("+", "plus"):
-        x0, v0 = X, np.array([1j * k, mu], dtype=complex)      # eigenvalue -mu branch
-    else:
-        x0, v0 = -X, np.array([-1j * k, mu], dtype=complex)    # eigenvalue +mu branch
-    M = np.array([[0.0, -1j * k], [(wv - k * k) / (1j * k), 0.0]])
-    return _expm(-x0 * M) @ v0
+    sign = 1.0 if side in ("+", "plus") else -1.0   # the eigenvalue -sign mu branch
+    x0, v0 = sign * X, (sign * 1j * k, mu)
+    b, c = x0 * 1j * k, -x0 * (wv - k * k) / (1j * k)
+    s = cmath.sqrt(b * c)
+    cosh, sinhc = cmath.cosh(s), cmath.sinh(s) / s
+    return cosh * v0[0] + sinhc * b * v0[1], sinhc * c * v0[0] + cosh * v0[1]
 
 
 def shoot_determinant(omega: complex, k: float, problem: InterfaceProblem,
@@ -470,7 +453,8 @@ def smallest_singular_value(block: FDBlock) -> float:
     V[0] = v * (1.0 / np.linalg.norm(v))
     m = 1
     for _ in range(_LANCZOS_STEPS):
-        f = a.solve(ah.solve(V[m - 1]))
+        with np.errstate(over="ignore", invalid="ignore"):   # a non-finite beta fails below
+            f = a.solve(ah.solve(V[m - 1]))
         c = (f.conj() @ V[:m].T).conj()
         f = f - c @ V[:m]
         f = f - (f.conj() @ V[:m].T).conj() @ V[:m]   # full reorthogonalisation

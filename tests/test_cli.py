@@ -612,3 +612,20 @@ def test_check_at_huge_k_fails_its_suites_without_a_traceback(cfg, text, k):
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert len(lines) == 4 and all(line.startswith(("PASS ", "FAIL ")) for line in lines), lines
     assert "Traceback" not in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("text, k", [(DRUDE_CFG, "1e60"), (DRUDE_CFG, "1e100"),
+                                     (DRUDE_CFG, "1e150"), (THREE_POLE_PAIRS_CFG, "1e100"),
+                                     (THREE_POLE_PAIRS_CFG, "1e150")],
+                         ids=["drude-1e60", "drude-1e100", "drude-1e150", "rational-1e100",
+                              "rational-1e150"])
+def test_check_at_huge_k_raises_no_floating_point_warning(cfg, text, k):
+    """With every RuntimeWarning an error, as in the CI smoke run, check at huge k still
+    ends in four PASS/FAIL lines: the overflows the oracles meet there stay quiet and
+    come out as FAIL lines (a NaN root distance, a non-finite Lanczos step)."""
+    proc = _python("-W", "error::RuntimeWarning", "-m", "pencil_spectra.trace_cli", "check",
+                   "--config", cfg(text), "--k", k, check=False)
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert len(lines) == 4 and all(line.startswith(("PASS ", "FAIL ")) for line in lines), lines
+    assert proc.stderr == "", proc.stderr

@@ -275,6 +275,35 @@ def test_flow_map_matches_adaptive_integration(drude_problem):
             assert abs(phi[0] / phi[1] - ref) <= 1e-12 * abs(ref), (om, side)
 
 
+THREE_POLE_PAIRS = InterfaceProblem(   # constant 2 against Lorentz pairs at 0.8, 1.6 and 2.6
+    DielectricModel.constant(2.0),
+    DielectricModel.rational([1, 1.2j, -14.93, -10.916j, 52.0786, 17.29544j, -38.147584],
+                             [1, 1.2j, -10.43, -7.416j, 24.5936, 7.74144j, -11.075584]))
+
+
+@pytest.mark.parametrize("k", [0.5, 3.0, 10.0])
+@pytest.mark.parametrize("medium", ["lossy Drude", "three-pole-pair"])
+def test_flow_map_carries_the_decaying_solution_exactly(medium, k, drude_problem):
+    """The start vector is an eigenvector of M, so the flow to 0 only scales it by
+    e^(mu X): (ik, mu) on the right, (-ik, mu) on the left. The direction agrees to
+    1e-13; the vector to the rounding of its phase mu X, some eps |mu X|."""
+    problem = drude_problem if medium == "lossy Drude" else THREE_POLE_PAIRS
+    modes = eigen_omegas(k, problem)
+    assert modes
+    for m in modes:
+        for side, sign in (("+", 1), ("-", -1)):
+            wv = m.omega * m.omega * wtilde(problem.side(side), m.omega)
+            mu = principal_sqrt(k * k - wv)
+            X = 25.0 / mu.real
+            exact = (np.exp(mu * X) * sign * 1j * k, np.exp(mu * X) * mu)
+            phi = fd_oracle._integrate_decaying(m.omega, k, problem, side, fd_oracle.DEFAULT_TOL)
+            ratio = exact[0] / exact[1]
+            assert abs(phi[0] / phi[1] - ratio) <= 1e-13 * abs(ratio), (m.omega, side)
+            err = max(abs(got - ref) for got, ref in zip(phi, exact))
+            bound = (1e-13 + 4 * np.finfo(float).eps * abs(mu * X)) * max(map(abs, exact))
+            assert err <= bound, (m.omega, side)
+
+
 def test_shooting_does_not_lean_on_the_closed_form_start(drude_problem, monkeypatch):
     # a wrong mu gives a wrong start direction; the backward flow must wash
     # it out, so the roots still come from the flow of M alone

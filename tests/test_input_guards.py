@@ -1,9 +1,11 @@
-"""Inputs refused before any work: an omega whose decay rates are NaN, and
-trace grids or eigen k sweeps beyond the size caps."""
+"""Inputs refused before any work: an omega whose decay rates are NaN, trace
+grids or eigen k sweeps beyond the size caps, and a tolerance named twice in
+PENCIL_SPECTRA_TOL."""
 
 import pytest
 
 from pencil_spectra import DielectricModel, InterfaceProblem, RhsField, solve
+from pencil_spectra.complex_numerics import Tolerances
 from pencil_spectra.errors import PencilSpectraError, PreconditionError
 from pencil_spectra.resolvent import make_grid
 from pencil_spectra.trace_cli import MAX_EIGEN_KS, MAX_TRACE_CELLS, _parse_grid, _parse_k, main
@@ -66,3 +68,15 @@ def test_the_caps_themselves_are_accepted():
     assert len(_parse_k(f"0:1:{MAX_EIGEN_KS}", sweep=True)) == MAX_EIGEN_KS
     with pytest.raises(PencilSpectraError):
         _parse_k(f"0:1:{MAX_EIGEN_KS + 1}", sweep=True)
+
+
+def test_a_tolerance_named_twice_is_refused(drude_cfg, capsys, monkeypatch):
+    value = "ray_imag_tol=1e-3, ray_imag_tol=1e-12"
+    with pytest.raises(ValueError, match="tolerance 'ray_imag_tol' given twice"):
+        Tolerances.from_env({"PENCIL_SPECTRA_TOL": value})
+    monkeypatch.setenv("PENCIL_SPECTRA_TOL", value)
+    assert main(["classify", "--config", drude_cfg, "--omega", "0,0.5", "--k", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("FAIL configuration: ")
+    assert "tolerance 'ray_imag_tol' given twice" in captured.err

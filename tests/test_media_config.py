@@ -1,8 +1,9 @@
 """Media and their config: a medium with a non-finite coefficient is rejected where it
 is built (the library raises ValueError, the CLI prints an ``error:`` line and exits
 with 2), the top-level scale is read with a message naming its key and line, the
-keys of each kind come from one table, and PENCIL_SPECTRA_TOL reaches the
-common-root cancellation of a rational medium read from a config."""
+keys of each kind come from one table, a key given twice names both its lines, and
+PENCIL_SPECTRA_TOL reaches the common-root cancellation of a rational medium read
+from a config."""
 import math
 
 import pytest
@@ -100,6 +101,27 @@ def test_a_scale_not_finite_and_positive_names_its_key_and_line(literal, tmp_pat
     # a library caller meets the medium's own check
     with pytest.raises(ValueError, match="scale must be a positive real"):
         DielectricModel.constant(3.0, scale=float(literal))
+
+
+MINUS = '[minus]\nkind = "constant"\nvalue = -3.0\n'
+
+
+@pytest.mark.parametrize("text, key, first, second", [
+    (PLUS + "value = -3.0\n" + MINUS, "value", 3, 4),
+    (PLUS + MINUS + "[plus]\nvalue = 5.0\n", "value", 3, 8),   # a reopened section
+    ("scale = 1.0\nscale = 2.0\n" + PLUS + MINUS, "scale", 1, 2),
+], ids=["one section", "reopened section", "scale"])
+def test_a_key_given_twice_names_it_and_both_lines(text, key, first, second, tmp_path, capsys):
+    message = f"<config>:{second}: key '{key}' given twice (lines {first} and {second})"
+    with pytest.raises(ConfigError) as info:
+        parse_problem_config(text)
+    assert str(info.value) == message
+    path = tmp_path / "m.cfg"
+    path.write_text(text)
+    assert main(["classify", "--config", str(path), "--omega", "0,0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}{message.removeprefix('<config>')}\n"
 
 
 def test_each_kind_lists_its_keys():

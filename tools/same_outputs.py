@@ -12,7 +12,8 @@ codes, standard output and standard error are compared, with the timings
 stripped from ``check`` lines, and so is every output file, byte for byte.
 ``check`` also runs at k away from the benchmark's (``EXTRA_CHECKS``, on the
 ``modes`` workload's configs; k = 0 runs the k = 0 paths of the resolvent and
-the FD solve), so that a rounding change in an oracle there shows as well.
+the FD solve, k = 1e100 the FAIL lines of oracles that break down), so that a
+rounding change in an oracle there shows as well.
 ``eigen`` also runs at k up to 1e33 (``EXTRA_EIGENS``, on the same configs),
 where the roots of the eigenvalue polynomial differ by some 30 orders of
 magnitude, so that a change in the large-k root path shows as well.
@@ -49,7 +50,7 @@ SEEDS = (1, 2)
 CHECK_TIMING = re.compile(r"^((?:PASS|FAIL) \S+) \(\d+(?:\.\d+)?s\)", re.MULTILINE)
 EXTRA_CHECKS = (("drude.cfg", 0.0), ("drude.cfg", 0.5), ("drude.cfg", 1.0), ("drude.cfg", 10.0),
                 ("drude.cfg", 1000.0), ("rational.cfg", 0.5), ("rational.cfg", 3.0),
-                ("rational.cfg", 1000.0))   # (config of the modes workload, k)
+                ("rational.cfg", 1000.0), ("rational.cfg", 1e100))   # (config of modes, k)
 EXTRA_EIGENS = (("drude.cfg", "1e30:1e33:4"), ("rational.cfg", "1e30:1e33:4"))   # (config, --k)
 EXTRA_RESOLVES = (("drude.cfg", "0.2,0.7", 0.0, "1.0:2.0", 1e-3),
                   ("rational.cfg", "0.3,0.6", 3.0, "1.0:2.0", 1e-3),

@@ -34,5 +34,10 @@ run trace --config rational.cfg --grid=-4:4:81,-1.2:0.4:17 --dim 2 --out rationa
 run eigen --config rational.cfg --k 0.5:3:6 --out rational_eigen
 run resolve --config rational.cfg --omega 0.3,0.6 --k 3 --h 0.01 --out rational_resolve
 run check --config rational.cfg --k 3
+# at huge k the oracles break down quietly: exit 1, four PASS/FAIL lines, no warning
+status=0
+run check --config rational.cfg --k 1e100 > huge_k.txt || status=$?
+test "$status" -eq 1
+test "$(grep -c -E '^(PASS|FAIL) ' huge_k.txt)" -eq 4
 # the plasmon pair at k = 1e32, beside light-line roots near 1e32
 test "$(run eigen --config drude.cfg --k 1e32 | grep -c '1.0442283589,-0.5,')" -eq 2
