@@ -21,8 +21,8 @@ Classification is total: domain or singularity issues are encoded in the
 record, never thrown, so grid tracing cannot abort. All functions are pure.
 
 in_M and in_N (so in_M2, in_M at k = 0) read one bit of the code (M_PLUS,
-M_MINUS, IN_N), in_N2 also returns the 2D witness, and modes.eigen_sweep keeps
-the polynomial roots of a whole k sweep whose code is IN_N, one k per root.
+M_MINUS, IN_N), in_N2 also returns the 2D witness, and modes.roots_in_set keeps
+the polynomial roots whose code has a set's bit (eigen_sweep's and the overlays').
 """
 
 from __future__ import annotations

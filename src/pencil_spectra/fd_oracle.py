@@ -300,8 +300,7 @@ def _d1_grid(u: np.ndarray, grid: Grid) -> np.ndarray:
     return np.concatenate([np.gradient(half, grid.h, edge_order=2) for half in halves])
 
 
-def direct_solve(omega: complex, k: float, r: RhsField,
-                 disc: DiscretizedPencil) -> np.ndarray:
+def direct_solve(k: float, r: RhsField, disc: DiscretizedPencil) -> np.ndarray:
     """Structured solve of the discretized system; returns u of shape (3, N).
 
     u2 and u3 come from the two scalar blocks, each solved in DST coordinates;
@@ -363,6 +362,12 @@ def _integrate_decaying(omega, k, problem, side, tol):
     return cosh * v0[0] + sinhc * b * v0[1], sinhc * c * v0[0] + cosh * v0[1]
 
 
+def _pow2_scaled(phi):
+    """phi times the power of two that puts |phi[1]| in [1/2, 1), exactly."""
+    e = -math.frexp(abs(phi[1]))[1]
+    return [complex(math.ldexp(c.real, e), math.ldexp(c.imag, e)) for c in phi]
+
+
 def shoot_determinant(omega: complex, k: float, problem: InterfaceProblem,
                       tol: Tolerances = DEFAULT_TOL) -> complex:
     """Normalized interface-matching determinant; zero exactly at eigenvalues.
@@ -374,8 +379,9 @@ def shoot_determinant(omega: complex, k: float, problem: InterfaceProblem,
     if k == 0.0:
         raise PreconditionError("the (u1, u2) matching system degenerates at k = 0")
     wt_p, wt_m = w_values(problem, omega, tol)[:2]
-    phi_p = _integrate_decaying(omega, k, problem, "+", tol)
-    phi_m = _integrate_decaying(omega, k, problem, "-", tol)
+    # exactly scaled, det / scale keeps its bits and its products stay in range at any k
+    phi_p, phi_m = (_pow2_scaled(_integrate_decaying(omega, k, problem, side, tol))
+                    for side in "+-")
     det = wt_p * phi_p[0] * phi_m[1] - wt_m * phi_m[0] * phi_p[1]
     scale = (abs(wt_p * phi_p[0] * phi_m[1]) + abs(wt_m * phi_m[0] * phi_p[1]))
     return det / scale if scale > 0 else det

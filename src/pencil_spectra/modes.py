@@ -3,13 +3,14 @@
 Eigenvalues are the zeros of k^2 (W_+ + W_-) - W_+ W_- surviving a filter
 chain (poles, exceptional set, essential rays, unsquared matching identity);
 for rational media the zeros come from one cleared-denominator polynomial, so
-the search is exact. eigen_sweep solves the polynomials of a whole k sweep
-as one family and keeps the roots classify_array puts in N^(k); mode_residuals
-checks all modes in one array pass. Eigenfunctions are the explicit two-sided
-exponentials with decay rates mu_pm = sqrt(k^2 - W_pm), Re mu_pm > 0.
+the search is exact. roots_in_set samples a set as the roots of a polynomial
+family that one classify_array call puts in it: eigen_sweep's N^(k) over a k
+sweep, and the portrait's overlays. mode_residuals checks all modes in one array
+pass. Eigenfunctions are the explicit two-sided exponentials with decay rates
+mu_pm = sqrt(k^2 - W_pm), Re mu_pm > 0.
 
 Each Weyl member is built where the classifier's predicate puts omega in its set:
-in_M, near_omega0 (the side's W = 0 tag), in_M2, and in_N2 with its witness a.
+in_M, near_omega0 (the side's W = 0 tag), in_M2, and in_N2 (and its witness a).
 Residual norms are closed forms in the decay rates and the cutoff bump's norms
 ||phi^(m)||, m <= 3 (the 2D interface-guided one through Parseval's identity in
 the Fourier fiber), never numerical derivatives of samples: the decay rates
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complex_numerics import DEFAULT_TOL, Tolerances, cabs, poly_roots_family, principal_sqrt
-from .classify1d import IN_N, classify_array, in_M, in_M2, in_N2
+from .classify1d import IN_N, POINTWISE, classify_array, in_M, in_M2, in_N2
 from .dielectric import (
     DielectricModel,
     InterfaceProblem,
@@ -170,40 +171,57 @@ def _make_mode(omega, k, w_p, w_m):
                        v_plus=v_plus, v_minus=v_minus)
 
 
+def roots_in_set(family, params, k, bit: int, problem: InterfaceProblem,
+                 tol: Tolerances = DEFAULT_TOL):
+    """(z, row, errors): the roots z of the rows of family(params) whose classify_array
+    code at k (a wavenumber, None for the 2D pencil, or one per param) has bit, the
+    row of each root, and the PencilSpectraError of each row poly_roots_family
+    refuses. A row of degree 0 has no roots, nor has a family that raises (a black-box
+    medium). Roots coded POINTWISE are in no set: those on S or Omega_0, and those
+    where W~ is not finite (Horner overflows from |omega| ~ 1e52 on a three-pole-pair).
+    """
+    roots, row, errors = [], [], []
+    with np.errstate(all="ignore"):
+        try:
+            q = np.asarray(family(np.asarray(params, dtype=float)))
+        except PencilSpectraError:
+            q = np.zeros((0, 1))
+        solved = np.flatnonzero((q[:, :-1] != 0).any(axis=1))   # degree >= 1
+        for i, found in zip(solved.tolist(), poly_roots_family(q[solved], tol)):
+            if isinstance(found, PencilSpectraError):
+                errors.append(found)
+            else:
+                roots += [z for z, _ in found]
+                row += [i] * len(found)
+        z, row = np.array(roots, dtype=complex), np.array(row, dtype=int)
+        codes = classify_array(z, k if np.ndim(k) == 0 else np.asarray(k)[row], problem, tol).codes
+    keep = (codes != POINTWISE) & (codes & bit != 0)
+    return z[keep], row[keep], errors
+
+
 def eigen_sweep(ks, problem: InterfaceProblem, tol: Tolerances = DEFAULT_TOL) -> list:
     """The plasmon eigenvalues in N^(k) of each k of a sweep: per k, a list of
-    PlasmonMode records sorted by (Re, Im) omega.
-
-    The eigenvalue polynomials of all k are solved as one poly_roots_family. A
-    root is kept exactly when classify_array, at its own k, codes it IN_N (off S,
-    Omega_0 and the essential rays, with the unsquared matching identity that
-    squaring lost) and it lies off the pole reach, wider than classify's since
-    it is about root accuracy. A member error of the family (a polynomial that
-    overflows) is raised.
+    PlasmonMode records sorted by (Re, Im) omega. They are the roots_in_set of the
+    eigenvalue polynomials (IN_N: off S, Omega_0 and the essential rays, with the
+    unsquared matching identity) off a pole reach wider than classify's, since it is
+    about root accuracy. A member error of the family (one that overflows) is raised.
     """
     if not problem.is_rational:
         raise UnsupportedModelError("eigen_omegas needs rational models on both sides")
+    ka = np.asarray(ks, dtype=float)
+    nonzero = np.flatnonzero(ka != 0.0)   # N^(0) is empty: 0 = W_+ W_- fails off Omega_0
+    z, row, errors = roots_in_set(lambda k: eigenvalue_polynomial(k, problem), ka[nonzero],
+                                  ka[nonzero], IN_N, problem, tol)
+    if errors:
+        raise errors[0]
     reach = max(tol.ray_imag_tol, 1e-9)
     with np.errstate(all="ignore"):
-        ka = np.asarray(ks, dtype=float)
-        q = eigenvalue_polynomial(ka, problem)
-        # N^(0) is empty (0 = W_+ W_- cannot hold off Omega_0); so is the
-        # N^(k) of a constant polynomial
-        solved = np.flatnonzero((ka != 0.0) & (q[:, :-1] != 0).any(axis=1))
-        roots, owner = [], []
-        for i, found in zip(solved.tolist(), poly_roots_family(q[solved], tol)):
-            if isinstance(found, PencilSpectraError):
-                raise found
-            roots += [z for z, _ in found]
-            owner += [i] * len(found)
-        z = np.array(roots, dtype=complex)
-        keep = classify_array(z, ka[owner], problem, tol).codes == IN_N
         for p in singular_points(problem, tol):
-            keep &= ~(cabs(z - p) <= reach * (1.0 + abs(p)))
-        _, _, w_p, w_m = w_values(problem, z[keep], tol)
+            keep = ~(cabs(z - p) <= reach * (1.0 + abs(p)))
+            z, row = z[keep], row[keep]
+        _, _, w_p, w_m = w_values(problem, z, tol)
     sweep = [[] for _ in ks]   # each k's modes in poly_roots' (Re, Im) order
-    for i, root, wp, wm in zip(np.array(owner, dtype=int)[keep].tolist(), z[keep].tolist(),
-                               w_p.tolist(), w_m.tolist()):
+    for i, root, wp, wm in zip(nonzero[row].tolist(), z.tolist(), w_p.tolist(), w_m.tolist()):
         sweep[i].append(_make_mode(root, ks[i], wp, wm))
     return sweep
 
@@ -230,8 +248,7 @@ def eigenfunction_eval(mode: PlasmonMode, x1):
     return out[:, 0] if scalar else out
 
 
-def mode_residuals(modes, grid, problem: InterfaceProblem,
-                   tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def mode_residuals(modes, grid, problem: InterfaceProblem) -> np.ndarray:
     """mode_residual of every mode, in one array pass (a NaN term gives NaN). The modes
     must lie off S, as eigen_sweep's do. |e^(m x1)| = e^(Re m x1) is monotone in x1, so
     on each side it peaks at an extreme node, and only those two nodes are evaluated."""
@@ -259,14 +276,13 @@ def mode_residuals(modes, grid, problem: InterfaceProblem,
     return np.max(parts, axis=0)
 
 
-def mode_residual(mode: PlasmonMode, grid, problem: InterfaceProblem,
-                  tol: Tolerances = DEFAULT_TOL) -> float:
+def mode_residual(mode: PlasmonMode, grid, problem: InterfaceProblem) -> float:
     """max |T_k psi - W psi| over the grid plus the three interface jumps.
 
     Derivatives of the exponential closed form are exact; no finite
     differences enter. The grid must avoid x1 = 0. One mode of mode_residuals.
     """
-    return float(mode_residuals([mode], grid, problem, tol)[0])
+    return float(mode_residuals([mode], grid, problem)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +383,12 @@ class Weyl2DInterfaceReport:
     leading_norm: float       # ||v^(n)||
 
 
-def _interface_profile(omega, a, problem, tol):
-    """psi, its coefficient data, and exponents for the guided construction: needs
-    in_N2(omega) to hold with a its witness, to within equality_tol max(|a|, 1)."""
-    holds, witness = in_N2(omega, problem, tol)
-    if not (holds and abs(a - witness) <= tol.equality_tol * max(abs(a), 1.0)):
-        raise PreconditionError(f"(omega, a={a}) is not in N with witness a: in_N2 gives {witness}")
+def _interface_profile(omega, problem, tol):
+    """psi, its coefficient data, and exponents for the guided construction at
+    k0 = sqrt(a): needs in_N2(omega) to hold, with a its witness."""
+    holds, a = in_N2(omega, problem, tol)
+    if not holds:
+        raise PreconditionError(f"omega={omega} is not in the 2D set N")
     k0 = math.sqrt(a)
     _, _, w_p, w_m = w_values(problem, omega, tol)
     mu_p = principal_sqrt(a - w_p)
@@ -387,21 +403,20 @@ def _half_norm2(coef, alpha):
     return abs(coef) ** 2 / (2.0 * alpha)
 
 
-def weyl_2d_interface_report(omega: complex, a: float, n: int,
-                             problem: InterfaceProblem,
+def weyl_2d_interface_report(omega: complex, n: int, problem: InterfaceProblem,
                              tol: Tolerances = DEFAULT_TOL) -> Weyl2DInterfaceReport:
     """Residual of the interface-guided 2D Weyl member, in closed form.
 
-    The construction is the 1D eigenprofile psi at wavenumber k0 = sqrt(a),
-    modulated by a moving cutoff in x2 and corrected by r_n to stay
-    divergence free. In the Fourier fiber the full residual collapses to
+    The construction is the 1D eigenprofile psi at wavenumber k0 = sqrt(a), a the
+    witness of in_N2(omega), modulated by a moving cutoff in x2 and corrected by r_n
+    to stay divergence free. In the Fourier fiber the full residual collapses to
       R(x1, k) ~ kappa k hat-phi(kappa) [ (k + k0) psi1, i psi1' + (k0^2/k) psi2, 0 ]
     with kappa = n (k - k0). The x1-norms are exact exponential integrals, and
     the kappa integrals are Parseval moments of the bump: with hat-phi even,
     int kappa^(2m) |hat-phi|^2 dkappa = ||phi^(m)||^2 and the odd moments vanish.
     """
     omega = complex(omega)
-    k0, _, _, mu_p, mu_m, v_p, v_m = _interface_profile(omega, a, problem, tol)
+    k0, _, _, mu_p, mu_m, v_p, v_m = _interface_profile(omega, problem, tol)
     ap, am = mu_p.real, mu_m.real
     _, nphi1, nphi2, nphi3 = _bump_constants()
 
@@ -433,11 +448,10 @@ def weyl_2d_interface_report(omega: complex, a: float, n: int,
     )
 
 
-def weyl_residual_2d_interface(omega: complex, a: float, n: int,
-                               problem: InterfaceProblem,
+def weyl_residual_2d_interface(omega: complex, n: int, problem: InterfaceProblem,
                                tol: Tolerances = DEFAULT_TOL) -> float:
     """||L(omega) u^(n)|| for the interface-guided 2D Weyl sequence."""
-    return weyl_2d_interface_report(omega, a, n, problem, tol).residual_norm
+    return weyl_2d_interface_report(omega, n, problem, tol).residual_norm
 
 
 def fit_loglog_slope(ns, values) -> float:

@@ -4,10 +4,10 @@ solve resolvent problems, and run the oracle cross-check suites.
 Subcommands: classify, trace, eigen, resolve, check. Outputs are plain CSV
 (byte-deterministic for fixed inputs) and a minimal hand-written SVG raster
 with overlay markers; no timestamps are emitted. The markers of M+, M- and N
-are sampled preimages (_preimage_points) of one set definition for every
-rational medium and both pencils, kept where classify_array puts them in the
-set. The environment variable PENCIL_SPECTRA_TOL ("name=value,name=value")
-overrides default tolerances, for the raster and the overlays alike.
+are the roots of polynomial families that modes.roots_in_set keeps where
+classify_array puts them in the set, for every rational medium and both pencils.
+The environment variable PENCIL_SPECTRA_TOL ("name=value,name=value") overrides
+default tolerances, for the raster and the overlays alike.
 Each subcommand imports only the modules it runs, and run() skips the final
 garbage collection (README, "Import and exit cost").
 """
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify1d import (IN_N, M_MINUS, M_PLUS, ArrayClassification, SpectrumClass, classify,
-                         classify2, classify_array, in_N2)
-from .complex_numerics import DEFAULT_TOL, Tolerances, poly_roots_family
+                         classify2, classify_array)
+from .complex_numerics import DEFAULT_TOL, Tolerances
 from .config import load_problem
 from .dielectric import InterfaceProblem, omega0_set, singular_points
 from .errors import PencilSpectraError, PreconditionError
@@ -65,7 +65,8 @@ class PortraitGrid:
 
 
 def trace_portrait(problem: InterfaceProblem, grid_spec, k: float | None,
-                   dim: int, tol: Tolerances, overlays: bool = True) -> PortraitGrid:
+                   tol: Tolerances, overlays: bool = True) -> PortraitGrid:
+    """The classified grid and the overlays of the 1D pencil at k (k=None: the 2D one)."""
     (re0, re1, nx), (im0, im1, ny) = grid_spec
     re_axis = np.linspace(re0, re1, nx)
     im_axis = np.linspace(im0, im1, ny)
@@ -73,17 +74,14 @@ def trace_portrait(problem: InterfaceProblem, grid_spec, k: float | None,
     points.real = re_axis
     points.imag = im_axis[:, None]
 
-    k = k if dim == 1 else None   # the 2D pencil, for the raster and the overlays alike
     cells = classify_array(points, k, problem, tol)
     classes = cells.raster_classes()
 
     ov: dict = {}
     if overlays and problem.is_rational:
-        from .modes import eigenvalue_polynomial
         ov["S"] = list(singular_points(problem, tol))
         ov["Omega0"] = [p.omega for p in omega0_set(problem, tol)]
-        ov["N"] = (_n_points_2d(problem, tol) if k is None else _preimage_points(
-            lambda ks: eigenvalue_polynomial(ks, problem), [k], k, IN_N, problem, tol))
+        ov["N"] = _n_points(problem, k, tol)
         ov["M+boundary"] = _ray_points(problem, "+", k, tol)
         ov["M-boundary"] = _m_minus_boundary(problem, k, tol)
 
@@ -116,34 +114,15 @@ _N2_WITNESSES = np.geomspace(1e-3, 1e3, 160)
 _RAY_OFFSETS = np.concatenate(([0.0], np.geomspace(1e-3, 1e3, 200)))
 
 
-def _preimage_points(family, params, k, bit: int, problem: InterfaceProblem,
-                     tol: Tolerances) -> list:
-    """The roots of the polynomials family(params), one per row, whose
-    classify_array code has bit (k=None is the 2D pencil); a member raising
-    PencilSpectraError (one that overflows) is skipped, and a family raising
-    it (a black-box medium has no polynomials) has no points."""
-    try:
-        with np.errstate(all="ignore"):
-            polys = family(np.asarray(params, dtype=float))
-            found = poly_roots_family(polys, tol)
-    except PencilSpectraError:
-        return []
-    roots = [z for member in found
-             if not isinstance(member, PencilSpectraError) for z, _ in member]
-    codes = classify_array(np.array(roots, dtype=complex), k, problem, tol).codes
-    # points decided one at a time (code POINTWISE) lie on S or Omega_0, in no set
-    return [z for z, c in zip(roots, codes.tolist()) if c >= 0 and c & bit]
-
-
 def _ray_points(problem: InterfaceProblem, side: str, k, tol: Tolerances,
                 offsets=_RAY_OFFSETS) -> list:
     """Sampled ray set M_side^(k) of a rational medium: the omega with W_side = t,
     t = k0^2 + max(k0^2, 1) * offsets, k0 = k (k = None: the 2D pencil, k0 = 0)."""
-    from .modes import ray_polynomial
+    from .modes import ray_polynomial, roots_in_set
     k2 = 0.0 if k is None else k * k
     model, bit = (problem.plus, M_PLUS) if side == "+" else (problem.minus, M_MINUS)
-    return _preimage_points(lambda o: ray_polynomial(model, k2 + max(k2, 1.0) * o),
-                            offsets, k, bit, problem, tol)
+    return roots_in_set(lambda o: ray_polynomial(model, k2 + max(k2, 1.0) * o),
+                        offsets, k, bit, problem, tol)[0].tolist()
 
 
 def _m_minus_boundary(problem: InterfaceProblem, k, tol: Tolerances = DEFAULT_TOL) -> list:
@@ -152,11 +131,13 @@ def _m_minus_boundary(problem: InterfaceProblem, k, tol: Tolerances = DEFAULT_TO
     return _ray_points(problem, "-", k, tol)
 
 
-def _n_points_2d(problem: InterfaceProblem, tol: Tolerances) -> list:
-    """Sampled 2D interface set N: eigenvalue-polynomial roots over the witnesses a."""
-    from .modes import eigenvalue_polynomial
-    return _preimage_points(lambda a: eigenvalue_polynomial(np.sqrt(a), problem),
-                            _N2_WITNESSES, None, IN_N, problem, tol)
+def _n_points(problem: InterfaceProblem, k, tol: Tolerances) -> list:
+    """Sampled set N of a rational medium: the eigenvalue-polynomial roots at k, or
+    (k = None: the 2D pencil) at k0 = sqrt(a) over the witnesses a."""
+    from .modes import eigenvalue_polynomial, roots_in_set
+    return roots_in_set(lambda k0: eigenvalue_polynomial(k0, problem),
+                        np.sqrt(_N2_WITNESSES) if k is None else [k], k, IN_N, problem,
+                        tol)[0].tolist()
 
 
 def write_portrait_csv(path, pg: PortraitGrid) -> None:
@@ -328,10 +309,10 @@ def cmd_trace(args, tol) -> int:
     problem = load_problem(args.config, tol)
     grid_spec = _parse_grid(args.grid)
     k = _parse_k(args.k) if args.k is not None else None
-    dim = 2 if args.dim == 2 else 1
-    if dim == 1 and k is None:
+    if args.dim == 1 and k is None:
         raise PencilSpectraError("1D trace needs --k (or pass --dim 2)")
-    pg = trace_portrait(problem, grid_spec, k, dim, tol, overlays=not args.no_overlays)
+    pg = trace_portrait(problem, grid_spec, None if args.dim == 2 else k, tol,
+                        overlays=not args.no_overlays)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "portrait.csv")
     svg_path = os.path.join(args.out, "portrait.svg")
@@ -373,7 +354,7 @@ def cmd_eigen(args, tol) -> int:
     lines = [header]
     grid = np.linspace(-8.0, 8.0, 257)
     grid = grid[grid != 0.0]
-    residuals = mode_residuals([m for _, _, m in rows], grid, problem, tol)
+    residuals = mode_residuals([m for _, _, m in rows], grid, problem)
     for (k, bid, m), res in zip(rows, residuals.tolist()):
         lines.append(
             f"{k:.12g},{bid},{m.omega.real:.12g},{m.omega.imag:.12g},"
@@ -490,7 +471,7 @@ def _fd_rel_error(omega, k, h, problem, tol) -> float:
     r2 = lambda x: bump((np.asarray(x) - 1.5) / 0.5)
     r = RhsField.from_callables(grid, k, r2_fn=r2, r3_fn=r2, support=(1.0, 2.0))
     sol = solve(omega, k, r, problem, tol)
-    u_fd = direct_solve(omega, k, r, discretize(omega, k, problem, grid=grid, tol=tol))
+    u_fd = direct_solve(k, r, discretize(omega, k, problem, grid=grid, tol=tol))
     return float(np.linalg.norm(sol.u - u_fd) / np.linalg.norm(sol.u))
 
 
@@ -509,7 +490,7 @@ def _suite_resolvent(problem, k, tol):
 
 def _suite_weyl(problem, k, tol):
     """Weyl residual slopes: 1D at the largest omega with W_+ = k^2 + max(k^2, 1)
-    in M_+ (FAIL when there is none); 2D at the last point of _n_points_2d, a root
+    in M_+ (FAIL when there is none); 2D at the last point of _n_points, a root
     of the largest witness a that has one (skipped when there is none): the 2D
     residual shows its n^-1 rate only once n is large against 1/sqrt(a) (lossy
     Drude, n = 8..64: slope -2.15 at a = 1e-3, -1.02 to -1.000 for a >= 8)."""
@@ -524,13 +505,11 @@ def _suite_weyl(problem, k, tol):
     slope = fit_loglog_slope(ns, res)
     details = [f"1D slope = {slope:.3f}"]
     ok = -1.15 <= slope <= -0.85
-    guided = _n_points_2d(problem, tol)
+    guided = _n_points(problem, None, tol)
     if not guided:
         details.append("no interface-guided 2D point; skipped")
     else:
-        om2 = guided[-1]
-        _, a = in_N2(om2, problem, tol)
-        res2 = [weyl_2d_interface_report(om2, a, n, problem, tol).residual_norm for n in ns]
+        res2 = [weyl_2d_interface_report(guided[-1], n, problem, tol).residual_norm for n in ns]
         slope2 = fit_loglog_slope(ns, res2)
         details.append(f"2D slope = {slope2:.3f}")
         ok = ok and -1.15 <= slope2 <= -0.85

@@ -153,8 +153,7 @@ def test_trace_overlay_consistency(cfg, tmp_path, capsys):
 
     path = cfg(DRUDE_CFG)
     problem = load_problem(path)
-    pg = trace_portrait(problem, ((-4, 4, 161), (-1.2, 0.4, 65)), 3.0, 1,
-                        Tolerances())
+    pg = trace_portrait(problem, ((-4, 4, 161), (-1.2, 0.4, 65)), 3.0, Tolerances())
     nx = pg.re_axis.size
     for z in pg.overlays.get("N", []):
         i = int(np.argmin(np.abs(pg.re_axis - z.real)))
@@ -612,6 +611,16 @@ def test_check_at_huge_k_fails_its_suites_without_a_traceback(cfg, text, k):
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert len(lines) == 4 and all(line.startswith(("PASS ", "FAIL ")) for line in lines), lines
     assert "Traceback" not in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("text", [DRUDE_CFG, THREE_POLE_PAIRS_CFG], ids=["drude", "rational"])
+def test_shoot_suite_passes_at_k_1e150(text):
+    """The flow-map vectors grow like e^25 k; scaled by a power of two before the
+    determinant multiplies them, they do not overflow at k = 1e150."""
+    from pencil_spectra.complex_numerics import DEFAULT_TOL
+    from pencil_spectra.trace_cli import _suite_shoot
+    ok, detail = _suite_shoot(parse_problem_config(text), 1e150, DEFAULT_TOL)
+    assert ok, detail
 
 
 @pytest.mark.parametrize("text, k", [(DRUDE_CFG, "1e60"), (DRUDE_CFG, "1e100"),

@@ -35,7 +35,7 @@ def test_direct_solve_zero_rhs(drude_problem):
     grid = make_grid(6.0, 1 / 50)
     disc = discretize(0.5j, 3.0, drude_problem, grid=grid)
     r = RhsField.from_callables(grid, 3.0)
-    u = direct_solve(0.5j, 3.0, r, disc)
+    u = direct_solve(3.0, r, disc)
     assert np.allclose(u, 0.0)
 
 
@@ -47,7 +47,7 @@ def test_direct_vs_closed_form_convergence(drude_problem):
         r = _bump_rhs(grid, k)
         sol = solve(omega, k, r, drude_problem)
         disc = discretize(omega, k, drude_problem, grid=grid)
-        u_fd = direct_solve(omega, k, r, disc)
+        u_fd = direct_solve(k, r, disc)
         num = math.sqrt(sum(float(np.sum(np.abs(sol.u[j] - u_fd[j]) ** 2)) for j in range(3)))
         den = math.sqrt(sum(float(np.sum(np.abs(sol.u[j]) ** 2)) for j in range(3)))
         errs[h] = num / den
@@ -64,7 +64,7 @@ def test_direct_solve_k0(equal_problem):
     r = _bump_rhs(grid, k)
     sol = solve(omega, k, r, equal_problem)
     disc = discretize(omega, k, equal_problem, grid=grid)
-    u_fd = direct_solve(omega, k, r, disc)
+    u_fd = direct_solve(k, r, disc)
     den = np.abs(sol.u[1]).max()
     assert np.abs(sol.u[1] - u_fd[1]).max() <= 2e-4 * den
     assert np.abs(sol.u[2] - u_fd[2]).max() <= 2e-4 * den
@@ -75,7 +75,7 @@ def test_direct_solve_k0_u1_is_r1_over_denom(drude_problem):
     grid = make_grid(6.0, 1 / 50)
     disc = discretize(0.5j, 0.0, drude_problem, grid=grid)
     r = _bump_rhs(grid, 0.0)
-    u = direct_solve(0.5j, 0.0, r, disc)
+    u = direct_solve(0.0, r, disc)
     assert disc.denom_plus != disc.denom_minus
     denom = np.where(np.arange(grid.x.size) >= grid.i_zero_plus,
                      disc.denom_plus, disc.denom_minus)
@@ -86,7 +86,7 @@ def test_u3_block_bitwise_consistency(drude_problem):
     grid = make_grid(6.0, 1 / 50)
     disc = discretize(0.5j, 3.0, drude_problem, grid=grid)
     r = _bump_rhs(grid, 3.0)
-    u_full = direct_solve(0.5j, 3.0, r, disc)
+    u_full = direct_solve(3.0, r, disc)
     b3 = np.zeros(grid.x.size, dtype=complex)
     b3[:disc.interior.size] = r.r3[disc.interior]   # equation row i takes node interior[i]
     u3_alone = disc.block3.solve(b3)
@@ -183,7 +183,7 @@ def test_discretize_grid_mismatch(drude_problem):
     disc = discretize(0.5j, 3.0, drude_problem, grid=g1)
     r = _bump_rhs(g2, 3.0)
     with pytest.raises(PreconditionError):
-        direct_solve(0.5j, 3.0, r, disc)
+        direct_solve(3.0, r, disc)
 
 
 def _loop_blocks(sp, omega, k, problem, grid, lam):

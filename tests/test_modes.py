@@ -195,7 +195,7 @@ def test_weyl_2d_interface(guided_2d_problem):
     ok, a = in_N2(-1j, guided_2d_problem)
     assert ok and abs(a - A_WITNESS) < 1e-12
     ns = [8, 16, 32, 64]
-    reps = [weyl_2d_interface_report(-1j, a, n, guided_2d_problem) for n in ns]
+    reps = [weyl_2d_interface_report(-1j, n, guided_2d_problem) for n in ns]
     res = [r.residual_norm for r in reps]
     assert all(x > y for x, y in zip(res, res[1:]))
     slope = fit_loglog_slope(ns, res)
@@ -206,16 +206,14 @@ def test_weyl_2d_interface(guided_2d_problem):
     # normalization c_n stays in a fixed band
     cns = [r.normalization for r in reps]
     assert max(cns) / min(cns) < 1.5
-    with pytest.raises(PreconditionError):
-        weyl_2d_interface_report(-1j, a * 1.7, 8, guided_2d_problem)
 
 
 def test_weyl_2d_interface_at_mode(lossless_problem):
-    # a 1D mode yields the witness a = k^2; the guided sequence must accept it
+    # a 1D mode yields the witness a = k^2; the guided sequence runs at k0 = sqrt(a)
     mode = [m for m in eigen_omegas(3.0, lossless_problem)
             if abs(m.omega - PLASMON) < 1e-9][0]
-    rep = weyl_2d_interface_report(mode.omega, 9.0, 16, lossless_problem)
-    assert rep.k0 == 3.0 and rep.residual_norm > 0
+    rep = weyl_2d_interface_report(mode.omega, 16, lossless_problem)
+    assert rep.k0 == math.sqrt(in_N2(mode.omega, lossless_problem)[1]) and rep.residual_norm > 0
 
 
 @pytest.mark.parametrize("medium", ["lossless", "rational"])
@@ -293,10 +291,10 @@ def test_bump_norms_are_the_parseval_moments(m):
         assert (norm**2 - truncated) / norm**2 > 5e-6
 
 
-def _quadrature_report(omega, a, n, problem):
+def _quadrature_report(omega, n, problem):
     """(residual, c_n, ||r_n||, ||v^(n)||) of the guided 2D member with every kappa
     integral summed on _kappa_rule, from the Fourier-fiber residual with its 1/k."""
-    k0, _, _, mu_p, mu_m, v_p, v_m = modes._interface_profile(omega, a, problem, DEFAULT_TOL)
+    k0, _, _, mu_p, mu_m, v_p, v_m = modes._interface_profile(omega, problem, DEFAULT_TOL)
     kap, dk, phat = _kappa_rule(1000.0)
     ph2 = phat**2
     kk = k0 + kap / n
@@ -318,11 +316,8 @@ def test_weyl_2d_interface_closed_form_is_the_kappa_integral(k, n, guided_2d_pro
     """The Parseval closed form equals the kappa integral of the Fourier-fiber residual
     summed far past the bump's decay: at the 2D example's witness (-i, a = 3.42) and at
     the 1D modes of largest Re omega at a = 1e-3 and a = 900."""
-    if k is None:
-        omega, a = -1j, A_WITNESS
-    else:
-        omega, a = eigen_omegas(k, guided_2d_problem)[-1].omega, k * k
-    rep = weyl_2d_interface_report(omega, a, n, guided_2d_problem)
+    omega = -1j if k is None else eigen_omegas(k, guided_2d_problem)[-1].omega
+    rep = weyl_2d_interface_report(omega, n, guided_2d_problem)
     closed = (rep.residual_norm, rep.normalization, rep.correction_norm, rep.leading_norm)
-    assert closed == pytest.approx(_quadrature_report(omega, a, n, guided_2d_problem),
+    assert closed == pytest.approx(_quadrature_report(omega, n, guided_2d_problem),
                                    rel=1e-11)

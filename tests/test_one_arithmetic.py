@@ -187,9 +187,8 @@ def test_the_set_tests_receive_only_numpy_arrays(monkeypatch):
         in_M2("-", z, problem), in_N2(z, problem)
         _accepts(weyl_sequence_1d, z, 3.0, 8, "+", "plane_wave", problem)
         _accepts(weyl_sequence_2d_bulk, z, "+", 8, problem)
-    ok, a = in_N2(mode.omega, problem)
-    assert ok
-    weyl_2d_interface_report(mode.omega, a, 8, problem)
+    assert in_N2(mode.omega, problem)[0]
+    weyl_2d_interface_report(mode.omega, 8, problem)
     black_box = InterfaceProblem(DielectricModel.constant(2.0), _counting_drude()[0])
     classify(0.3 + 0.4j, 3.0, black_box)
     classify2(0.3 + 0.4j, black_box)

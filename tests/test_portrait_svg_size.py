@@ -25,7 +25,7 @@ def _size_and_circles(path):
     (((0.5, 0.5, 1), (0.5, 0.5, 1)), _SVG_WIDTH),
 ])
 def test_one_node_axes_give_square_cells(grid, height, drude_problem, tmp_path):
-    pg = trace_portrait(drude_problem, grid, 3.0, 1, DEFAULT_TOL)
+    pg = trace_portrait(drude_problem, grid, 3.0, DEFAULT_TOL)
     write_portrait_svg(tmp_path / "p.svg", pg)
     width, got, _ = _size_and_circles(tmp_path / "p.svg")
     nx, ny = grid[0][2], grid[1][2]
@@ -61,8 +61,8 @@ def test_cli_trace_with_a_one_node_axis(tmp_path, capsys):
 def test_markers_on_a_one_node_axis(drude_problem, tmp_path):
     # the real axis as a one-node imaginary axis: the M+ rays |Re| > sqrt(k^2 / 2) lie
     # on its middle line, at the same x as on a multi-node grid over the same Re range
-    strip = trace_portrait(drude_problem, ((-4.0, 4.0, 11), (0.0, 0.0, 1)), 3.0, 1, DEFAULT_TOL)
-    plane = trace_portrait(drude_problem, ((-4.0, 4.0, 11), (-0.5, 0.5, 11)), 3.0, 1, DEFAULT_TOL)
+    strip = trace_portrait(drude_problem, ((-4.0, 4.0, 11), (0.0, 0.0, 1)), 3.0, DEFAULT_TOL)
+    plane = trace_portrait(drude_problem, ((-4.0, 4.0, 11), (-0.5, 0.5, 11)), 3.0, DEFAULT_TOL)
     write_portrait_svg(tmp_path / "strip.svg", strip)
     write_portrait_svg(tmp_path / "plane.svg", plane)
     _, height, circles = _size_and_circles(tmp_path / "strip.svg")
@@ -74,7 +74,7 @@ def test_markers_on_a_one_node_axis(drude_problem, tmp_path):
                       if abs(y - 0.5 * 90) <= 0.01)
     assert xs[0] == plane_xs[0] and xs[-1] == plane_xs[-1]
     # a single node: the picture is one unit wide, centred on it
-    one = trace_portrait(drude_problem, ((3.0, 3.0, 1), (0.0, 0.0, 1)), 3.0, 1, DEFAULT_TOL)
+    one = trace_portrait(drude_problem, ((3.0, 3.0, 1), (0.0, 0.0, 1)), 3.0, DEFAULT_TOL)
     write_portrait_svg(tmp_path / "one.svg", one)
     width, height, circles = _size_and_circles(tmp_path / "one.svg")
     assert width == height == _SVG_WIDTH

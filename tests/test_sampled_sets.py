@@ -14,14 +14,8 @@ from pencil_spectra.classify1d import M_PLUS
 from pencil_spectra.complex_numerics import DEFAULT_TOL, poly_roots
 from pencil_spectra.dielectric import singular_set, w
 from pencil_spectra.errors import PencilSpectraError, UnsupportedModelError
-from pencil_spectra.modes import eigenvalue_polynomial, ray_polynomial
-from pencil_spectra.trace_cli import (
-    _m_minus_boundary,
-    _n_points_2d,
-    _preimage_points,
-    _suite_weyl,
-    trace_portrait,
-)
+from pencil_spectra.modes import eigen_omegas, eigenvalue_polynomial, ray_polynomial, roots_in_set
+from pencil_spectra.trace_cli import _m_minus_boundary, _n_points, _suite_weyl, trace_portrait
 from tests.test_classify_array import MEDIA
 
 CELL = 8.0 / 400.0   # one cell of a 400-column raster over [-4, 4]
@@ -99,12 +93,12 @@ def test_m_minus_overlay_for_other_media(name):
 
 
 def test_portrait_draws_the_rational_m_minus_overlay():
-    pg = trace_portrait(MEDIA["lorentz"], ((-4, 4, 21), (-1.2, 0.4, 9)), 3.0, 1, DEFAULT_TOL)
+    pg = trace_portrait(MEDIA["lorentz"], ((-4, 4, 21), (-1.2, 0.4, 9)), 3.0, DEFAULT_TOL)
     assert pg.overlays["M-boundary"] == _m_minus_boundary(MEDIA["lorentz"], 3.0)
 
 
 def _n_points_2d_by_in_n2(problem, tol):
-    """The pointwise sampler _n_points_2d replaced: in_N2 on every root."""
+    """The pointwise sampler _n_points replaced: in_N2 on every root."""
     pts = []
     for a in np.geomspace(1e-3, 1e3, 160):
         try:
@@ -124,12 +118,22 @@ def _n_points_2d_by_in_n2(problem, tol):
 @pytest.mark.parametrize("name", sorted(MEDIA))
 def test_n_points_2d_match_the_pointwise_predicate(name):
     problem = MEDIA[name]
-    assert _n_points_2d(problem, DEFAULT_TOL) == _n_points_2d_by_in_n2(problem, DEFAULT_TOL)
+    assert _n_points(problem, None, DEFAULT_TOL) == _n_points_2d_by_in_n2(problem, DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("name", sorted(MEDIA))
+def test_1d_n_overlay_is_eigen_omegas(name):
+    """roots_in_set's two readers, the portrait's 1D N overlay and eigen_omegas,
+    give the same points at every k of a sweep far past the acceptance suite's."""
+    problem = MEDIA[name]
+    for k in np.geomspace(1e-2, 1e40, 41).tolist():
+        pg = trace_portrait(problem, ((0.0, 0.0, 1), (0.0, 0.0, 1)), k, DEFAULT_TOL)
+        assert pg.overlays["N"] == [m.omega for m in eigen_omegas(k, problem)], k
 
 
 def test_weyl_point_at_k3_is_omega_3(drude_problem):
-    plane = _preimage_points(lambda t: ray_polynomial(drude_problem.plus, t), [18.0], 3.0,
-                             M_PLUS, drude_problem, DEFAULT_TOL)
+    plane = roots_in_set(lambda t: ray_polynomial(drude_problem.plus, t), [18.0], 3.0,
+                         M_PLUS, drude_problem, DEFAULT_TOL)[0].tolist()
     assert abs(max(plane, key=lambda z: (z.real, z.imag)) - 3.0) <= 1e-12
 
 
@@ -145,7 +149,7 @@ def test_weyl_suite_finds_a_1d_point_at_large_k(drude_problem, k):
 @pytest.mark.parametrize("name", sorted(MEDIA))
 @pytest.mark.parametrize("k", [1.0, 3.0, 1000.0])
 def test_weyl_suite_runs_the_2d_slope_on_every_rational_medium(name, k):
-    """The 2D point is the last of _n_points_2d, which every medium of MEDIA
+    """The 2D point is the last of _n_points, which every medium of MEDIA
     has (lossy Drude, with no guided point on the negative imaginary axis, too)."""
     ok, detail = _suite_weyl(MEDIA[name], k, DEFAULT_TOL)
     found = re.search(r"2D slope = (-?\d+\.\d+)", detail)
@@ -156,7 +160,7 @@ def test_weyl_suite_runs_the_2d_slope_on_every_rational_medium(name, k):
 
 def test_weyl_suite_skips_the_2d_slope_without_a_2d_n_point():
     problem = InterfaceProblem(DielectricModel.constant(2.0), DielectricModel.constant(3.0))
-    assert _n_points_2d(problem, DEFAULT_TOL) == []
+    assert _n_points(problem, None, DEFAULT_TOL) == []
     ok, detail = _suite_weyl(problem, 3.0, DEFAULT_TOL)
     assert ok and detail.endswith("no interface-guided 2D point; skipped"), detail
 
@@ -187,8 +191,7 @@ _MEDIUM = st.one_of(
 def test_ray_overlays_lie_in_their_sets(plus, minus, k):
     # k = None is the 2D pencil, whose rays are the open (0, inf)
     problem = InterfaceProblem(plus, minus)
-    pg = trace_portrait(problem, ((-4, 4, 3), (-1.2, 0.4, 3)), k, 1 if k is not None else 2,
-                        DEFAULT_TOL)
+    pg = trace_portrait(problem, ((-4, 4, 3), (-1.2, 0.4, 3)), k, DEFAULT_TOL)
     for name, label in (("M+boundary", "M+"), ("M-boundary", "M-")):
         for z in pg.overlays[name]:
             rec = classify2(z, problem) if k is None else classify(z, k, problem)
@@ -199,7 +202,7 @@ def test_ray_overlays_lie_in_their_sets(plus, minus, k):
 def test_m_plus_overlay_of_a_lossless_drude_plus_side():
     # W_+ = omega^2 - 2 pi 0.64 is real on the real axis: M+ there is |omega| >= sqrt(9 + 1.28 pi)
     problem = InterfaceProblem(DielectricModel.drude(0.8, 0.0), DielectricModel.constant(2.0))
-    pg = trace_portrait(problem, ((-4, 4, 161), (-1.2, 0.4, 65)), 3.0, 1, DEFAULT_TOL)
+    pg = trace_portrait(problem, ((-4, 4, 161), (-1.2, 0.4, 65)), 3.0, DEFAULT_TOL)
     edge = math.sqrt(9.0 + 1.28 * math.pi)
     real = [z.real for z in pg.overlays["M+boundary"] if z.imag == 0.0]
     assert min(real) < -3.0 and max(real) > 3.0
@@ -208,7 +211,7 @@ def test_m_plus_overlay_of_a_lossless_drude_plus_side():
 
 def test_2d_m_plus_overlay_runs_into_the_origin(guided_2d_problem):
     # 2D: W_+ = 2 omega^2 = t over the open ray t > 0, sampled down to t = 1e-3
-    pg = trace_portrait(guided_2d_problem, ((-3, 3, 3), (-2.2, 0.4, 3)), None, 2, DEFAULT_TOL)
+    pg = trace_portrait(guided_2d_problem, ((-3, 3, 3), (-2.2, 0.4, 3)), None, DEFAULT_TOL)
     plus = pg.overlays["M+boundary"]
     assert all(z.imag == 0.0 and z != 0.0 for z in plus)
     assert min(abs(z) for z in plus) <= math.sqrt(1e-3 / 2) + 1e-12

@@ -20,22 +20,21 @@ from pencil_spectra.modes import (
     weyl_sequence_1d,
     weyl_sequence_2d_bulk,
 )
-from pencil_spectra.trace_cli import _n_points_2d
+from pencil_spectra.trace_cli import _n_points
 from tests.test_classify_array import MEDIA
 from tests.test_sampled_sets import _MEDIUM
 
 
 @pytest.mark.parametrize("name", sorted(MEDIA))
 def test_every_sampled_2d_n_point_takes_its_interface_member(name):
-    """Each point of _n_points_2d (1,248 on the three-pole-pair medium) takes the
+    """Each point of _n_points (1,248 on the three-pole-pair medium) takes the
     guided 2D member at in_N2's witness, with a finite residual."""
     problem = MEDIA[name]
-    points = _n_points_2d(problem, DEFAULT_TOL)
+    points = _n_points(problem, None, DEFAULT_TOL)
     assert points
     for omega in points:
-        ok, a = in_N2(omega, problem)
-        assert ok, omega
-        rep = weyl_2d_interface_report(omega, a, 8, problem)
+        assert in_N2(omega, problem)[0], omega
+        rep = weyl_2d_interface_report(omega, 8, problem)
         assert math.isfinite(rep.residual_norm), omega
 
 
@@ -94,11 +93,6 @@ def test_each_construction_raises_exactly_where_its_predicate_fails(plus, minus,
             want = _holds(in_M2, side, z, problem)
             assert _accepts(weyl_sequence_2d_bulk, z, side, 8, problem) == want, ("bulk", z)
             accepted |= {"bulk"} if want else set()
-        try:
-            ok, a = in_N2(z, problem)
-        except PreconditionError:
-            ok, a = False, None
-        assert _accepts(weyl_2d_interface_report, z, a if ok else k * k, 8, problem) == ok, z
-        if ok:   # an a off in_N2's witness by more than equality_tol is refused
-            assert not _accepts(weyl_2d_interface_report, z, a * (1 + 1e-6) + 1e-6, 8, problem)
+        want = _holds(lambda *a: in_N2(*a)[0], z, problem)
+        assert _accepts(weyl_2d_interface_report, z, 8, problem) == want, z
     assert {"plane_wave", "k0_w0", "bulk"} <= accepted

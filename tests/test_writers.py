@@ -65,15 +65,15 @@ def _svg_rects_reference(pg, height):
 
 def test_portrait_writers_match_the_per_cell_writers(drude_problem, guided_2d_problem, tmp_path):
     z2 = omega0_set(guided_2d_problem)[0].omega
-    pgs = [trace_portrait(problem, spec, k, dim, DEFAULT_TOL) for problem, spec, k, dim in [
+    pgs = [trace_portrait(problem, spec, k, DEFAULT_TOL) for problem, spec, k in [
         # imaginary axes ending at -0.0; S at 0 and -i gamma, stamped N and Omega_0 markers
-        (drude_problem, ((-4.0, 4.0, 81), (-1.0, -0.0, 11)), 3.0, 1),
-        (guided_2d_problem, ((-3.0, 3.0, 61), (-2.0, -0.0, 21)), None, 2),
+        (drude_problem, ((-4.0, 4.0, 81), (-1.0, -0.0, 11)), 3.0),
+        (guided_2d_problem, ((-3.0, 3.0, 61), (-2.0, -0.0, 21)), None),
         # axis values of twelve significant digits
-        (drude_problem, ((-4.1 + 1 / 3, 4.0, 61), (-1.2 + 1 / 7, 0.4, 23)), 3.0, 1),
+        (drude_problem, ((-4.1 + 1 / 3, 4.0, 61), (-1.2 + 1 / 7, 0.4, 23)), 3.0),
         # one-node axes through an Omega_0 point
-        (drude_problem, ((OMEGA0_RE, OMEGA0_RE, 1), (-1.0, -0.0, 11)), 3.0, 1),
-        (guided_2d_problem, ((z2.real, z2.real, 1), (z2.imag, z2.imag, 1)), None, 2),
+        (drude_problem, ((OMEGA0_RE, OMEGA0_RE, 1), (-1.0, -0.0, 11)), 3.0),
+        (guided_2d_problem, ((z2.real, z2.real, 1), (z2.imag, z2.imag, 1)), None),
     ]]
     for dim in (1, 2):   # a row with every reduced branch code of the pencil
         cells = ArrayClassification(np.arange(len(REDUCED[dim])), {}, dim)
@@ -187,7 +187,7 @@ def test_svg_draws_only_markers_on_the_picture(drude_problem, tmp_path):
     # the window cuts the imaginary-axis segment of the sampled M- overlay,
     # which also reaches far beyond it to the sides
     (re0, re1, _), (im0, im1, _) = spec = ((-4.0, 4.0, 81), (-0.9, 0.4, 14))
-    pg = trace_portrait(drude_problem, spec, 3.0, 1, DEFAULT_TOL)
+    pg = trace_portrait(drude_problem, spec, 3.0, DEFAULT_TOL)
     write_portrait_svg(tmp_path / "p.svg", pg)
     text = (tmp_path / "p.svg").read_text()
     width, height = map(float, re.search(r'viewBox="0 0 (\S+) (\S+)"', text).groups())
@@ -209,19 +209,19 @@ def test_svg_draws_only_markers_on_the_picture(drude_problem, tmp_path):
 def test_one_node_axis_stamps_only_the_points_on_it(drude_problem):
     # on lossy Drude at k = 3 every N and Omega_0 point lies 0.09-0.5 below the
     # real axis, so a one-row trace of the axis is the raster, unstamped
-    row = trace_portrait(drude_problem, ((-4, 4, 161), (0, 0, 1)), 3.0, 1, DEFAULT_TOL)
+    row = trace_portrait(drude_problem, ((-4, 4, 161), (0, 0, 1)), 3.0, DEFAULT_TOL)
     assert row.overlays["N"] and row.overlays["Omega0"]
     assert row.classes == row.cells.raster_classes()
-    col = trace_portrait(drude_problem, ((0.95, 0.95, 1), (-1.2, 0.4, 65)), 3.0, 1, DEFAULT_TOL)
+    col = trace_portrait(drude_problem, ((0.95, 0.95, 1), (-1.2, 0.4, 65)), 3.0, DEFAULT_TOL)
     assert col.classes == col.cells.raster_classes()
     # a row through the plasmon pair near +-0.97 - 0.41i stamps that pair, not the
     # pair near +-4.03 - 0.09i
     z = min(row.overlays["N"], key=lambda p: abs(p - 0.97))
-    through = trace_portrait(drude_problem, ((-4, 4, 161), (z.imag, z.imag, 1)), 3.0, 1,
+    through = trace_portrait(drude_problem, ((-4, 4, 161), (z.imag, z.imag, 1)), 3.0,
                              DEFAULT_TOL)
     stamped = [x for x, c in zip(through.re_axis, through.classes) if c == "N"]
     assert [round(x, 2) for x in stamped] == [-0.95, 0.95]
     # and a column through an Omega_0 point keeps it and takes no N marker
-    om0 = trace_portrait(drude_problem, ((OMEGA0_RE, OMEGA0_RE, 1), (-1.2, 0.4, 65)), 3.0, 1,
+    om0 = trace_portrait(drude_problem, ((OMEGA0_RE, OMEGA0_RE, 1), (-1.2, 0.4, 65)), 3.0,
                          DEFAULT_TOL)
     assert om0.classes.count("Omega0") == 1 and "N" not in om0.classes

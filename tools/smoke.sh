@@ -39,5 +39,10 @@ status=0
 run check --config rational.cfg --k 1e100 > huge_k.txt || status=$?
 test "$status" -eq 1
 test "$(grep -c -E '^(PASS|FAIL) ' huge_k.txt)" -eq 4
+# flow-map vectors of size e^25 k, scaled by powers of two, still match the modes
+status=0
+run check --config drude.cfg --k 1e150 > huge_k_shoot.txt || status=$?
+test "$status" -eq 1
+grep -q '^PASS shoot-vs-polynomial ' huge_k_shoot.txt
 # the plasmon pair at k = 1e32, beside light-line roots near 1e32
 test "$(run eigen --config drude.cfg --k 1e32 | grep -c '1.0442283589,-0.5,')" -eq 2
