@@ -58,24 +58,29 @@ class SpectrumClass:
     """Full classification record for one omega.
 
     Flag semantics: resolvent and spectrum membership are mutually exclusive
-    for in-domain points; e1 => e2 => e3 => e4 => e5; weyl <=> e2; discrete
-    and e5 are never both true. branch_note names the classification branch
-    that produced the record.
+    for in-domain points; e1 => e2 => e3 => e4 => e5; discrete and e5 are
+    never both true. Every flag defaults to False, so a record names only the
+    flags that hold. weyl is e2 (a Weyl sequence exists exactly on sigma_e2,
+    the Weyl spectrum), not stored. branch_note names the classification
+    branch that produced the record.
     """
 
-    in_domain: bool
-    in_omega0: bool
-    resolvent: bool
-    point_finite: bool
-    point_infinite: bool
-    discrete: bool
-    weyl: bool
-    e1: bool
-    e2: bool
-    e3: bool
-    e4: bool
-    e5: bool
-    branch_note: str
+    in_domain: bool = False
+    in_omega0: bool = False
+    resolvent: bool = False
+    point_finite: bool = False
+    point_infinite: bool = False
+    discrete: bool = False
+    e1: bool = False
+    e2: bool = False
+    e3: bool = False
+    e4: bool = False
+    e5: bool = False
+    branch_note: str = ""
+
+    @property
+    def weyl(self) -> bool:
+        return self.e2
 
     @property
     def in_spectrum(self) -> bool:
@@ -108,26 +113,9 @@ class SpectrumClass:
         return "resolvent"
 
 
-OUTSIDE = SpectrumClass(
-    in_domain=False, in_omega0=False, resolvent=False, point_finite=False,
-    point_infinite=False, discrete=False, weyl=False,
-    e1=False, e2=False, e3=False, e4=False, e5=False, branch_note="S",
-)
-_RESOLVENT = SpectrumClass(
-    True, False, resolvent=True, point_finite=False, point_infinite=False,
-    discrete=False, weyl=False, e1=False, e2=False, e3=False, e4=False, e5=False,
-    branch_note="",
-)
-_ESSENTIAL = SpectrumClass(
-    True, False, resolvent=False, point_finite=False, point_infinite=False,
-    discrete=False, weyl=True, e1=True, e2=True, e3=True, e4=True, e5=True,
-    branch_note="",
-)
-_PLASMON = SpectrumClass(
-    True, False, resolvent=False, point_finite=True, point_infinite=False,
-    discrete=True, weyl=False, e1=False, e2=False, e3=False, e4=False, e5=False,
-    branch_note="",
-)
+OUTSIDE = SpectrumClass(branch_note="S")
+_RESOLVENT = SpectrumClass(in_domain=True, resolvent=True)
+_ESSENTIAL = SpectrumClass(in_domain=True, e1=True, e2=True, e3=True, e4=True, e5=True)
 
 # Branch codes of the reduced branch are bit sets of the memberships found.
 # POINTWISE marks the points decided one at a time by _classify_point.
@@ -143,7 +131,8 @@ def _reduced_record(code: int, dim: int) -> SpectrumClass:
                    if code & bit]
         return replace(_ESSENTIAL, branch_note="2D-reduced/" + "&".join(members))
     if code == IN_N:
-        return replace(_PLASMON, branch_note="reduced/N")
+        return SpectrumClass(in_domain=True, point_finite=True, discrete=True,
+                             branch_note="reduced/N")
     which = {M_PLUS: "M+", M_MINUS: "M-", M_PLUS | M_MINUS: "M+-"}[code]
     return replace(_ESSENTIAL, branch_note=f"reduced/{which}")
 
@@ -284,11 +273,8 @@ def _classify_omega0(values, k, pt: Omega0Point, tol, exact_hit: bool) -> Spectr
         if not point_infinite:
             # only possible at omega = 0 with W_+ = W_- = 0 and both responses nonzero
             if sum_zero:
-                return SpectrumClass(
-                    True, True, resolvent=False, point_finite=True, point_infinite=False,
-                    discrete=False, weyl=False, e1=False, e2=False, e3=False, e4=False,
-                    e5=True, branch_note=f"exceptional/pt-finite{suffix}",
-                )
+                return SpectrumClass(True, True, point_finite=True, e5=True,
+                                     branch_note=f"exceptional/pt-finite{suffix}")
             return replace(_RESOLVENT, in_omega0=True,
                            branch_note=f"exceptional/resolvent{suffix}")
         e1 = (wtp_zero and in_ray(w_m, k * k, tol)) or (wtm_zero and in_ray(w_p, k * k, tol))

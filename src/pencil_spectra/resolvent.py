@@ -38,7 +38,6 @@ from .classify1d import classify
 from .dielectric import InterfaceProblem, w_values
 from .errors import PreconditionError, SpectralPointError
 
-_CELL_GL = 8
 _SCAN_BLOCK = 64   # cells per block of _decay_scan
 # make_grid's largest node count. A resolve's peak memory grows by about 480
 # bytes per node (measured: 43.8 MB at 22k nodes, 134 MB at 220k), so the cap
@@ -101,9 +100,9 @@ def suggest_half_length(omega: complex, k: float, problem: InterfaceProblem,
 
 @lru_cache(maxsize=1)
 def _gl_cell():
-    """Nodes and weights of the _CELL_GL-point Gauss-Legendre rule on [0, 1].
+    """Nodes and weights of the 8-point Gauss-Legendre rule on [0, 1].
 
-    The values of 0.5 * (xi + 1) and 0.5 * w for (xi, w) = leggauss(_CELL_GL),
+    The values of 0.5 * (xi + 1) and 0.5 * w for (xi, w) = leggauss(8),
     stored so that no process imports numpy.polynomial for them;
     tests/test_resolvent.py recomputes them bitwise.
     """
@@ -132,7 +131,6 @@ class RhsField:
     r1: np.ndarray
     r2: np.ndarray
     r3: np.ndarray
-    support: tuple
     r2_fn: Callable
     r3_fn: Callable
 
@@ -147,9 +145,7 @@ class RhsField:
         zero = lambda x: np.zeros_like(np.asarray(x, dtype=float), dtype=complex)
         f2 = r2_fn if r2_fn is not None else zero
         f3 = r3_fn if r3_fn is not None else zero
-        if support is None:
-            support = (-grid.L, grid.L)
-        lo, hi = support
+        lo, hi = (-grid.L, grid.L) if support is None else support
         if lo < -grid.L or hi > grid.L:
             raise PreconditionError("rhs support must sit inside [-L, L]")
         x = grid.x
@@ -158,14 +154,13 @@ class RhsField:
         r1 = np.zeros_like(r2)
         if k != 0.0:
             r1 = -1j * k * _cumulative_integral(grid, f2)
-        return RhsField(grid=grid, k=k, r1=r1, r2=r2, r3=r3,
-                        support=(float(lo), float(hi)), r2_fn=f2, r3_fn=f3)
+        return RhsField(grid=grid, k=k, r1=r1, r2=r2, r3=r3, r2_fn=f2, r3_fn=f3)
 
 
 def _node_values(starts: np.ndarray, widths, fn) -> np.ndarray:
     """fn at the Gauss-Legendre nodes of the cells [starts, starts + widths].
 
-    One call of fn on all nodes; returns shape (cells, _CELL_GL).
+    One call of fn on all nodes; returns shape (cells, 8).
     """
     offs, _ = _gl_cell()
     t = starts[:, None] + np.asarray(widths)[..., None] * offs

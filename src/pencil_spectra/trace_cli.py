@@ -8,8 +8,10 @@ are the roots of polynomial families that modes.roots_in_set keeps where
 classify_array puts them in the set, for every rational medium and both pencils.
 The environment variable PENCIL_SPECTRA_TOL ("name=value,name=value") overrides
 default tolerances, for the raster and the overlays alike.
-Each subcommand imports only the modules it runs, and run() skips the final
-garbage collection (README, "Import and exit cost").
+Each subparser names its handler; main reads the --config file once, before
+any flag value, and passes the medium to it. Each subcommand imports only the
+modules it runs, and run() skips the final garbage collection (README, "Import
+and exit cost").
 """
 
 from __future__ import annotations
@@ -290,8 +292,7 @@ def _describe(record: SpectrumClass) -> str:
     return ", ".join(bits) + f"  [{record.branch_note}]"
 
 
-def cmd_classify(args, tol) -> int:
-    problem = load_problem(args.config, tol)
+def cmd_classify(args, problem, tol) -> int:
     omega = _parse_omega(args.omega)
     if args.dim == 2:
         rec = classify2(omega, problem, tol)
@@ -305,8 +306,7 @@ def cmd_classify(args, tol) -> int:
     return 0
 
 
-def cmd_trace(args, tol) -> int:
-    problem = load_problem(args.config, tol)
+def cmd_trace(args, problem, tol) -> int:
     grid_spec = _parse_grid(args.grid)
     k = _parse_k(args.k) if args.k is not None else None
     if args.dim == 1 and k is None:
@@ -344,9 +344,8 @@ def eigen_table(problem: InterfaceProblem, ks, tol):
     return rows
 
 
-def cmd_eigen(args, tol) -> int:
+def cmd_eigen(args, problem, tol) -> int:
     from .modes import mode_residuals
-    problem = load_problem(args.config, tol)
     ks = _parse_k(args.k, sweep=True)
     rows = eigen_table(problem, ks, tol)
     header = ("k,branch,re_omega,im_omega,re_mu_plus,im_mu_plus,"
@@ -377,10 +376,9 @@ def cmd_eigen(args, tol) -> int:
     return 0
 
 
-def cmd_resolve(args, tol) -> int:
+def cmd_resolve(args, problem, tol) -> int:
     from .modes import bump
     from .resolvent import RhsField, make_grid, save_field_csv, solve, suggest_half_length
-    problem = load_problem(args.config, tol)
     omega = _parse_omega(args.omega)
     k = _parse_k(args.k)
     lo, hi = _parse_fields(args.support, "--support", "lo:hi", (2,))
@@ -516,8 +514,7 @@ def _suite_weyl(problem, k, tol):
     return ok, "; ".join(details)
 
 
-def cmd_check(args, tol) -> int:
-    problem = load_problem(args.config, tol)
+def cmd_check(args, problem, tol) -> int:
     k = _parse_k(args.k)
     suites = [
         ("shoot-vs-polynomial", _suite_shoot),
@@ -544,38 +541,36 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectral classification of the Maxwell interface pencil")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def command(name, help, handler):
+        sp = sub.add_parser(name, help=help)
         sp.add_argument("--config", required=True, help="material config file")
+        sp.set_defaults(handler=handler)
+        return sp
 
-    sp = sub.add_parser("classify", help="classify one omega")
-    common(sp)
+    sp = command("classify", "classify one omega", cmd_classify)
     sp.add_argument("--omega", required=True, help="re,im")
     sp.add_argument("--k", default="0.0", help="1D wavenumber")
     sp.add_argument("--dim", type=int, choices=(1, 2), default=1)
 
-    sp = sub.add_parser("trace", help="classify an omega grid; write CSV + SVG")
-    common(sp)
+    sp = command("trace", "classify an omega grid; write CSV + SVG", cmd_trace)
     sp.add_argument("--grid", required=True, help="re0:re1:nx,im0:im1:ny")
     sp.add_argument("--k", default=None, help="1D wavenumber")
     sp.add_argument("--dim", type=int, choices=(1, 2), default=1)
     sp.add_argument("--out", default=".", help="output directory")
     sp.add_argument("--no-overlays", action="store_true")
 
-    sp = sub.add_parser("eigen", help="plasmon mode table over k or a k range")
-    common(sp)
+    sp = command("eigen", "plasmon mode table over k or a k range", cmd_eigen)
     sp.add_argument("--k", required=True, help="k or k0:k1:n")
     sp.add_argument("--out", default=None, help="output directory (default: stdout)")
 
-    sp = sub.add_parser("resolve", help="solve (T_k - W) u = r for a bump rhs")
-    common(sp)
+    sp = command("resolve", "solve (T_k - W) u = r for a bump rhs", cmd_resolve)
     sp.add_argument("--omega", required=True, help="re,im")
     sp.add_argument("--k", default="0.0")
     sp.add_argument("--support", default="1:2", help="rhs support lo:hi")
     sp.add_argument("--h", default="0.005", help="grid spacing")
     sp.add_argument("--out", default=".", help="output directory")
 
-    sp = sub.add_parser("check", help="run the oracle cross-check suites")
-    common(sp)
+    sp = command("check", "run the oracle cross-check suites", cmd_check)
     sp.add_argument("--k", default="3.0")
     return p
 
@@ -601,14 +596,7 @@ def main(argv=None) -> int:
         print(f"FAIL configuration: {exc}", file=sys.stderr)
         return 2
     try:
-        handler = {
-            "classify": cmd_classify,
-            "trace": cmd_trace,
-            "eigen": cmd_eigen,
-            "resolve": cmd_resolve,
-            "check": cmd_check,
-        }[args.command]
-        code = handler(args, tol)
+        code = args.handler(args, load_problem(args.config, tol), tol)
         sys.stdout.flush()
         return code
     except PencilSpectraError as exc:

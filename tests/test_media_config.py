@@ -181,13 +181,18 @@ def test_pencil_spectra_tol_reaches_the_rational_cancellation(tmp_path, capsys, 
 @pytest.mark.parametrize("command", [
     ["classify", "--omega", "0,0.5"],
     ["trace", "--grid=0:1:3,-1:1:3", "--k", "3"],
+    ["eigen", "--k", "3"],
+    ["resolve", "--omega", "0,0.5", "--k", "3"],
+    ["check", "--k", "3"],
+    ["classify", "--omega", "x"],   # the config is read before any flag value
 ])
 def test_an_unreadable_config_is_an_error_line(make, reason, command, tmp_path, capsys):
     path = tmp_path / "nope.cfg"
     make(path)
     out = tmp_path / "out"
     argv = [command[0], "--config", str(path), *command[1:]]
-    assert main(argv + ["--out", str(out)] if command[0] == "trace" else argv) == 2
+    assert main(argv + ["--out", str(out)] if command[0] in ("trace", "eigen", "resolve")
+                else argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {path}: cannot read the config file: ")

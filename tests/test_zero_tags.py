@@ -99,7 +99,7 @@ def _old_classify_omega0(problem, omega, k, pt, tol, exact_hit):
             if sum_zero:
                 return SpectrumClass(
                     True, True, resolvent=False, point_finite=True, point_infinite=False,
-                    discrete=False, weyl=False, e1=False, e2=False, e3=False, e4=False,
+                    discrete=False, e1=False, e2=False, e3=False, e4=False,
                     e5=True, branch_note=f"exceptional/pt-finite{suffix}",
                 )
             return replace(_RESOLVENT, in_omega0=True,

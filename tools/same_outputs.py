@@ -23,7 +23,9 @@ h = 1e-4 (about 200k nodes, many chunks of the CSV writer), and with
 ``--support 2:1``, which ends in an ``error:`` line and exit 2. ``classify``,
 a small ``trace``, a short ``eigen`` sweep and ``resolve`` also run on
 ``EXTRA_CONFIG``, whose top-level ``scale`` and Drude ``background`` beside a
-rational side no benchmark config uses. Each difference is named, a differing
+rational side no benchmark config uses. ``--help`` and ``<command> --help`` of the
+five subcommands also run (``HELP_RUNS``), so that a change to the parser shows as
+well. Each difference is named, a differing
 stdout or stderr with the count of its differing lines and then every differing
 line pair, one per line; the exit status is 1 if there is any, else 0.
 Temporary copies go under $TMPDIR.
@@ -76,13 +78,15 @@ EXTRA_CONFIG_RUNS = (["classify", "--omega=0.3,0.6", "--k", "2.0"],
                      ["eigen", "--k", "0.5:4:8"],
                      ["resolve", "--omega=0.3,0.6", "--k", "2.0", "--support=1:2", "--h", "0.002",
                       "--out", "resolve"])
+HELP_RUNS = (["--help"], *([command, "--help"]
+                           for command in ("classify", "trace", "eigen", "resolve", "check")))
 
 
 def run_all(copy: Path, work: Path) -> dict:
     """Run every invocation with copy's program, each workload and seed in its own
-    directory under work, then EXTRA_CHECKS, EXTRA_EIGENS and EXTRA_RESOLVES in one more and
-    EXTRA_CONFIG_RUNS in a last one; returns {label: (exit code, stdout without timings,
-    stderr)}."""
+    directory under work, then EXTRA_CHECKS, EXTRA_EIGENS and EXTRA_RESOLVES in one more,
+    EXTRA_CONFIG_RUNS in another and HELP_RUNS in a last one; returns {label: (exit code,
+    stdout without timings, stderr)}."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src")}
     results = {}
 
@@ -116,6 +120,8 @@ def run_all(copy: Path, work: Path) -> dict:
     for argv in EXTRA_CONFIG_RUNS:
         run(f"extra config {argv[0]}", work / "extra-config", {"extra.cfg": EXTRA_CONFIG},
             [argv[0], "--config", "extra.cfg", *argv[1:]])
+    for argv in HELP_RUNS:
+        run(" ".join(argv), work / "help", {}, argv)
     return results
 
 
@@ -163,7 +169,8 @@ def main(argv=None) -> int:
     print(f"{len(runs['parent'])} invocations (seeds {', '.join(map(str, SEEDS))}, "
           f"{len(EXTRA_CHECKS)} extra checks, {len(EXTRA_EIGENS)} extra eigen sweeps, "
           f"{len(EXTRA_RESOLVES)} extra resolves, "
-          f"{len(EXTRA_CONFIG_RUNS)} runs on the extra config): "
+          f"{len(EXTRA_CONFIG_RUNS)} runs on the extra config, "
+          f"{len(HELP_RUNS)} help texts): "
           + (f"{len(diffs)} difference(s)" if diffs else "no difference"))
     return 1 if diffs else 0
 
