@@ -54,11 +54,7 @@ __all__ = [
     "singular_set", "singular_points", "omega0_set", "wtilde", "w",
     "SpectrumClass", "classify", "in_M", "in_N",
     "classify2", "in_M2", "in_N2",
-    "PlasmonMode", "WeylSample", "dispersion_k2", "eigen_omegas",
-    "eigenfunction_eval", "mode_residual", "weyl_sequence_1d",
-    "weyl_residual_2d_interface",
-    "Grid", "RhsField", "ResolventSolution", "solve", "verify",
-    "DiscretizedPencil", "direct_solve", "shoot_determinant", "lambda_isolation_probe",
+    *_LAZY,
 ]
 
 __version__ = "0.1.0"

@@ -42,6 +42,7 @@ from .complex_numerics import (
 from .dielectric import (
     InterfaceProblem,
     Omega0Point,
+    _near_any,
     _omega0_point,
     _zero_tags,
     near_omega0,
@@ -322,14 +323,6 @@ def _classify_point(omega: complex, k, problem: InterfaceProblem, tol: Tolerance
         return _classify_omega0(values, k, pt, tol, omega == pt.omega)
     return REDUCED[2 if k is None else 1][
         _reduced_codes(*_point_arrays(omega, values, problem, tol), k, tol)[0]]
-
-
-def _near_any(omega: np.ndarray, points, dist: float) -> np.ndarray:
-    """Mask of the omega within dist of one of the points (the test of dielectric._near)."""
-    hit = np.zeros(omega.shape, dtype=bool)
-    for p in points:
-        hit |= cabs(omega - p) <= dist
-    return hit
 
 
 def classify_array(omega, k, problem: InterfaceProblem,

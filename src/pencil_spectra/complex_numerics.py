@@ -15,6 +15,9 @@ started from the tropical roots and evaluated through the reversed polynomial
 beyond the unit circle, so roots some 100 orders of magnitude apart come out
 together; roots that agree within root_residual_tol are one multiple root.
 
+bump, the C-infinity cutoff exp(1/(y^2-1)) of unit norm on [-1, 1], is the profile
+shared by the resolvent's right-hand sides and the Weyl members.
+
 All functions here are pure and safe to call from any number of threads.
 """
 
@@ -325,3 +328,29 @@ def _centre(a, zs):
             break
         x = x_new
     return 1.0 / x if flip else x
+
+
+_GL_N = 400   # Gauss-Legendre nodes on [-1, 1] for the bump's integrals
+
+
+def _bump_raw(y):
+    y = np.asarray(y, dtype=float)
+    out = np.zeros_like(y)
+    inside = np.abs(y) < 1.0
+    yi = y[inside]
+    out[inside] = np.exp(1.0 / (yi * yi - 1.0))
+    return out
+
+
+def _bump_constants():
+    """(c, ||phi'||, ||phi''||, ||phi'''||) for phi = c*exp(1/(y^2-1)) with ||phi|| = 1.
+
+    The values of the _GL_N-point Gauss-Legendre rule, stored so that no
+    process pays for leggauss; tests/test_modes.py recomputes them bitwise.
+    """
+    return 2.7411551457069354, 1.7543115832803977, 9.022635232749735, 155.1337440410206
+
+
+def bump(y):
+    """The unit-norm cutoff profile on [-1, 1]."""
+    return _bump_constants()[0] * _bump_raw(y)

@@ -158,6 +158,14 @@ def _near(z: complex, points, dist: float):
     return None
 
 
+def _near_any(omega: np.ndarray, points, dist) -> np.ndarray:
+    """Mask of the omega within dist (one number or one per point) of a point, by _near's test."""
+    hit = np.zeros(omega.shape, dtype=bool)
+    for p, d in zip(points, np.broadcast_to(dist, (len(points),))):
+        hit |= cabs(omega - p) <= d
+    return hit
+
+
 def _pole_at(model: DielectricModel, omega: complex, tol: Tolerances):
     """(pole, den(omega)): the pole of model within ray_imag_tol of omega, else omega
     where a rational den(omega) is exactly 0 (a root poly_roots missed), else None."""
@@ -321,8 +329,6 @@ def near_omega0(problem: InterfaceProblem, omega: complex, tol: Tolerances = DEF
     """
     omega = complex(omega)
     if problem.is_rational:
-        for p in omega0_set(problem, tol):
-            if cabs(omega - p.omega) <= tol.ray_imag_tol:
-                return p
-        return None
+        return next((p for p in omega0_set(problem, tol)
+                     if cabs(omega - p.omega) <= tol.ray_imag_tol), None)
     return _omega0_point(omega, *w_values(problem, omega, tol)[:2], tol)

@@ -418,9 +418,13 @@ class LambdaProbeReport:
     omega: complex
     k: float
     sigma_at_one: float
-    ring_radii: tuple
-    ring_minima: tuple           # per-radius minimum of sigma_min over the ring
-    separation_factor: float     # min over all rings / sigma_at_one
+    ring_minima: tuple           # per-radius minimum of sigma_min over PROBE_RADII's rings
+
+    @property
+    def separation_factor(self) -> float:
+        """min over all rings / sigma_at_one; np.min and np.divide keep a NaN sigma NaN."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.divide(np.min(self.ring_minima), self.sigma_at_one))
 
     @property
     def isolated(self) -> bool:
@@ -461,11 +465,11 @@ def smallest_singular_value(block: FDBlock) -> float:
     for _ in range(_LANCZOS_STEPS):
         with np.errstate(over="ignore", invalid="ignore"):   # a non-finite beta fails below
             f = a.solve(ah.solve(V[m - 1]))
-        c = (f.conj() @ V[:m].T).conj()
-        f = f - c @ V[:m]
-        f = f - (f.conj() @ V[:m].T).conj() @ V[:m]   # full reorthogonalisation
+            c = (f.conj() @ V[:m].T).conj()
+            f = f - c @ V[:m]
+            f = f - (f.conj() @ V[:m].T).conj() @ V[:m]   # full reorthogonalisation
+            beta = np.linalg.norm(f)
         H[m - 1, m - 1] = c[m - 1].real
-        beta = np.linalg.norm(f)
         if not math.isfinite(beta):   # an ill-conditioned Schur complement at huge |k|
             raise PencilSpectraError("sigma_min: the structured solve overflows; the FD "
                                      "block is singular to working precision")
@@ -515,10 +519,4 @@ def lambda_isolation_probe(omega: complex, k: float, problem: InterfaceProblem,
     s1 = sigma(1.0)
     minima = [float(np.min([sigma(1.0 + rad * np.exp(2j * math.pi * j / PROBE_ANGLES))
                             for j in range(PROBE_ANGLES)])) for rad in PROBE_RADII]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factor = float(np.divide(np.min(minima), s1))
-    return LambdaProbeReport(
-        omega=omega, k=k, sigma_at_one=s1,
-        ring_radii=PROBE_RADII, ring_minima=tuple(minima),
-        separation_factor=factor,
-    )
+    return LambdaProbeReport(omega=omega, k=k, sigma_at_one=s1, ring_minima=tuple(minima))

@@ -24,11 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex_numerics import DEFAULT_TOL, Tolerances, cabs, poly_roots_family, principal_sqrt
+from .complex_numerics import (DEFAULT_TOL, Tolerances, _bump_constants, bump, cabs,
+                               poly_roots_family, principal_sqrt)
 from .classify1d import IN_N, POINTWISE, classify_array, in_M, in_M2, in_N2
 from .dielectric import (
     DielectricModel,
     InterfaceProblem,
+    _near_any,
     _zero_tags,
     near_omega0,
     singular_points,
@@ -38,37 +40,6 @@ from .dielectric import (
 )
 from .errors import (DegenerateDispersionError, PencilSpectraError, PreconditionError,
                      UnsupportedModelError)
-
-
-# ---------------------------------------------------------------------------
-# the fixed C-infinity cutoff bump, exp(1/(x^2-1)) normalized on [-1, 1]
-# ---------------------------------------------------------------------------
-
-_GL_N = 400   # Gauss-Legendre nodes on [-1, 1] for the bump's integrals
-
-
-def _bump_raw(y):
-    y = np.asarray(y, dtype=float)
-    out = np.zeros_like(y)
-    inside = np.abs(y) < 1.0
-    yi = y[inside]
-    out[inside] = np.exp(1.0 / (yi * yi - 1.0))
-    return out
-
-
-def _bump_constants():
-    """(c, ||phi'||, ||phi''||, ||phi'''||) for phi = c*exp(1/(y^2-1)) with ||phi|| = 1.
-
-    The values of the _GL_N-point Gauss-Legendre rule, stored so that no
-    process pays for leggauss; tests/test_modes.py recomputes them bitwise.
-    """
-    return 2.7411551457069354, 1.7543115832803977, 9.022635232749735, 155.1337440410206
-
-
-def bump(y):
-    """The unit-norm cutoff profile on [-1, 1]."""
-    c = _bump_constants()[0]
-    return c * _bump_raw(y)
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +82,6 @@ def dispersion_k2(omega: complex, problem: InterfaceProblem,
     return w_p * wt_m / (wt_p + wt_m)
 
 
-def _polymul(a, b):
-    return tuple(np.convolve(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)))
-
-
 def _polyadd(a, b) -> np.ndarray:
     """a + b in descending coefficients; a 2D operand holds one polynomial per row."""
     a = np.asarray(a, dtype=complex)
@@ -140,8 +107,8 @@ def eigenvalue_polynomial(k, problem: InterfaceProblem):
     np_, dp = problem.plus.numerator, problem.plus.denominator
     nm, dm = problem.minus.numerator, problem.minus.denominator
     s = problem.plus.scale
-    cross = _polyadd(_polymul(np_, dm), _polymul(nm, dp))
-    qb = _polymul((s, 0.0, 0.0), _polymul(np_, nm))
+    cross = _polyadd(np.convolve(np_, dm), np.convolve(nm, dp))
+    qb = np.convolve((s, 0.0, 0.0), np.convolve(np_, nm))
     k = np.asarray(k, dtype=float)
     q = _polyadd((k * k)[..., None] * cross, np.negative(qb))   # one row per k
     return q if k.ndim else tuple(q)
@@ -157,7 +124,7 @@ def ray_polynomial(model: DielectricModel, t):
     if not model.is_rational:
         raise UnsupportedModelError("ray preimages need a rational model")
     t = np.asarray(t, dtype=float)
-    q = _polyadd(_polymul((model.scale, 0.0, 0.0), model.numerator),
+    q = _polyadd(np.convolve((model.scale, 0.0, 0.0), model.numerator),
                  -t[..., None] * np.asarray(model.denominator))
     return q if t.ndim else tuple(q)
 
@@ -215,10 +182,10 @@ def eigen_sweep(ks, problem: InterfaceProblem, tol: Tolerances = DEFAULT_TOL) ->
     if errors:
         raise errors[0]
     reach = max(tol.ray_imag_tol, 1e-9)
+    poles = singular_points(problem, tol)
     with np.errstate(all="ignore"):
-        for p in singular_points(problem, tol):
-            keep = ~(cabs(z - p) <= reach * (1.0 + abs(p)))
-            z, row = z[keep], row[keep]
+        keep = ~_near_any(z, poles, [reach * (1.0 + abs(p)) for p in poles])
+        z, row = z[keep], row[keep]
         _, _, w_p, w_m = w_values(problem, z, tol)
     sweep = [[] for _ in ks]   # each k's modes in poly_roots' (Re, Im) order
     for i, root, wp, wm in zip(nonzero[row].tolist(), z.tolist(), w_p.tolist(), w_m.tolist()):
@@ -334,12 +301,13 @@ def weyl_field_1d(omega: complex, k: float, n: int, side: str, variant: str,
                   problem: InterfaceProblem, x1, tol: Tolerances = DEFAULT_TOL):
     """Sample the Weyl member on points x1; used for overlap/weak-limit checks."""
     omega = complex(omega)
+    model = problem.side(side)   # rejects a bad label
     sgn = 1.0 if side in ("+", "plus") else -1.0
     x = np.asarray(x1, dtype=float)
     out = np.zeros((3, x.size), dtype=complex)
     center = sgn * n * n
     if variant == "plane_wave":
-        w_side = w(problem.side(side), omega, tol)
+        w_side = w(model, omega, tol)
         ell = math.sqrt(max(w_side.real - k * k, 0.0))
         out[2] = np.exp(1j * ell * x) * bump((x - center) / n) / math.sqrt(n)
     elif variant == "k0_w0":

@@ -226,11 +226,14 @@ class VerifyReport:
     """Independent checks of a resolvent solution against the defining equations."""
 
     ode_residuals: tuple       # per-equation max |lhs - r| via 4th-order FD
-    ode_residual_max: float
     jumps: tuple               # |[Wt u1]|, |[u2]|, |[u3]|, |[u2'-ik u1]|, |[u3']|
     divergence_max: float      # max |u1' + i k u2| per half-line (FD)
     norm_ratio: float
     r_norm: float
+
+    @property
+    def ode_residual_max(self) -> float:
+        return float(np.max(self.ode_residuals))
 
 
 @dataclass(frozen=True)
@@ -360,7 +363,6 @@ def verify(sol: ResolventSolution, r: RhsField, omega: complex, k: float,
                            for j in range(3)))
     return VerifyReport(
         ode_residuals=tuple(x / scale for x in res),
-        ode_residual_max=float(np.max(res)) / scale,
         jumps=(jump_wu1 / scale, jump_u2 / scale, jump_u3 / scale,
                jump_comb / scale, jump_du3 / scale),
         divergence_max=float(div.max()) / scale,
@@ -405,16 +407,21 @@ def _pow10(q: int) -> tuple:
     return hi, lo, hi_hi, hi - hi_hi
 
 
+def _per_key(key: np.ndarray, make):
+    """(table, row): make(j) stacked once per distinct key j >= 0, and each key's row."""
+    present = np.flatnonzero(np.bincount(key))
+    rank = np.zeros(present[-1] + 1, dtype=np.intp)
+    rank[present] = np.arange(present.size)
+    return np.array([make(int(j)) for j in present]), rank.take(key)
+
+
 def _scaled(a: np.ndarray, q: np.ndarray):
     """a * 10^q as the double-double (yh, yl), yh = fl(yh + yl), by Dekker's product
     against hi + lo of 10^q. The error is below 5e-32 * |a * 10^q| for a in
     _SCALED_RANGE and a * 10^q below 10^18."""
     q0 = int(q.min())
-    present = np.flatnonzero(np.bincount(q - q0))
-    table = np.array([_pow10(q0 + int(j)) for j in present]).T
-    rank = np.zeros(present[-1] + 1, dtype=np.intp)
-    rank[present] = np.arange(present.size)
-    hi, lo, hi_hi, hi_lo = table.take(rank.take(q - q0), axis=1)
+    table, row = _per_key(q - q0, lambda j: _pow10(q0 + j))
+    hi, lo, hi_hi, hi_lo = table.T.take(row, axis=1)   # the (4, P) table: contiguous rows
     p = a * hi
     a_hi = _veltkamp_hi(a)
     a_lo = a - a_hi
@@ -525,12 +532,9 @@ def _csv_rows(values: np.ndarray) -> bytes:
     source, nsig = _digit_rows(D)
     key = ((X + _X_OFFSET) * 18 + nsig) * 4 + 2 * np.signbit(v)
     key.reshape(values.shape)[:, -1] += 1
-    present = np.flatnonzero(np.bincount(key))
-    layouts = np.array([_layout(int(k) // 72 - _X_OFFSET, int(k) // 4 % 18, bool(k & 2),
-                                bool(k & 1)) for k in present])
-    rank = np.zeros(present[-1] + 1, dtype=np.intp)
-    rank[present] = np.arange(present.size)
-    index = layouts.take(rank.take(key), axis=0)
+    layouts, row = _per_key(key, lambda j: _layout(j // 72 - _X_OFFSET, j // 4 % 18,
+                                                   bool(j & 2), bool(j & 1)))
+    index = layouts.take(row, axis=0)
     index += np.arange(0, v.size * _SOURCE, _SOURCE)[:, None]
     text = source.ravel().take(index)
     ncols = values.shape[1]

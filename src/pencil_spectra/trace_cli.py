@@ -29,7 +29,7 @@ import numpy as np
 
 from .classify1d import (IN_N, M_MINUS, M_PLUS, ArrayClassification, SpectrumClass, classify,
                          classify2, classify_array)
-from .complex_numerics import DEFAULT_TOL, Tolerances
+from .complex_numerics import DEFAULT_TOL, Tolerances, bump
 from .config import load_problem
 from .dielectric import InterfaceProblem, omega0_set, singular_points
 from .errors import PencilSpectraError, PreconditionError
@@ -377,7 +377,6 @@ def cmd_eigen(args, problem, tol) -> int:
 
 
 def cmd_resolve(args, problem, tol) -> int:
-    from .modes import bump
     from .resolvent import RhsField, make_grid, save_field_csv, solve, suggest_half_length
     omega = _parse_omega(args.omega)
     k = _parse_k(args.k)
@@ -463,7 +462,6 @@ def _suite_lambda(problem, k, tol):
 def _fd_rel_error(omega, k, h, problem, tol) -> float:
     """Relative l2 gap of resolvent and FD solves; a frame per grid frees it before the next."""
     from .fd_oracle import default_grid, direct_solve, discretize
-    from .modes import bump
     from .resolvent import RhsField, solve
     grid = default_grid(omega, k, problem, h=h, tol=tol)
     r2 = lambda x: bump((np.asarray(x) - 1.5) / 0.5)

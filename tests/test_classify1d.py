@@ -24,7 +24,6 @@ def check_flag_invariants(rec):
     for a, b in zip(chain, chain[1:]):
         assert (not a) or b  # e_j implies e_{j+1}
     assert not (rec.discrete and rec.e5)
-    assert rec.weyl == rec.e2
 
 
 def test_in_M_examples(drude_problem):

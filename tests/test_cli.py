@@ -435,8 +435,8 @@ def _python(*args: str, check: bool = True) -> subprocess.CompletedProcess:
 
 def test_cli_commands_do_not_load_scipy(cfg, tmp_path):
     """Each command, in a fresh interpreter, loads only the modules it runs: classify none
-    of modes, resolvent and fd_oracle, trace and eigen modes, resolve modes and resolvent,
-    check all three; none of them loads scipy."""
+    of modes, resolvent and fd_oracle, trace and eigen modes, resolve resolvent, check
+    all three; none of them loads scipy."""
     path = cfg(DRUDE_CFG)
     out = str(tmp_path)
     runs = [
@@ -447,7 +447,7 @@ def test_cli_commands_do_not_load_scipy(cfg, tmp_path):
         (["trace", "--config", path, "--grid=-2:2:21,-1:0.4:8", "--dim", "2", "--out", out],
          ["modes"]),
         (["resolve", "--config", path, "--omega", "0,0.5", "--k", "3", "--h", "0.05",
-          "--out", out], ["modes", "resolvent"]),
+          "--out", out], ["resolvent"]),
         (["eigen", "--config", path, "--k", "1:3:3", "--out", out], ["modes"]),
         (["check", "--config", path, "--k", "3"], ["modes", "resolvent", "fd_oracle"]),
     ]
@@ -623,15 +623,17 @@ def test_shoot_suite_passes_at_k_1e150(text):
     assert ok, detail
 
 
-@pytest.mark.parametrize("text, k", [(DRUDE_CFG, "1e60"), (DRUDE_CFG, "1e100"),
-                                     (DRUDE_CFG, "1e150"), (THREE_POLE_PAIRS_CFG, "1e100"),
+@pytest.mark.parametrize("text, k", [(DRUDE_CFG, "1e32"), (DRUDE_CFG, "1e60"),
+                                     (DRUDE_CFG, "1e100"), (DRUDE_CFG, "1e150"),
+                                     (THREE_POLE_PAIRS_CFG, "1e100"),
                                      (THREE_POLE_PAIRS_CFG, "1e150")],
-                         ids=["drude-1e60", "drude-1e100", "drude-1e150", "rational-1e100",
-                              "rational-1e150"])
+                         ids=["drude-1e32", "drude-1e60", "drude-1e100", "drude-1e150",
+                              "rational-1e100", "rational-1e150"])
 def test_check_at_huge_k_raises_no_floating_point_warning(cfg, text, k):
     """With every RuntimeWarning an error, as in the CI smoke run, check at huge k still
     ends in four PASS/FAIL lines: the overflows the oracles meet there stay quiet and
-    come out as FAIL lines (a NaN root distance, a non-finite Lanczos step)."""
+    come out as FAIL lines (a NaN root distance, a non-finite Lanczos step; at k = 1e32
+    on lossy Drude the Lanczos norm overflows, not the structured solve)."""
     proc = _python("-W", "error::RuntimeWarning", "-m", "pencil_spectra.trace_cli", "check",
                    "--config", cfg(text), "--k", k, check=False)
     lines = proc.stdout.splitlines()

@@ -19,7 +19,7 @@ from pencil_spectra.errors import (
     PreconditionError,
     UnsupportedModelError,
 )
-from pencil_spectra import modes
+from pencil_spectra import complex_numerics, modes
 from pencil_spectra.complex_numerics import DEFAULT_TOL
 from pencil_spectra.modes import (
     bump,
@@ -141,6 +141,14 @@ def test_weyl_1d_preconditions(equal_problem):
         weyl_sequence_1d(3.0, 0.0, 8, "+", "k0_w0", equal_problem)  # W != 0
 
 
+@pytest.mark.parametrize("variant", ["plane_wave", "k0_w0"])
+def test_weyl_field_1d_rejects_an_unknown_side(variant, drude_problem):
+    """Both variants check the side label, as weyl_sequence_1d does; k0_w0 used to
+    sample the minus-side member for any label but '+' and 'plus'."""
+    with pytest.raises(ValueError, match="side must be"):
+        weyl_field_1d(0j, 0.0, 4, "x", variant, drude_problem, np.linspace(-20.0, 20.0, 9))
+
+
 def test_weyl_k0_precondition_at_huge_omega(equal_problem):
     # W_+ = 2 omega^2 does not vanish at 1e200; |omega|^2 overflows there
     with pytest.raises(PreconditionError):
@@ -251,8 +259,8 @@ def test_eigen_omegas_are_the_reduced_N_roots(medium, lossless_problem):
 def test_bump_constants_are_the_gauss_legendre_values():
     """The stored (c, ||phi'||, ||phi''||, ||phi'''||) are bitwise what the _GL_N-point
     rule gives; with g = 1/(y^2-1), phi''' = phi (g'^3 + 3 g' g'' + g''')."""
-    x, w = np.polynomial.legendre.leggauss(modes._GL_N)
-    raw = modes._bump_raw(x)
+    x, w = np.polynomial.legendre.leggauss(complex_numerics._GL_N)
+    raw = complex_numerics._bump_raw(x)
     c = 1.0 / math.sqrt(float(np.sum(w * raw**2)))
     g = -2.0 * x / (x * x - 1.0) ** 2
     gp = (6.0 * x * x + 2.0) / (x * x - 1.0) ** 3
@@ -270,7 +278,7 @@ def _kappa_rule(cutoff, dk=1.0):
     integral up to truncation: by Poisson summation its aliases are values of the
     autocorrelation of phi^(m) at multiples of 2 pi/dk, outside its support [-2, 2]."""
     half = (np.arange(int(cutoff / dk)) + 0.5) * dk
-    x, w = np.polynomial.legendre.leggauss(modes._GL_N)
+    x, w = np.polynomial.legendre.leggauss(complex_numerics._GL_N)
     y = 0.5 * (x + 1.0)
     phat = math.sqrt(2.0 / math.pi) * (np.cos(np.outer(half, y)) @ (0.5 * w * bump(y)))
     return np.concatenate([-half[::-1], half]), dk, np.concatenate([phat[::-1], phat])

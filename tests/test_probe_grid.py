@@ -84,7 +84,7 @@ def test_ring_clear_of_the_essential_spectrum_still_probes(drude_problem, monkey
 
     def probe(omega, k, problem, **kwargs):
         calls.append(k)
-        return fd_oracle.LambdaProbeReport(omega, k, 1.0, (0.05,), (200.0,), 200.0)
+        return fd_oracle.LambdaProbeReport(omega, k, 1.0, (200.0,))
 
     monkeypatch.setattr(fd_oracle, "lambda_isolation_probe", probe)
     for k in (0.2, 0.5):

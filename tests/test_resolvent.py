@@ -393,7 +393,6 @@ def _ref_verify_fields(grid, u, u2_prime, u3_prime, r, omega, k, problem, tol):
                            for j in range(3)))
     return VerifyReport(
         ode_residuals=tuple(x / scale for x in res),
-        ode_residual_max=float(np.max(res)) / scale,
         jumps=(jump_wu1 / scale, jump_u2 / scale, jump_u3 / scale,
                jump_comb / scale, jump_du3 / scale),
         divergence_max=float(div.max()) / scale,

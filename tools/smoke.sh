@@ -39,6 +39,11 @@ status=0
 run check --config rational.cfg --k 1e100 > huge_k.txt || status=$?
 test "$status" -eq 1
 test "$(grep -c -E '^(PASS|FAIL) ' huge_k.txt)" -eq 4
+# lossy Drude at k = 1e32: the Lanczos vector's norm overflows, quietly
+status=0
+run check --config drude.cfg --k 1e32 > huge_k_lanczos.txt || status=$?
+test "$status" -eq 1
+test "$(grep -c -E '^(PASS|FAIL) ' huge_k_lanczos.txt)" -eq 4
 # flow-map vectors of size e^25 k, scaled by powers of two, still match the modes
 status=0
 run check --config drude.cfg --k 1e150 > huge_k_shoot.txt || status=$?
