@@ -10,13 +10,11 @@ W-tilde_pm(omega):
   applies, which for k != 0 can split the essential spectra three ways.
 
 The 2D sets are the 1D ones at k = 0 plus the witness a = W_+ W_-/(W_+ + W_-)
-of N. classify_array() decides whole arrays of omega for both pencils (k=None
-selects the 2D one). Every set test lives in _reduced_codes and runs on numpy
-arrays of dielectric.w_values; a scalar entry point (classify, classify2, in_M,
-in_N, in_M2, in_N2) passes it one-element arrays (_point_arrays), so each agrees
-with classify_array at every omega. That costs a scalar call about 100 us of
-numpy call overhead, some 200 times a point of a large classify_array call:
-classify many points with classify_array.
+of N. classify_array() is the one decision, over whole arrays of omega for both
+pencils (k=None selects the 2D one), every set test in one _reduced_codes call on
+numpy arrays of dielectric.w_values. A scalar entry point (classify, classify2,
+in_M, in_N, in_M2, in_N2) reads a one-point classify_array call: some 100-150 us
+of numpy call overhead, 300-600 times a point of a large call.
 Classification is total: domain or singularity issues are encoded in the
 record, never thrown, so grid tracing cannot abort. All functions are pure.
 
@@ -171,24 +169,14 @@ class ArrayClassification:
 
 
 def _reduced_code(omega: complex, k, problem: InterfaceProblem, tol: Tolerances, op_name):
-    """omega's code in REDUCED (k=None: 2D), read from _classify_point's record: the set
-    predicates are defined where that record is a reduced one, off S and Omega_0."""
-    rec = _classify_point(omega, k, problem, tol)
+    """omega's code in REDUCED (k=None: 2D), read from its one-point classify_array record:
+    the set predicates are defined where that record is a reduced one, off S and Omega_0."""
+    rec = classify_array(omega, k, problem, tol).record(0)
     table = REDUCED[2 if k is None else 1]
     if rec not in table:
         raise PreconditionError(f"{op_name}: omega={omega} is off the reduced branch: "
                                 f"{rec.branch_note}")
     return table.index(rec)
-
-
-def _point_arrays(omega: complex, values, problem: InterfaceProblem, tol: Tolerances):
-    """The values the reduced branch decides omega on, as one-element arrays: a rational
-    problem's w_values in numpy's arithmetic, bitwise those of any classify_array grid
-    holding omega, and a black box's own values (the caller's w_values at omega)."""
-    if not problem.is_rational:
-        return [np.array([v]) for v in values]
-    with np.errstate(all="ignore"):
-        return w_values(problem, np.array([omega]), tol)
 
 
 def in_M(side: str, omega: complex, k: float, problem: InterfaceProblem,
@@ -308,66 +296,72 @@ def _reduced_codes(wt_p, wt_m, w_p, w_m, k, tol):
     return M_PLUS * mp + M_MINUS * mm + IN_N * nn
 
 
-def _classify_point(omega: complex, k, problem: InterfaceProblem, tol: Tolerances) -> SpectrumClass:
-    """classify_array's decision for one point; k=None is 2D. w_values at omega feed the
-    exceptional table (and a black box's Omega_0 test), and _point_arrays the reduced branch."""
+def _classify_point(omega: complex, k, problem: InterfaceProblem, tol: Tolerances,
+                    values, code) -> SpectrumClass:
+    """classify_array's decision at a point it codes POINTWISE (k=None: 2D), from the point's
+    w_values there (a black box's called point by point) and code (None and POINTWISE within
+    ray_imag_tol of S or Omega_0); a rational Omega_0 point's table reads scalar w_values."""
     hit = which_pole_side(problem, omega, tol)
     if hit is not None:
         pole, side = hit
         return replace(OUTSIDE, branch_note=f"{'2D-' if k is None else ''}S/{side}-pole@{pole:.6g}")
-    values = None if problem.is_rational else w_values(problem, omega, tol)
-    pt = (near_omega0(problem, omega, tol) if values is None
-          else _omega0_point(omega, *values[:2], tol))
+    if problem.is_rational:
+        pt = near_omega0(problem, omega, tol)
+        values = values if pt is None else w_values(problem, omega, tol)
+    else:
+        pt = _omega0_point(omega, *values[:2], tol)
     if pt is not None:
-        values = values or w_values(problem, omega, tol)
         return _classify_omega0(values, k, pt, tol, omega == pt.omega)
-    return REDUCED[2 if k is None else 1][
-        _reduced_codes(*_point_arrays(omega, values, problem, tol), k, tol)[0]]
+    return REDUCED[2 if k is None else 1][code]
 
 
 def classify_array(omega, k, problem: InterfaceProblem,
                    tol: Tolerances = DEFAULT_TOL) -> ArrayClassification:
     """Classify every point of a complex array (flattened); k=None selects the 2D pencil.
 
-    1. The points within ray_imag_tol of S or Omega_0 are found by their
-       distance to those finite sets.
+    1. The points within ray_imag_tol of S or Omega_0 (of a black box's
+       declared poles) are found by their distance to those finite sets.
     2. W-tilde_pm is evaluated once over the other points, by Horner on the
        rational coefficients.
     3. Their reduced branch (the M_pm rays, the N identity, the 2D witness)
        is decided by array comparisons and returned as integer codes.
-    4. The points of step 1 are decided one at a time by _classify_point:
-       which_pole_side (plus side first), near_omega0 and the exceptional
-       case table. So is every point of a black-box model, whose Omega_0
-       test is pointwise, and every point with a W-tilde that is not finite
-       (a denominator exactly 0 at a pole that poly_roots missed, say).
+    4. _classify_point decides the points of step 1 (which_pole_side, plus
+       side first, near_omega0, the exceptional case table) and, from their
+       values and codes, every point with a W-tilde that is not finite (a
+       denominator exactly 0 at a pole poly_roots missed, say) and every point
+       of a black box, whose W-tilde step 2 evaluates point by point.
 
-    Every point gets the record classify (or classify2) gives it at its k, which is
-    one wavenumber or an array of one per point, as numpy rounds an element alike in
-    an array of any size (_point_arrays). Total: never raises for any complex input,
-    NaN and infinities included, and emits no floating-point warnings.
+    Every point gets the record classify (or classify2), a one-point call of this,
+    gives it at its k, which is one wavenumber or an array of one per point, as numpy
+    rounds an element alike in an array of any size. Total: never raises for any
+    complex input, NaN and infinities included, and emits no floating-point warnings.
     """
     omega = np.ravel(np.asarray(omega, dtype=complex))
     ks = np.ravel(k) if np.ndim(k) else None   # a scalar k is never expanded per point
+    with np.errstate(all="ignore"):
+        special = singular_set(problem.plus, tol) + singular_set(problem.minus, tol)
+        if problem.is_rational:
+            special += tuple(p.omega for p in omega0_set(problem, tol))
+        rest = ~_near_any(omega, special, tol.ray_imag_tol)
+        values = w_values(problem, omega[rest], tol)
+        reduced = _reduced_codes(*values, k if ks is None else ks[rest], tol)
     codes = np.full(omega.shape, POINTWISE, dtype=np.int8)
-    if problem.is_rational:
-        with np.errstate(all="ignore"):
-            special = (singular_set(problem.plus, tol) + singular_set(problem.minus, tol)
-                       + tuple(p.omega for p in omega0_set(problem, tol)))
-            rest = ~_near_any(omega, special, tol.ray_imag_tol)
-            wt_p, wt_m, w_p, w_m = w_values(problem, omega[rest], tol)
-            codes[rest] = np.where(np.isfinite(wt_p) & np.isfinite(wt_m),
-                                   _reduced_codes(wt_p, wt_m, w_p, w_m,
-                                                  k if ks is None else ks[rest], tol), POINTWISE)
+    codes[rest] = np.where(np.isfinite(values[0]) & np.isfinite(values[1]) & problem.is_rational,
+                           reduced, POINTWISE)
+    stray = np.flatnonzero(codes[rest] == POINTWISE)   # the rest's POINTWISE, by index in rest
+    todo = [(i, None, POINTWISE) for i in np.flatnonzero(~rest).tolist()]
+    todo += zip(np.flatnonzero(rest & (codes == POINTWISE)).tolist(),
+                zip(*(v[stray].tolist() for v in values)), reduced[stray].tolist())
     pointwise = {i: _classify_point(complex(omega[i]), k if ks is None else float(ks[i]),
-                                    problem, tol)
-                 for i in np.flatnonzero(codes == POINTWISE).tolist()}
+                                    problem, tol, vals, code)
+                 for i, vals, code in todo}
     return ArrayClassification(codes, pointwise, 2 if k is None else 1)
 
 
 def classify(omega: complex, k: float, problem: InterfaceProblem,
              tol: Tolerances = DEFAULT_TOL) -> SpectrumClass:
     """Classify omega for the 1D pencil at wavenumber k. Total: never raises."""
-    return _classify_point(complex(omega), k, problem, tol)
+    return classify_array(complex(omega), k, problem, tol).record(0)
 
 
 def in_M2(side: str, omega: complex, problem: InterfaceProblem,
@@ -391,12 +385,12 @@ def in_N2(omega: complex, problem: InterfaceProblem,
     omega = complex(omega)
     if not _reduced_code(omega, None, problem, tol, "in_N2") & IN_N:
         return False, None
-    values = None if problem.is_rational else w_values(problem, omega, tol)
-    a = _n2_witness(*_point_arrays(omega, values, problem, tol)[2:], tol)[1]
+    with np.errstate(all="ignore"):
+        a = _n2_witness(*w_values(problem, np.array([omega]), tol)[2:], tol)[1]
     return True, float(a[0])
 
 
 def classify2(omega: complex, problem: InterfaceProblem,
               tol: Tolerances = DEFAULT_TOL) -> SpectrumClass:
     """Classify omega for the 2D pencil. Total: never raises."""
-    return _classify_point(complex(omega), None, problem, tol)
+    return classify_array(complex(omega), None, problem, tol).record(0)

@@ -176,9 +176,12 @@ def _pole_at(model: DielectricModel, omega: complex, tol: Tolerances):
 
 def wtilde(model: DielectricModel, omega, tol: Tolerances = DEFAULT_TOL):
     """W-tilde(omega); SingularityError at (or within ray_imag_tol of) a pole. A scalar
-    divides by _pole_at's den. At a numpy array (a rational model, points off its poles:
-    not checked) it is elementwise, in numpy's arithmetic."""
+    divides by _pole_at's den. At a numpy array it is elementwise: in numpy's arithmetic
+    on a rational model (points off its poles: not checked), a scalar call per point
+    on a black box."""
     if isinstance(omega, np.ndarray):
+        if model.kind == "callable":
+            return np.vectorize(lambda z: wtilde(model, z, tol), otypes=[complex])(omega)
         den = polyval(model.denominator, omega)
     else:
         omega = complex(omega)
@@ -202,8 +205,8 @@ def w_values(problem: InterfaceProblem, omega, tol: Tolerances = DEFAULT_TOL):
 
     omega is used as given (a Python complex keeps CPython's arithmetic);
     raises SingularityError on either side's poles, as wtilde does. At a
-    numpy array of omega (rational media, off the poles: not checked) the
-    values are elementwise, in numpy's arithmetic.
+    numpy array of omega the values are elementwise, as wtilde's (a black
+    box's point by point), and W is formed in numpy's arithmetic.
     """
     wt_p, wt_m = wtilde(problem.plus, omega, tol), wtilde(problem.minus, omega, tol)
     zz = omega * omega

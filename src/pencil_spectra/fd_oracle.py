@@ -463,14 +463,15 @@ def smallest_singular_value(block: FDBlock) -> float:
     V[0] = v * (1.0 / np.linalg.norm(v))
     m = 1
     for _ in range(_LANCZOS_STEPS):
-        with np.errstate(over="ignore", invalid="ignore"):   # a non-finite beta fails below
+        with np.errstate(over="ignore", invalid="ignore"):   # a non-finite f fails below
             f = a.solve(ah.solve(V[m - 1]))
             c = (f.conj() @ V[:m].T).conj()
             f = f - c @ V[:m]
             f = f - (f.conj() @ V[:m].T).conj() @ V[:m]   # full reorthogonalisation
-            beta = np.linalg.norm(f)
+            e = -math.frexp(np.max(np.abs(f)))[1]   # ||f|| from 2^e f, exactly: no square overflows
+            beta = np.ldexp(np.linalg.norm(np.ldexp(f.view(float), e).view(complex)), -e)
         H[m - 1, m - 1] = c[m - 1].real
-        if not math.isfinite(beta):   # an ill-conditioned Schur complement at huge |k|
+        if not math.isfinite(beta):   # nor is f: an ill-conditioned Schur complement at huge |k|
             raise PencilSpectraError("sigma_min: the structured solve overflows; the FD "
                                      "block is singular to working precision")
         theta, Y = np.linalg.eigh(H[:m, :m])

@@ -633,10 +633,21 @@ def test_check_at_huge_k_raises_no_floating_point_warning(cfg, text, k):
     """With every RuntimeWarning an error, as in the CI smoke run, check at huge k still
     ends in four PASS/FAIL lines: the overflows the oracles meet there stay quiet and
     come out as FAIL lines (a NaN root distance, a non-finite Lanczos step; at k = 1e32
-    on lossy Drude the Lanczos norm overflows, not the structured solve)."""
+    on lossy Drude the Lanczos vector is finite, and its norm is taken scaled)."""
     proc = _python("-W", "error::RuntimeWarning", "-m", "pencil_spectra.trace_cli", "check",
                    "--config", cfg(text), "--k", k, check=False)
     lines = proc.stdout.splitlines()
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert len(lines) == 4 and all(line.startswith(("PASS ", "FAIL ")) for line in lines), lines
+    assert proc.stderr == "", proc.stderr
+
+
+def test_lambda_probe_at_k_1e32_takes_the_norm_of_a_finite_lanczos_vector(cfg):
+    """On lossy Drude at k = 1e32 block2's Lanczos vector is finite (largest modulus
+    about 4e189), but the sum of its squares is not: its norm, taken on the vector
+    scaled by a power of two, lets the lambda line report a separation factor."""
+    proc = _python("-W", "error::RuntimeWarning", "-m", "pencil_spectra.trace_cli", "check",
+                   "--config", cfg(DRUDE_CFG), "--k", "1e32", check=False)
+    [line] = [line for line in proc.stdout.splitlines() if "lambda-isolation" in line]
+    assert "factor =" in line and "error:" not in line, line
     assert proc.stderr == "", proc.stderr

@@ -12,11 +12,15 @@ codes, standard output and standard error are compared, with the timings
 stripped from ``check`` lines, and so is every output file, byte for byte.
 ``check`` also runs at k away from the benchmark's (``EXTRA_CHECKS``, on the
 ``modes`` workload's configs; k = 0 runs the k = 0 paths of the resolvent and
-the FD solve, k = 1e100 the FAIL lines of oracles that break down), so that a
-rounding change in an oracle there shows as well.
+the FD solve, k = 1e100 the FAIL lines of oracles that break down, k = 1e32 on
+drude.cfg a Lanczos vector whose squares overflow), so that a rounding change in
+an oracle there shows as well.
 ``eigen`` also runs at k up to 1e33 (``EXTRA_EIGENS``, on the same configs),
 where the roots of the eigenvalue polynomial differ by some 30 orders of
 magnitude, so that a change in the large-k root path shows as well.
+``trace`` also runs on rational.cfg over a grid of |omega| ~ 1e52 at k = 1e52
+(``EXTRA_TRACES``), where W-tilde overflows and almost every cell is decided
+one at a time, so that a change in that per-point path shows as well.
 ``resolve`` also runs beyond the drawn cases (``EXTRA_RESOLVES``): at k = 0,
 where the u1 columns of resolvent.csv are all zero, on the rational medium, at
 h = 1e-4 (about 200k nodes, many chunks of the CSV writer), and with
@@ -52,8 +56,10 @@ SEEDS = (1, 2)
 CHECK_TIMING = re.compile(r"^((?:PASS|FAIL) \S+) \(\d+(?:\.\d+)?s\)", re.MULTILINE)
 EXTRA_CHECKS = (("drude.cfg", 0.0), ("drude.cfg", 0.5), ("drude.cfg", 1.0), ("drude.cfg", 10.0),
                 ("drude.cfg", 1000.0), ("rational.cfg", 0.5), ("rational.cfg", 3.0),
-                ("rational.cfg", 1000.0), ("rational.cfg", 1e100))   # (config of modes, k)
+                ("rational.cfg", 1000.0), ("rational.cfg", 1e100),
+                ("drude.cfg", 1e32))   # (config of modes, k)
 EXTRA_EIGENS = (("drude.cfg", "1e30:1e33:4"), ("rational.cfg", "1e30:1e33:4"))   # (config, --k)
+EXTRA_TRACES = (("rational.cfg", "-2e52:2e52:81,-1e52:1e51:21", 1e52),)   # (config, --grid, k)
 EXTRA_RESOLVES = (("drude.cfg", "0.2,0.7", 0.0, "1.0:2.0", 1e-3),
                   ("rational.cfg", "0.3,0.6", 3.0, "1.0:2.0", 1e-3),
                   ("drude.cfg", "0.0,0.75", 2.9, "-1.6:-0.8", 1e-4),
@@ -84,9 +90,9 @@ HELP_RUNS = (["--help"], *([command, "--help"]
 
 def run_all(copy: Path, work: Path) -> dict:
     """Run every invocation with copy's program, each workload and seed in its own
-    directory under work, then EXTRA_CHECKS, EXTRA_EIGENS and EXTRA_RESOLVES in one more,
-    EXTRA_CONFIG_RUNS in another and HELP_RUNS in a last one; returns {label: (exit code,
-    stdout without timings, stderr)}."""
+    directory under work, then EXTRA_CHECKS, EXTRA_EIGENS, EXTRA_TRACES and EXTRA_RESOLVES
+    in one more, EXTRA_CONFIG_RUNS in another and HELP_RUNS in a last one; returns
+    {label: (exit code, stdout without timings, stderr)}."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src")}
     results = {}
 
@@ -113,6 +119,9 @@ def run_all(copy: Path, work: Path) -> dict:
     for cfg, ks in EXTRA_EIGENS:
         run(f"eigen {cfg} k = {ks}", work / "extra-checks", configs,
             ["eigen", "--config", cfg, "--k", ks, "--out", f"eigen_{cfg[:-4]}"])
+    for n, (cfg, grid, k) in enumerate(EXTRA_TRACES):
+        run(f"trace {cfg} grid = {grid} k = {k!r}", work / "extra-checks", configs,
+            ["trace", "--config", cfg, f"--grid={grid}", "--k", repr(k), "--out", f"trace_{n}"])
     for n, (cfg, omega, k, support, h) in enumerate(EXTRA_RESOLVES):
         run(f"resolve {cfg} omega = {omega} k = {k!r} h = {h!r}", work / "extra-checks",
             configs, ["resolve", "--config", cfg, f"--omega={omega}", "--k", repr(k),
@@ -168,6 +177,7 @@ def main(argv=None) -> int:
         print(f"differs: {line}")
     print(f"{len(runs['parent'])} invocations (seeds {', '.join(map(str, SEEDS))}, "
           f"{len(EXTRA_CHECKS)} extra checks, {len(EXTRA_EIGENS)} extra eigen sweeps, "
+          f"{len(EXTRA_TRACES)} extra traces, "
           f"{len(EXTRA_RESOLVES)} extra resolves, "
           f"{len(EXTRA_CONFIG_RUNS)} runs on the extra config, "
           f"{len(HELP_RUNS)} help texts): "

@@ -31,6 +31,8 @@ run classify --config rational.cfg --omega 0.3,0.6 --k 3
 run classify --config rational.cfg --omega 0,-1 --dim 2
 run trace --config rational.cfg --grid=-4:4:81,-1.2:0.4:17 --k 3 --out rational_trace
 run trace --config rational.cfg --grid=-4:4:81,-1.2:0.4:17 --dim 2 --out rational_trace2d
+# from |omega| ~ 1e52 W-tilde overflows: almost every cell is decided one at a time
+run trace --config rational.cfg --grid=-2e52:2e52:81,-1e52:1e51:21 --k 1e52 --out rational_trace_huge
 run eigen --config rational.cfg --k 0.5:3:6 --out rational_eigen
 run resolve --config rational.cfg --omega 0.3,0.6 --k 3 --h 0.01 --out rational_resolve
 run check --config rational.cfg --k 3
@@ -39,11 +41,13 @@ status=0
 run check --config rational.cfg --k 1e100 > huge_k.txt || status=$?
 test "$status" -eq 1
 test "$(grep -c -E '^(PASS|FAIL) ' huge_k.txt)" -eq 4
-# lossy Drude at k = 1e32: the Lanczos vector's norm overflows, quietly
+# lossy Drude at k = 1e32: the Lanczos vector is finite but the sum of its squares is
+# not; its norm, taken scaled, still gives the lambda line a separation factor
 status=0
 run check --config drude.cfg --k 1e32 > huge_k_lanczos.txt || status=$?
 test "$status" -eq 1
 test "$(grep -c -E '^(PASS|FAIL) ' huge_k_lanczos.txt)" -eq 4
+grep -q '^FAIL lambda-isolation .*factor = ' huge_k_lanczos.txt
 # flow-map vectors of size e^25 k, scaled by powers of two, still match the modes
 status=0
 run check --config drude.cfg --k 1e150 > huge_k_shoot.txt || status=$?
